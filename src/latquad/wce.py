@@ -220,9 +220,13 @@ def _fold_average_e2(
     truncated series otherwise.  Processed in fixed row blocks through integer
     table lookups and reduced by one fsum over per-row sums, so repeated calls
     are bit-identical.  The tail bound propagates the per-factor series bounds
-    as ``wce_double_sum`` does.  Cost O(N^2 s) time, O(block N) memory.
+    as ``wce_double_sum`` does.  Cost O(N^2 s) time, O(block N) memory, so
+    like the double sum it is capped at MAX_DOUBLE_SUM_NODES nodes and raises
+    ValueError above that before doing any work.
     """
     N, s = rule.N, rule.s
+    if N > MAX_DOUBLE_SUM_NODES:
+        raise ValueError(f"fold-average sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {N}")
     m = np.arange(N, dtype=np.int64)
     tables, bnds = [], np.empty(s)
     for j, gamma in enumerate(gammas):
@@ -253,8 +257,9 @@ def wce_cosine_tent(
 
     At a tent-folded node phi(t), cos(pi k phi(t)) = cos(2 pi k t), so each
     cosine factor becomes the fold average of the Korobov factor over t - t'
-    and t + t'.  Computed by the O(N^2 s) fold-average sum: exact for alpha in
-    1..3, with a rigorous series tail bound otherwise.  This is
+    and t + t'.  Computed by the O(N^2 s) fold-average sum, capped at
+    MAX_DOUBLE_SUM_NODES nodes: exact for alpha in 1..3, with a rigorous
+    series tail bound otherwise.  This is
     the Korobov error ``wce_korobov_lattice`` only in one dimension or when
     the dual lattice is closed under per-coordinate sign flips; otherwise it
     is strictly smaller.
@@ -275,8 +280,8 @@ def wce_korcos_sym(
     fold average with weight gamma and leaves only the even frequencies of
     the cosine half, the fold average with weight gamma 4^(-alpha).  The
     mean is the fold average with weight (1 + 4^(-alpha)) gamma / 2, computed
-    by the O(N^2 s) fold-average sum: exact for alpha in 1..3, with a
-    rigorous series tail bound otherwise.
+    by the O(N^2 s) fold-average sum, capped at MAX_DOUBLE_SUM_NODES nodes:
+    exact for alpha in 1..3, with a rigorous series tail bound otherwise.
     """
     gammas = _check_gammas(gammas, rule.s)
     scale = 0.5 * (1.0 + 4.0 ** (-float(alpha)))

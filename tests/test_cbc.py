@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from latquad.cbc import candidate_set, cbc_construct
+from latquad import cbc
+from latquad.cbc import _reference_construct, _UnitScreen, candidate_set, cbc_construct
 from latquad.kernels import korobov_omega
 from latquad.points import LatticeRule
 from latquad.wce import cbc_bound_constant, wce_korobov_lattice
@@ -20,10 +21,14 @@ def test_candidate_sets():
         candidate_set(1)
 
 
-def test_one_dimension_picks_the_first_unit():
-    res = cbc_construct(4, 1, 1, (1.0,))
-    assert res.rule == LatticeRule(4, (1,))
-    assert res.per_dim_e2[0] == pytest.approx(math.pi**2 / 48.0, abs=1e-13)
+@pytest.mark.parametrize("N", [4, 1021, 4093, 16384])
+def test_one_dimension_picks_the_first_unit(N):
+    # every unit permutes the residues, so all of them tie exactly in s = 1
+    res = cbc_construct(N, 1, 1, (1.0,))
+    assert res.rule == LatticeRule(N, (1,))
+    assert res.per_dim_e2[0] == pytest.approx(math.pi**2 / (3.0 * N * N), abs=1e-13)
+    e2 = wce_korobov_lattice(res.rule, 1, (1.0,)).e2
+    assert abs(res.per_dim_e2[0] - e2) <= 1e-12 * (1.0 + e2)
 
 
 def _exhaustive_min(N, s, alpha, gammas):
@@ -80,3 +85,49 @@ def test_input_validation():
         cbc_construct(8, 2, 1, (1.0,))
     with pytest.raises(ValueError):
         cbc_construct(8, 2, 1, (1.0, 0.0))
+
+
+_WEIGHTS = {"j^-2": tuple(1.0 / j**2 for j in range(1, 7)),
+            "0.9^j": tuple(0.9**j for j in range(1, 7))}
+# all screened moduli up to 64, then each prime and power of two near 2^k;
+# 1019, 2039 and 4079 are 2 times a prime, so their FFT length has a large
+# prime factor
+_SCREENED = [N for N in range(5, 65) if cbc._has_fft_screen(N)] + [
+    127, 128, 257, 256, 509, 512, 1019, 1021, 1024, 2039, 2048, 4079, 4093, 4096]
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("N", _SCREENED)
+def test_fft_screen_matches_the_reference_scan(N, alpha, weights):
+    gammas = _WEIGHTS[weights]
+    assert cbc_construct(N, 6, alpha, gammas) == _reference_construct(N, 6, alpha, gammas)
+
+
+@pytest.mark.parametrize("N", [12, 1000])
+def test_other_moduli_take_the_reference_scan(N, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("screen used for a modulus that is neither prime nor 2^m")
+
+    gammas = _WEIGHTS["0.9^j"]
+    expected = _reference_construct(N, 6, 1, gammas)
+    monkeypatch.setattr(cbc, "_UnitScreen", refuse)
+    assert cbc_construct(N, 6, 1, gammas) == expected
+
+
+@pytest.mark.parametrize("N,alpha", [(8, 1), (257, 1), (509, 3), (1019, 2), (2048, 2),
+                                     (4079, 1), (4096, 3)])
+def test_screened_errors_stay_within_their_bound(N, alpha):
+    gammas = _WEIGHTS["0.9^j"]
+    zs = np.array(candidate_set(N))
+    om = korobov_omega(alpha, np.arange(N) / N)
+    n = np.arange(N)
+    screen = _UnitScreen(N, om, zs)
+    prod = np.ones(N)
+    for z, gamma in zip(cbc_construct(N, 6, alpha, gammas).rule.g, gammas):
+        e2, bound = screen.screen(prod, gamma)
+        direct = np.array([float(np.sum(prod * (1.0 + gamma * om[(n * c) % N]))) / N - 1.0
+                           for c in zs])
+        assert np.abs(e2 - direct).max() <= bound
+        assert bound < 1e-9
+        prod *= 1.0 + gamma * om[(n * z) % N]

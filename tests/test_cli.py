@@ -225,6 +225,15 @@ def test_usage_errors_exit_one(capsys):
     assert "rule is required" in err
 
 
+def test_fold_average_cap_exits_one(capsys):
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "cosine-tent", "--n", "4099", "--g", "1",
+        "--alpha", "1", "--gamma", "1")
+    assert code == 1
+    assert stdout == ""
+    assert "capped at 4096 nodes" in err
+
+
 def test_truncation_budget_exit_two(capsys):
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",

@@ -15,6 +15,7 @@ import pytest
 from latquad.kernels import SpaceSpec, TruncationBudgetError, TruncationPolicy
 from latquad.points import LatticeRule, lattice_points, symmetrize, tent_transform
 from latquad.wce import (
+    MAX_DOUBLE_SUM_NODES,
     WceMethod,
     cbc_bound_constant,
     wce_cosine_sym,
@@ -186,6 +187,14 @@ def test_fold_average_routes_are_exact_and_repeatable(alpha):
         assert a.tail_bound == 0.0
         assert a.e2 == b.e2
         assert 0.0 < a.e2 <= wce_korobov_lattice(rule, alpha, gammas).e2
+
+
+@pytest.mark.parametrize("fn", [wce_cosine_tent, wce_korcos_sym])
+def test_fold_average_routes_refuse_rules_above_the_node_cap(fn):
+    with pytest.raises(ValueError, match="capped"):
+        fn(LatticeRule(MAX_DOUBLE_SUM_NODES + 3, (1,)), 1, (1.0,))
+    at_cap = fn(LatticeRule(MAX_DOUBLE_SUM_NODES, (1,)), 1, (1.0,))
+    assert at_cap.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
 
 
 def test_symmetrization_leaves_korobov_error_unchanged_in_one_dimension():
