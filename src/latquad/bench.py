@@ -19,11 +19,16 @@ from functools import lru_cache
 import numpy as np
 
 from .cbc import cbc_construct
-from .points import (
+# integrate builds no node set, so lattice_points, tent_transform and
+# symmetrize are not called here; they stay importable as latquad.bench
+# attributes for code that looks them up, or wraps them, there.
+from .points import (  # noqa: F401
+    VARIANTS,
     LatticeRule,
     lattice_points,
     symmetrize,
     symmetrized_node_count,
+    tent,
     tent_transform,
 )
 
@@ -31,7 +36,6 @@ __all__ = [
     "TestFunction",
     "ConvergenceRecord",
     "VARIANTS",
-    "SYM_NODE_CAP",
     "eval_g",
     "eval_h",
     "integrate",
@@ -40,26 +44,25 @@ __all__ = [
     "records_to_csv",
 ]
 
-VARIANTS = ("plain", "tent", "sym")
-SYM_NODE_CAP = 1 << 24
 _ERROR_FLOOR = 1e-13
 
 
-def eval_g(s: int, w: float, x) -> np.ndarray:
-    """Polynomial product integrand; coordinates on the last axis."""
+def _coordinates(s: int, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != s:
         raise ValueError(f"last axis must have {s} coordinates")
+    return x
+
+
+def _g_factors(s: int, w: float, x) -> np.ndarray:
+    x = _coordinates(s, x)
     wj = w ** np.arange(1, s + 1)
     poly = -10.0 + 42.0 * x**2 - 42.0 * x**5 + 21.0 * x**6
-    return np.prod(1.0 + (wj / 21.0) * poly, axis=-1)
+    return 1.0 + (wj / 21.0) * poly
 
 
-def eval_h(s: int, w: float, x) -> np.ndarray:
-    """Polynomial-plus-sine product integrand; coordinates on the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != s:
-        raise ValueError(f"last axis must have {s} coordinates")
+def _h_factors(s: int, w: float, x) -> np.ndarray:
+    x = _coordinates(s, x)
     wj = w ** np.arange(1, s + 1)
     poly = (
         31.0
@@ -71,7 +74,20 @@ def eval_h(s: int, w: float, x) -> np.ndarray:
         - 16.0 * math.cos(1.0)
         - 16.0 * np.sin(x)
     )
-    return np.prod(1.0 + (wj / 8.0) * poly, axis=-1)
+    return 1.0 + (wj / 8.0) * poly
+
+
+_FACTORS = {"g": _g_factors, "h": _h_factors}
+
+
+def eval_g(s: int, w: float, x) -> np.ndarray:
+    """Polynomial product integrand; coordinates on the last axis."""
+    return np.prod(_g_factors(s, w, x), axis=-1)
+
+
+def eval_h(s: int, w: float, x) -> np.ndarray:
+    """Polynomial-plus-sine product integrand; coordinates on the last axis."""
+    return np.prod(_h_factors(s, w, x), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -91,10 +107,12 @@ class TestFunction:
         if not 0.0 < self.w <= 1.0:
             raise ValueError("w must be in (0, 1]")
 
+    def factors(self, x) -> np.ndarray:
+        """Per-coordinate factors, same shape as x; f(x) is their product."""
+        return _FACTORS[self.family](self.s, self.w, x)
+
     def __call__(self, x) -> np.ndarray:
-        if self.family == "g":
-            return eval_g(self.s, self.w, x)
-        return eval_h(self.s, self.w, x)
+        return np.prod(self.factors(x), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,23 +125,32 @@ class ConvergenceRecord:
 
 
 def integrate(rule: LatticeRule, variant: str, f) -> float:
-    """Quadrature estimate of f under the plain, tent, or sym node variant.
+    """Quadrature estimate of a product integrand under the plain, tent or sym rule.
 
-    Accumulation is fully compensated (exact summation of the weighted terms),
-    which matters once node counts reach the millions.
+    ``f`` is a product integrand: ``f.factors(x)`` maps an (M, s) array of
+    nodes to the (M, s) array of per-coordinate factors, and the integrand is
+    their product over each row (``TestFunction`` is one).
+
+    Only the N lattice nodes are evaluated.  The symmetrized rule averages f
+    over the 2^s reflections x_j -> 1 - x_j of every node; for a product that
+    average is the product of the per-coordinate means
+    (phi_j(x_j) + phi_j(1 - x_j)) / 2, so the sym estimate costs O(N s) like
+    the other two and no reflected node set is built.  Reflected coordinates
+    come from the integer numerators, (N - n g_j mod N) / N, as in
+    ``symmetrize``.  The N node products are summed exactly with math.fsum.
     """
-    if variant == "plain":
-        ps = lattice_points(rule)
-    elif variant == "tent":
-        ps = tent_transform(lattice_points(rule))
-    elif variant == "sym":
-        ps = symmetrize(rule, dedupe=True)
-    else:
+    if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    vals = np.asarray(f(ps.points), dtype=np.float64)
-    if variant == "sym":
-        return math.fsum((vals * ps.weights).tolist())
-    return math.fsum(vals.tolist()) / len(ps)
+    N = rule.N
+    nums = (np.arange(N, dtype=np.int64)[:, None] * np.asarray(rule.g, dtype=np.int64)) % N
+    x = nums / float(N)
+    if variant == "plain":
+        F = f.factors(x)
+    elif variant == "tent":
+        F = f.factors(tent(x))
+    else:
+        F = 0.5 * (f.factors(x) + f.factors((N - nums) / float(N)))
+    return math.fsum(np.prod(F, axis=1).tolist()) / N
 
 
 @lru_cache(maxsize=128)
@@ -154,12 +181,6 @@ def converge_study(
         gammas = tuple(float(f.w) ** j for j in range(1, f.s + 1))
     else:
         gammas = tuple(float(g) for g in cbc_gammas)
-    if variant == "sym":
-        if f.s > 10:
-            raise ValueError("symmetrized studies are supported up to dimension 10")
-        worst = (1 << (f.s - 1)) * max(Ns)
-        if worst > SYM_NODE_CAP:
-            raise ValueError(f"symmetrized study needs {worst} nodes (cap {SYM_NODE_CAP})")
 
     records = []
     for N in Ns:

@@ -25,10 +25,15 @@ from .kernels import (
     TruncationBudgetError,
     TruncationPolicy,
 )
-from .points import (
+# lattice_points, tent_transform and symmetrize are reached through node_set;
+# they stay importable as latquad.cli attributes for code that looks them up,
+# or wraps them, there.
+from .points import (  # noqa: F401
+    VARIANTS,
     LatticeRule,
     WeightedPointSet,
     lattice_points,
+    node_set,
     read_vector_file,
     symmetrize,
     tent_transform,
@@ -142,13 +147,7 @@ def cmd_cbc(args) -> int:
 
 
 def cmd_points(args) -> int:
-    rule = _rule_from_args(args)
-    if args.variant == "plain":
-        ps = lattice_points(rule)
-    elif args.variant == "tent":
-        ps = tent_transform(lattice_points(rule))
-    else:
-        ps = symmetrize(rule, dedupe=not args.no_dedupe)
+    ps = node_set(_rule_from_args(args), args.variant, dedupe=not args.no_dedupe)
     out, close = _open_out(args.output)
     try:
         _write_points(ps, out, with_weights=args.variant == "sym")
@@ -168,13 +167,7 @@ def cmd_wce(args) -> int:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
         else:
-            rule = _rule_from_args(args)
-            if args.variant == "plain":
-                ps = lattice_points(rule)
-            elif args.variant == "tent":
-                ps = tent_transform(lattice_points(rule))
-            else:
-                ps = symmetrize(rule)
+            ps = node_set(_rule_from_args(args), args.variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
         res = wce_double_sum(spec, ps, policy, threads=args.threads)
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", help="emit node coordinates")
     _add_rule_flags(p)
-    p.add_argument("--variant", choices=("plain", "tent", "sym"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--no-dedupe", action="store_true", help="keep duplicate symmetrized nodes")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_points)
@@ -263,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, help="kernel for --space double-sum")
     p.add_argument("--points-file", help="explicit nodes for --space double-sum")
     p.add_argument("--s", type=int, help="dimension of the points file")
-    p.add_argument("--variant", choices=("plain", "tent", "sym"), default="plain",
+    p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="node variant when double-sum reads a vector file")
     p.add_argument("--threads", type=int, default=os.cpu_count(),
                    help="worker threads for the double sum (result is identical)")
@@ -272,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")
     _add_rule_flags(p)
-    p.add_argument("--variant", choices=("plain", "tent", "sym"), required=True)
+    p.add_argument("--variant", choices=VARIANTS, required=True)
     p.add_argument("--family", choices=("g", "h"), required=True)
     p.add_argument("--w", type=float, required=True)
     p.set_defaults(func=cmd_integrate)

@@ -21,6 +21,8 @@ __all__ = [
     "tent_transform",
     "symmetrize",
     "symmetrized_node_count",
+    "VARIANTS",
+    "node_set",
     "dual_lattice",
     "read_vector_file",
     "write_vector_file",
@@ -28,6 +30,8 @@ __all__ = [
 
 # Hard cap on materialized symmetrization rows (2^s per retained shift).
 _SYM_ROW_CAP = 1 << 25
+
+VARIANTS = ("plain", "tent", "sym")
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,21 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     pts = nums[starts] / float(N)
     w = counts / float(N << s)
     return WeightedPointSet(pts, w)
+
+
+def node_set(rule: LatticeRule, variant: str, dedupe: bool = True) -> WeightedPointSet:
+    """Nodes of the plain, tent-folded or symmetrized rule.
+
+    ``dedupe`` is passed to ``symmetrize`` and has no effect on the other two
+    variants.
+    """
+    if variant == "plain":
+        return lattice_points(rule)
+    if variant == "tent":
+        return tent_transform(lattice_points(rule))
+    if variant == "sym":
+        return symmetrize(rule, dedupe=dedupe)
+    raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 def dual_lattice(rule: LatticeRule, H: int, max_candidates: int = 10_000_000) -> np.ndarray:

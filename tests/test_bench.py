@@ -15,7 +15,24 @@ from latquad.bench import (
     integrate,
     records_to_csv,
 )
-from latquad.points import LatticeRule
+from latquad.cbc import cbc_construct
+from latquad.points import (
+    LatticeRule,
+    lattice_points,
+    symmetrize,
+    symmetrized_node_count,
+    tent_transform,
+)
+
+
+class _Product:
+    """Product integrand prod_j phi_j(x_j), one callable per coordinate."""
+
+    def __init__(self, *phis):
+        self.phis = phis
+
+    def factors(self, x):
+        return np.stack([phi(x[:, j]) for j, phi in enumerate(self.phis)], axis=1)
 
 
 def test_eval_g_endpoints():
@@ -50,19 +67,20 @@ def test_test_function_validation():
 
 def test_constants_are_exact_for_every_variant():
     rule = LatticeRule(7, (1, 3))
+    one = _Product(np.ones_like, np.ones_like)
     for variant in ("plain", "tent", "sym"):
-        est = integrate(rule, variant, lambda p: np.ones(len(p)))
+        est = integrate(rule, variant, one)
         assert est == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ValueError):
-        integrate(rule, "folded", lambda p: np.ones(len(p)))
+        integrate(rule, "folded", one)
 
 
 def test_symmetrized_rule_integrates_odd_parts_exactly():
     for N, g in [(3, (1,)), (4, (3,)), (7, (2,))]:
         rule = LatticeRule(N, g)
-        est = integrate(rule, "sym", lambda p: p.ravel())
+        est = integrate(rule, "sym", _Product(lambda x: x))
         assert est == pytest.approx(0.5, abs=1e-14)
-        est = integrate(rule, "sym", lambda p: np.cos(np.pi * p).ravel())
+        est = integrate(rule, "sym", _Product(lambda x: np.cos(np.pi * x)))
         assert est == pytest.approx(0.0, abs=1e-14)
 
 
@@ -71,13 +89,26 @@ def test_tent_equals_plain_on_even_cosines_at_odd_moduli():
     # even N can place mass on the fold crease, so only odd N is asserted
     for N, g in [(5, (1, 2)), (7, (1, 3)), (9, (1, 2))]:
         rule = LatticeRule(N, g)
-
-        def f(p):
-            return np.cos(2.0 * np.pi * p[:, 0]) * np.cos(4.0 * np.pi * p[:, 1])
-
+        f = _Product(lambda x: np.cos(2.0 * np.pi * x), lambda x: np.cos(4.0 * np.pi * x))
         a = integrate(rule, "plain", f)
         b = integrate(rule, "tent", f)
         assert abs(a - b) <= 1e-13
+
+
+@pytest.mark.parametrize("family", ["g", "h"])
+def test_factorised_estimates_match_the_node_sets(family):
+    # sym against the full 2^s N reflection multiset; plain and tent against
+    # the node sets, bit for bit, since the arithmetic there is unchanged
+    for N in (7, 12, 64, 97, 255):
+        for s in range(1, 9):
+            rule = LatticeRule(N, tuple(pow(3, j, N) for j in range(s)))
+            f = Integrand(family, s, 0.9 if family == "g" else 0.5)
+            P = symmetrize(rule, dedupe=False).points
+            want = math.fsum(f(P).tolist()) / len(P)
+            assert abs(integrate(rule, "sym", f) - want) <= 1e-14 * abs(want)
+            for variant, ps in (("plain", lattice_points(rule)),
+                                ("tent", tent_transform(lattice_points(rule)))):
+                assert integrate(rule, variant, f) == math.fsum(f(ps.points).tolist()) / N
 
 
 def test_quadrature_reaches_the_exact_integral():
@@ -123,10 +154,15 @@ def test_converge_study_validation():
         converge_study(f, "tent", [64, 32])
     with pytest.raises(ValueError):
         converge_study(f, "spiral", [32, 64])
-    with pytest.raises(ValueError):
-        converge_study(Integrand("g", 11, 0.9), "sym", [32, 64])
-    with pytest.raises(ValueError):
-        converge_study(Integrand("g", 10, 0.9), "sym", [1 << 16])
+    # no dimension or node-count cap on symmetrized studies: nothing is materialised
+    f11 = Integrand("g", 11, 0.9)
+    gammas = tuple(0.9**j for j in range(1, 12))
+    for rec in converge_study(f11, "sym", [32, 64]):
+        P = symmetrize(cbc_construct(rec.N, 11, 1, gammas).rule, dedupe=False).points
+        want = math.fsum(f11(P).tolist()) / len(P)
+        assert abs(rec.estimate - want) <= 1e-14 * abs(want)
+    (rec,) = converge_study(Integrand("g", 10, 0.9), "sym", [1 << 16])
+    assert rec.nodes == symmetrized_node_count(1 << 16, 10)
 
 
 def test_symmetrized_node_counts_in_records():
