@@ -25,7 +25,7 @@ import numpy as np
 
 from .kernels import korobov_omega
 from .points import LatticeRule
-from .wce import cbc_bound_constant
+from .wce import _check_gammas, cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
 
@@ -84,11 +84,7 @@ def _construct(N: int, s: int, alpha: int, gammas, fast: bool) -> CbcResult:
     if not float(alpha).is_integer() or int(alpha) not in (1, 2, 3):
         raise ValueError(f"CBC needs integer smoothness in 1..3, got {alpha}")
     alpha = int(alpha)
-    gammas = tuple(float(g) for g in gammas)
-    if len(gammas) != s:
-        raise ValueError(f"expected {s} weights, got {len(gammas)}")
-    if min(gammas) <= 0.0:
-        raise ValueError("weights gamma_j must be positive")
+    gammas = _check_gammas(gammas, s)
 
     zs = np.array(candidate_set(N), dtype=np.int64)
     om = korobov_omega(alpha, np.arange(N) / N)

@@ -12,9 +12,15 @@ Four kernel families over [0,1], combined by products across coordinates:
       omega(z) = (-1)^(alpha+1) (2 pi)^(2 alpha) B_{2 alpha}(z) / (2 alpha)!,
   other alpha through a truncated Fourier series.
 * ``cosine``: half-period cosine space with weights gamma * k^(-2 alpha) on the
-  orthonormal basis 1, sqrt(2) cos(pi k x).  Always evaluated as a truncated
-  series so it stays an independent check against the closed forms.
-* ``korcos``: the arithmetic mean of the korobov and cosine kernels.
+  orthonormal basis 1, sqrt(2) cos(pi k x).  Since
+      sum_{k >= 1} k^(-2 alpha) cos(pi k theta) = omega(frac(theta / 2)) / 2,
+  integer alpha in {1,2,3} evaluates through the same closed form,
+      K(x, y) = 1 + (gamma / 2) [omega(frac((x - y) / 2))
+                                 + omega(frac((x + y) / 2))],
+  other alpha through a truncated cosine series.  ``cosine_kernel_partial``
+  keeps the series for every alpha as the independent oracle.
+* ``korcos``: the arithmetic mean of the korobov and cosine kernels, closed
+  for integer alpha in {1,2,3} whenever both halves are.
 
 Truncated evaluations report a rigorous tail bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
@@ -292,8 +298,10 @@ def kernel_factor(
 ) -> tuple[np.ndarray, float]:
     """One coordinate factor of a product kernel, with its truncation bound.
 
-    x and y broadcast against each other; returns (values, tail_bound) where
-    tail_bound is 0 for closed-form evaluations.
+    x and y broadcast against each other; returns (values, tail_bound).  The
+    sobolev family, and the korobov, cosine and korcos families at integer
+    alpha in {1,2,3}, evaluate Bernoulli closed forms with tail_bound 0 and
+    sum no series terms; other alpha sum a truncated series sized by policy.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
@@ -305,9 +313,18 @@ def kernel_factor(
     if family == "sobolev":
         return _sobolev_factor(alpha, gamma, x, y), 0.0
 
-    closed = float(alpha).is_integer() and int(alpha) in (1, 2, 3)
-    if family == "korobov" and closed:
-        return 1.0 + gamma * korobov_omega(int(alpha), np.mod(x - y, 1.0)), 0.0
+    if float(alpha).is_integer() and int(alpha) in (1, 2, 3):
+        a = int(alpha)
+        if family == "korobov":
+            return 1.0 + gamma * korobov_omega(a, np.mod(x - y, 1.0)), 0.0
+        # cosine half: sum_k k^(-2a) cos(pi k theta) = omega(frac(theta/2)) / 2
+        cos_om = korobov_omega(a, np.mod(0.5 * (x - y), 1.0)) + korobov_omega(
+            a, np.mod(0.5 * (x + y), 1.0)
+        )
+        if family == "cosine":
+            return 1.0 + 0.5 * gamma * cos_om, 0.0
+        kor_om = korobov_omega(a, np.mod(x - y, 1.0))
+        return 1.0 + 0.5 * gamma * kor_om + 0.25 * gamma * cos_om, 0.0
 
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2")
@@ -321,14 +338,10 @@ def kernel_factor(
             _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
         )
         return val, 2.0 * t
-    # korcos: mean of the two kernels; the korobov half is exact when a
-    # closed form exists, halving the truncation bound.
+    # korcos: mean of the two kernels
     cos_half = 0.5 * gamma * (
         _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
     )
-    if closed:
-        kor_half = 0.5 * gamma * korobov_omega(int(alpha), np.mod(x - y, 1.0))
-        return 1.0 + kor_half + cos_half, t
     kor_half = gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
     return 1.0 + kor_half + cos_half, 2.0 * t
 

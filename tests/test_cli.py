@@ -237,10 +237,16 @@ def test_fold_average_cap_exits_one(capsys):
 def test_truncation_budget_exit_two(capsys):
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--n", "4", "--g", "1", "--alpha", "1", "--gamma", "1", "--tol", "1e-12")
+        "--n", "4", "--g", "1", "--alpha", "1.5", "--gamma", "1", "--tol", "1e-14")
     assert code == 2
     assert stdout == ""
     assert "computation failed" in err
+    # the same request at integer alpha takes the closed form, no term budget
+    code, stdout, _ = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "cosine",
+        "--n", "4", "--g", "1", "--alpha", "1", "--gamma", "1", "--tol", "1e-14")
+    assert code == 0
+    assert "tail=0 " in stdout
 
 
 def test_help_exits_zero(capsys):

@@ -21,6 +21,7 @@ from latquad.kernels import (
     series_kmax,
     series_tail_bound,
     zeta,
+    _cos_partial_sum,
 )
 
 PI = math.pi
@@ -111,13 +112,37 @@ def test_korobov_factor_spot_values():
 
 
 def test_truncated_families_carry_tail_bounds():
+    # non-integer alpha sums both families as series; each factor drops at
+    # most twice the per-series integral bound
     pol = TruncationPolicy(tol=1e-6, max_terms=2_000_000)
-    v, tail = kernel_factor("cosine", 1, 1.0, 0.0, 0.0, pol)
-    assert tail == pytest.approx(2e-6, rel=1e-12)
-    assert float(v) == pytest.approx(1.0 + PI**2 / 3.0, abs=2.0 * tail)
-    v, tail = kernel_factor("korcos", 1, 1.0, 0.0, 0.0, pol)
-    assert tail == pytest.approx(1e-6, rel=1e-12)  # korobov half is closed form
-    assert float(v) == pytest.approx(1.0 + PI**2 / 3.0, abs=2.0 * tail)
+    t = series_tail_bound(1.5, 1.0, series_kmax(1.5, 1.0, pol))
+    for fam in ("cosine", "korcos"):
+        v, tail = kernel_factor(fam, 1.5, 1.0, 0.0, 0.0, pol)
+        assert tail == pytest.approx(2.0 * t, rel=1e-12)
+        assert 0.0 < tail <= 2e-6
+        assert float(v) == pytest.approx(1.0 + 2.0 * zeta(3.0), abs=tail)
+    # integer alpha is a closed form: no tail
+    for fam in ("cosine", "korcos"):
+        v, tail = kernel_factor(fam, 1, 1.0, 0.0, 0.0, pol)
+        assert tail == 0.0
+        assert float(v) == pytest.approx(1.0 + PI**2 / 3.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("alpha,kmax", [(1, 70_000), (2, 2_000), (3, 300)])
+@pytest.mark.parametrize("fam", ["cosine", "korcos"])
+def test_cosine_closed_forms_match_their_series(fam, alpha, kmax):
+    # edge arguments 0, 1/2, 1 give x + y = 2 and negative x - y
+    grid = np.array([0.0, 0.5, 1.0, 0.1, 0.37, 0.9])
+    x, y = grid[:, None], grid[None, :]
+    gamma = 0.8
+    v, tail = kernel_factor(fam, alpha, gamma, x, y)
+    assert tail == 0.0
+    assert float(np.abs(v - v.T).max()) <= 1e-13
+    series = cosine_kernel_partial(x, y, alpha, gamma, kmax)
+    if fam == "korcos":
+        kor = 1.0 + 2.0 * gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
+        series = 0.5 * (kor + series)
+    assert float(np.abs(v - series).max()) <= 2.0 * series_tail_bound(alpha, gamma, kmax)
 
 
 @pytest.mark.parametrize("alpha,tol", [(1, 1e-5), (2, 1e-7), (3, 1e-7)])
@@ -178,16 +203,20 @@ def test_gram_matrices_are_positive_semidefinite(fam):
 
 
 def test_kernel_eval_is_the_product_of_factors():
-    spec = SpaceSpec("korcos", 1, (1.0, 0.5, 0.25))
     x = np.array([0.1, 0.7, 0.4])
     y = np.array([0.9, 0.2, 0.4])
-    got = kernel_eval(spec, x, y)
-    want = 1.0
-    for j in range(3):
-        v, _ = kernel_factor("korcos", 1, spec.gammas[j], x[j], y[j])
-        want *= float(v)
-    assert got.value == pytest.approx(want, rel=1e-12)
-    assert got.tail_bound > 0.0
+    for alpha in (1, 1.5):
+        spec = SpaceSpec("korcos", alpha, (1.0, 0.5, 0.25))
+        got = kernel_eval(spec, x, y)
+        want = 1.0
+        for j in range(3):
+            v, _ = kernel_factor("korcos", alpha, spec.gammas[j], x[j], y[j])
+            want *= float(v)
+        assert got.value == pytest.approx(want, rel=1e-12)
+        if alpha == 1:
+            assert got.tail_bound == 0.0  # closed form
+        else:
+            assert got.tail_bound > 0.0
     with pytest.raises(ValueError):
         kernel_eval(spec, x[:2], y)
 

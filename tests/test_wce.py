@@ -1,11 +1,11 @@
 """Worst-case error routes: closed forms, kernel double sums, cross-checks.
 
-The tent and symmetrized-korcos wrappers evaluate the exact fold-average sum
-and are checked against the double sum in every dimension.  The periodic
-Korobov closed form equals those errors only in one dimension or for rules
-whose dual lattice is closed under per-coordinate sign flips; elsewhere the
-double sum is checked against a direct spectral-projection oracle, which
-sits strictly below the closed form.
+The tent, symmetrized-cosine and symmetrized-korcos wrappers evaluate the
+exact fold-average sum and are checked against the double sum in every
+dimension.  The periodic Korobov closed form equals those errors only in one
+dimension or for rules whose dual lattice is closed under per-coordinate sign
+flips; elsewhere the double sum is checked against a direct
+spectral-projection oracle, which sits strictly below the closed form.
 """
 import math
 
@@ -154,11 +154,38 @@ def test_symmetrized_korcos_exact_value_two_nodes():
     # hand value 5 pi^2 / 96 for N=2, g=(1): mean of pi^2/12 and pi^2/48
     rule = LatticeRule(2, (1,))
     ds = wce_double_sum(SpaceSpec("korcos", 1, (1.0,)), symmetrize(rule), POL)
-    assert abs(ds.e2 - 5.0 * PI**2 / 96.0) <= ds.tail_bound
+    assert ds.tail_bound == 0.0
+    assert ds.e2 == pytest.approx(5.0 * PI**2 / 96.0, rel=1e-13)
     res = wce_korcos_sym(rule, 1, (1.0,))
     assert res.e2 == pytest.approx(5.0 * PI**2 / 96.0, rel=1e-13)
     assert res.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
     assert res.tail_bound == 0.0
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
+def test_dual_lattice_route_is_the_weight_product_sum(alpha, monkeypatch):
+    # the vectorised sum must equal the per-vector r_weight_product loop, bit for bit
+    import latquad.wce as wce_module
+    from latquad.kernels import r_weight_product
+    from latquad.points import dual_lattice
+
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(dual_lattice(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(wce_module, "dual_lattice", spy)
+    pol = TruncationPolicy(tol=1e-2 if alpha < 2 else 1e-6)
+    for rule, gammas in (
+        (LatticeRule(31, (1, 12)), (1.0, 0.5)),
+        (LatticeRule(17, (1, 5, 7)), (0.8, 0.4, 0.2)),
+        (LatticeRule(12, (2, 3)), (0.3, 0.9)),
+    ):
+        res = wce_korobov_lattice(rule, alpha, gammas, pol)
+        assert res.method is WceMethod.DUAL_LATTICE_TRUNCATED
+        assert len(seen[-1]) > 0
+        assert res.e2 == math.fsum(r_weight_product(alpha, gammas, h) for h in seen[-1])
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5])
@@ -169,6 +196,7 @@ def test_fold_average_routes_match_double_sum_for_fractional_alpha(alpha, N, g):
     for family, nodes, fn in (
         ("cosine", tent_transform(lattice_points(rule)), wce_cosine_tent),
         ("korcos", symmetrize(rule), wce_korcos_sym),
+        ("cosine", symmetrize(rule), wce_cosine_sym),
     ):
         ds = wce_double_sum(SpaceSpec(family, alpha, gammas), nodes, POL)
         res = fn(rule, alpha, gammas, POL)
@@ -181,15 +209,15 @@ def test_fold_average_routes_match_double_sum_for_fractional_alpha(alpha, N, g):
 def test_fold_average_routes_are_exact_and_repeatable(alpha):
     rule = LatticeRule(1031, (1, 304, 555, 42))
     gammas = (1.0, 0.5, 0.25, 0.125)
-    for fn in (wce_cosine_tent, wce_korcos_sym):
+    for fn in (wce_cosine_tent, wce_korcos_sym, wce_cosine_sym):
         a, b = fn(rule, alpha, gammas), fn(rule, alpha, gammas)
-        assert a.method is not WceMethod.THEOREM_EQUIVALENCE
+        assert a.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
         assert a.tail_bound == 0.0
         assert a.e2 == b.e2
         assert 0.0 < a.e2 <= wce_korobov_lattice(rule, alpha, gammas).e2
 
 
-@pytest.mark.parametrize("fn", [wce_cosine_tent, wce_korcos_sym])
+@pytest.mark.parametrize("fn", [wce_cosine_tent, wce_korcos_sym, wce_cosine_sym])
 def test_fold_average_routes_refuse_rules_above_the_node_cap(fn):
     with pytest.raises(ValueError, match="capped"):
         fn(LatticeRule(MAX_DOUBLE_SUM_NODES + 3, (1,)), 1, (1.0,))
@@ -220,25 +248,39 @@ def test_symmetrized_korobov_error_is_the_sign_projection(N, g):
     assert wce_korobov_lattice(rule, 1, (1.0, 1.0)).e2 - ds.e2 > 0.4
 
 
-def test_cosine_sym_is_korobov_with_rescaled_weights():
+def test_cosine_sym_is_the_symmetrized_double_sum():
+    # the Korobov value with weights gamma 4^-alpha equals it in s = 1 and
+    # bounds it from above in s >= 2
     rng = np.random.default_rng(3)
     for _ in range(8):
         N = int(rng.integers(2, 40))
         s = int(rng.integers(1, 4))
         g = tuple(int(v) for v in rng.integers(1, N, size=s))
         gammas = tuple(float(v) for v in rng.uniform(0.2, 2.0, size=s))
+        rule = LatticeRule(N, g)
         for alpha in (1, 2, 3):
-            a = wce_cosine_sym(LatticeRule(N, g), alpha, gammas).e2
+            a = wce_cosine_sym(rule, alpha, gammas)
+            assert a.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
+            assert a.tail_bound == 0.0
+            ds = wce_double_sum(SpaceSpec("cosine", alpha, gammas), symmetrize(rule), POL)
+            assert abs(a.e2 - ds.e2) <= 1e-8 + ds.tail_bound, (N, g, alpha)
             b = wce_korobov_lattice(
-                LatticeRule(N, g), alpha, tuple(gv * 4.0**-alpha for gv in gammas)
+                rule, alpha, tuple(gv * 4.0**-alpha for gv in gammas)
             ).e2
-            assert a == pytest.approx(b, rel=1e-12, abs=1e-15)
+            if s == 1:
+                assert a.e2 == pytest.approx(b, rel=1e-12, abs=1e-15)
+            else:
+                assert a.e2 <= b + 1e-12 * b + 1e-15, (N, g, alpha)
     assert wce_cosine_sym(LatticeRule(2, (1,)), 1, (1.0,)).e2 == pytest.approx(
         PI**2 / 48.0, rel=1e-13
     )
     assert wce_cosine_sym(LatticeRule(4, (1,)), 1, (1.0,)).e2 == pytest.approx(
         PI**2 / 192.0, rel=1e-13
     )
+    # N=5, g=(1,2): the symmetrized rule is strictly better than the bound
+    five = LatticeRule(5, (1, 2))
+    gap = wce_korobov_lattice(five, 1, (0.25, 0.25)).e2 - wce_cosine_sym(five, 1, (1.0, 1.0)).e2
+    assert gap > 0.05
 
 
 def test_cosine_sym_matches_double_sum_in_one_dimension():
@@ -299,8 +341,13 @@ def test_double_sum_input_validation():
         wce_double_sum(SpaceSpec("cosine", 1, (1.0,)), ps, POL)
     with pytest.raises(TruncationBudgetError):
         wce_double_sum(
-            SpaceSpec("cosine", 1, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
+            SpaceSpec("cosine", 1.5, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
         )
+    # integer alpha is closed form: no term budget to exceed
+    closed = wce_double_sum(
+        SpaceSpec("cosine", 1, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
+    )
+    assert closed.tail_bound == 0.0
     with pytest.raises(ValueError):
         wce_korobov_lattice(LatticeRule(4, (1,)), 1, (1.0, 1.0))
     with pytest.raises(ValueError):
