@@ -116,13 +116,11 @@ def _read_points_file(path: str, s: int) -> WeightedPointSet:
 
 
 def _write_points(ps: WeightedPointSet, dest, with_weights: bool) -> None:
-    lines = []
-    for i in range(len(ps)):
-        cols = [_fmt(v) for v in ps.points[i]]
-        if with_weights:
-            cols.append(_fmt(ps.weights[i]))
-        lines.append(" ".join(cols))
-    dest.write("\n".join(lines) + "\n")
+    # One "%.17g" template per row over Python floats writes the bytes _fmt
+    # writes per value, without formatting each np.float64 on its own.
+    rows = np.column_stack((ps.points, ps.weights)) if with_weights else ps.points
+    row_fmt = " ".join(["%.17g"] * rows.shape[1])
+    dest.write("\n".join([row_fmt % tuple(r) for r in rows.tolist()]) + "\n")
 
 
 def _open_out(path: str):

@@ -346,6 +346,20 @@ def kernel_factor(
     return 1.0 + kor_half + cos_half, 2.0 * t
 
 
+def _product_tail(bounds: np.ndarray, maxv: np.ndarray) -> float:
+    """Error bound for a product of factors, factor j off by at most bounds[j].
+
+    Sums bounds[j] times the product of the other factors' magnitude caps
+    maxv + bounds, where maxv holds the largest computed magnitudes.
+    """
+    mags = maxv + bounds
+    tail = 0.0
+    for j in range(len(bounds)):
+        if bounds[j]:
+            tail += bounds[j] * float(np.prod(np.delete(mags, j)))
+    return tail
+
+
 def kernel_eval(spec: SpaceSpec, x, y, policy: TruncationPolicy = DEFAULT_POLICY) -> KernelValue:
     """Product kernel K(x, y) for points x, y in [0,1]^s.
 
@@ -362,13 +376,7 @@ def kernel_eval(spec: SpaceSpec, x, y, policy: TruncationPolicy = DEFAULT_POLICY
         v, b = kernel_factor(spec.family, spec.alpha, spec.gammas[j], x[j], y[j], policy)
         vals[j] = float(v)
         bounds[j] = b
-    value = float(np.prod(vals))
-    mags = np.abs(vals) + bounds
-    tail = 0.0
-    for j in range(spec.s):
-        if bounds[j]:
-            tail += bounds[j] * float(np.prod(np.delete(mags, j)))
-    return KernelValue(value, tail)
+    return KernelValue(float(np.prod(vals)), _product_tail(bounds, np.abs(vals)))
 
 
 def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ from .kernels import (
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _product_tail,
     kernel_factor,
     korobov_omega,
     zeta,
@@ -81,20 +82,6 @@ def _check_gammas(gammas: Sequence[float], s: int) -> tuple[float, ...]:
     return out
 
 
-def _product_tail(bounds: np.ndarray, maxv: np.ndarray) -> float:
-    """Error bound for a product of factors, factor j off by at most bounds[j].
-
-    Sums bounds[j] times the product of the other factors' magnitude caps
-    maxv + bounds, where maxv holds the largest computed magnitudes.
-    """
-    mags = maxv + bounds
-    tail = 0.0
-    for j in range(len(bounds)):
-        if bounds[j]:
-            tail += bounds[j] * float(np.prod(np.delete(mags, j)))
-    return tail
-
-
 def wce_double_sum(
     spec: SpaceSpec,
     ps: WeightedPointSet,
@@ -108,6 +95,17 @@ def wce_double_sum(
     not a thread pool is used.  The reported tail bound sums, per coordinate,
     the factor truncation bound times the largest magnitudes of the remaining
     factors over all node pairs.
+
+    Each kernel factor is evaluated once per distinct pair of coordinate
+    values: per row block and coordinate, a table over the block's distinct
+    values times the set's distinct values, gathered into the block's rows and
+    columns.  Lattice, tent and symmetrized node sets of an N-point rule take
+    at most N + 1 distinct values per coordinate, so each block costs s
+    tables of at most (N + 1)^2 evaluations, and the whole sum s gathers of
+    M^2 values, instead of s M^2 evaluations.  No table is larger than the
+    block times M, so memory stays O(block M).  The factors are elementwise,
+    so every gathered value, and hence e2 and the tail bound, has the same
+    bits as evaluating every node pair directly.
     """
     X, w = ps.points, ps.weights
     M, s = X.shape
@@ -117,19 +115,24 @@ def wce_double_sum(
         raise ValueError(f"double sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {M}")
 
     blocks = [(i, min(i + _ROW_BLOCK, M)) for i in range(0, M, _ROW_BLOCK)]
+    cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
 
     def run_block(block: tuple[int, int]):
         i0, i1 = block
         prod = None
         maxv = np.empty(s)
         bnds = np.empty(s)
-        for j in range(s):
-            vals, bj = kernel_factor(
-                spec.family, spec.alpha, spec.gammas[j],
-                X[i0:i1, j][:, None], X[None, :, j], policy,
+        for j, (cu, cinv) in enumerate(cols):
+            ru, rinv = (cu, cinv) if i1 - i0 == M else np.unique(X[i0:i1, j], return_inverse=True)
+            table, bnds[j] = kernel_factor(
+                spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy,
             )
-            bnds[j] = bj
-            maxv[j] = float(np.abs(vals).max())
+            # every table entry is some node pair's value, so the maxima match
+            maxv[j] = float(np.abs(table).max())
+            # np.take along axis 1 keeps the gathered block C-contiguous, as
+            # the direct evaluation was; a Fortran-ordered block sends
+            # prod @ w down another BLAS path and moves the last bits of e2
+            vals = np.take(table[rinv], cinv, axis=1)
             prod = vals if prod is None else prod * vals
         return float(w[i0:i1] @ (prod @ w)), maxv, bnds
 

@@ -12,9 +12,22 @@ import math
 import numpy as np
 import pytest
 
-from latquad.kernels import SpaceSpec, TruncationBudgetError, TruncationPolicy
-from latquad.points import LatticeRule, lattice_points, symmetrize, tent_transform
+from latquad.kernels import (
+    SpaceSpec,
+    TruncationBudgetError,
+    TruncationPolicy,
+    _product_tail,
+    kernel_factor,
+)
+from latquad.points import (
+    LatticeRule,
+    WeightedPointSet,
+    lattice_points,
+    symmetrize,
+    tent_transform,
+)
 from latquad.wce import (
+    _ROW_BLOCK,
     MAX_DOUBLE_SUM_NODES,
     WceMethod,
     cbc_bound_constant,
@@ -32,8 +45,6 @@ POL = TruncationPolicy(tol=3e-5, max_terms=2_000_000)
 def test_double_sum_single_node():
     one = lambda pts: np.asarray(pts), np.array([1.0])
     spec = SpaceSpec("sobolev", 1, (1.0,))
-    from latquad.points import WeightedPointSet
-
     at0 = WeightedPointSet(np.array([[0.0]]), np.array([1.0]))
     athalf = WeightedPointSet(np.array([[0.5]]), np.array([1.0]))
     assert wce_double_sum(spec, at0).e2 == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -327,12 +338,67 @@ def test_wce_nonnegative():
 
 
 def test_double_sum_is_thread_count_invariant():
-    ps = symmetrize(LatticeRule(31, (1, 18)))
-    spec = SpaceSpec("cosine", 1, (1.0, 0.7))
-    a = wce_double_sum(spec, ps, POL, threads=1)
-    b = wce_double_sum(spec, ps, POL, threads=4)
-    assert a.e2 == b.e2
-    assert a.tail_bound == b.tail_bound
+    # 64 nodes fill one row block; 1024 nodes take two, so the per-block row
+    # tables and the thread pool both run
+    for rule in (LatticeRule(31, (1, 18)), LatticeRule(127, (1, 47, 27, 9))):
+        ps = symmetrize(rule)
+        spec = SpaceSpec("cosine", 1, (1.0, 0.7, 0.5, 0.3)[: rule.s])
+        a = wce_double_sum(spec, ps, POL, threads=1)
+        b = wce_double_sum(spec, ps, POL, threads=4)
+        assert a.e2 == b.e2, len(ps)
+        assert a.tail_bound == b.tail_bound, len(ps)
+
+
+def _direct_double_sum(spec, ps, policy):
+    """Every kernel factor evaluated at every node pair, in wce_double_sum's
+    row blocks, product order and reductions: (e2, tail_bound)."""
+    X, w = ps.points, ps.weights
+    M, s = X.shape
+    row_sums, maxv, bnds = [], np.zeros(s), np.empty(s)
+    for i0 in range(0, M, _ROW_BLOCK):
+        prod = None
+        for j in range(s):
+            vals, bnds[j] = kernel_factor(
+                spec.family, spec.alpha, spec.gammas[j],
+                X[i0:i0 + _ROW_BLOCK, j][:, None], X[None, :, j], policy,
+            )
+            maxv[j] = max(maxv[j], float(np.abs(vals).max()))
+            prod = vals if prod is None else prod * vals
+        row_sums.append(float(w[i0:i0 + _ROW_BLOCK] @ (prod @ w)))
+    return math.fsum(row_sums) - 1.0, _product_tail(bnds, maxv)
+
+
+def _oracle_point_sets():
+    rng = np.random.default_rng(2024)
+    grid = np.array([[a / 6.0, b / 6.0, c / 3.0] for a in range(7) for b in range(7)
+                     for c in range(4)])
+    grid_w = 1.0 + np.arange(len(grid)) % 3
+    rand_w = rng.uniform(0.5, 1.5, size=120)
+    return [
+        lattice_points(LatticeRule(61, (1, 17, 23))),
+        tent_transform(lattice_points(LatticeRule(64, (1, 27, 15)))),
+        symmetrize(LatticeRule(31, (1, 18, 7))),
+        # more than one row block
+        symmetrize(LatticeRule(251, (1, 76, 114))),
+        # repeated grid values, uneven weights
+        WeightedPointSet(grid, grid_w / math.fsum(grid_w)),
+        # every coordinate value distinct
+        WeightedPointSet(rng.random((120, 3)), rand_w / math.fsum(rand_w)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "family,alpha",
+    [("sobolev", a) for a in (1, 2, 3)]
+    + [(f, a) for f in ("korobov", "cosine", "korcos") for a in (1, 1.5, 2, 3)],
+)
+def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
+    spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4))
+    for ps in _oracle_point_sets():
+        got = wce_double_sum(spec, ps, POL)
+        e2, tail = _direct_double_sum(spec, ps, POL)
+        assert got.e2 == e2, len(ps)
+        assert got.tail_bound == tail, len(ps)
 
 
 def test_double_sum_input_validation():
