@@ -9,7 +9,6 @@ test integrands.
 from .bench import (
     ConvergenceRecord,
     TestFunction,
-    VARIANTS,
     converge_study,
     eval_g,
     eval_h,
@@ -21,29 +20,26 @@ from .cbc import CbcResult, candidate_set, cbc_construct
 from .kernels import (
     DEFAULT_POLICY,
     FAMILIES,
-    KernelValue,
     QuadratureAccuracyError,
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
     bernoulli_poly,
     cosine_coeff,
-    cosine_kernel_partial,
     fourier_coeff,
-    kernel_eval,
     kernel_factor,
     korobov_omega,
-    r_weight,
-    r_weight_product,
     series_kmax,
     series_tail_bound,
     zeta,
 )
 from .points import (
+    VARIANTS,
     LatticeRule,
     WeightedPointSet,
     dual_lattice,
     lattice_points,
+    node_set,
     read_vector_file,
     symmetrize,
     symmetrized_node_count,
@@ -52,6 +48,7 @@ from .points import (
     write_vector_file,
 )
 from .wce import (
+    MAX_DOUBLE_SUM_NODES,
     WceMethod,
     WceResult,
     cbc_bound_constant,
@@ -65,7 +62,6 @@ from .wce import (
 __all__ = [
     "ConvergenceRecord",
     "TestFunction",
-    "VARIANTS",
     "converge_study",
     "eval_g",
     "eval_h",
@@ -77,33 +73,31 @@ __all__ = [
     "cbc_construct",
     "DEFAULT_POLICY",
     "FAMILIES",
-    "KernelValue",
     "QuadratureAccuracyError",
     "SpaceSpec",
     "TruncationBudgetError",
     "TruncationPolicy",
     "bernoulli_poly",
     "cosine_coeff",
-    "cosine_kernel_partial",
     "fourier_coeff",
-    "kernel_eval",
     "kernel_factor",
     "korobov_omega",
-    "r_weight",
-    "r_weight_product",
     "series_kmax",
     "series_tail_bound",
     "zeta",
+    "VARIANTS",
     "LatticeRule",
     "WeightedPointSet",
     "dual_lattice",
     "lattice_points",
+    "node_set",
     "read_vector_file",
     "symmetrize",
     "symmetrized_node_count",
     "tent",
     "tent_transform",
     "write_vector_file",
+    "MAX_DOUBLE_SUM_NODES",
     "WceMethod",
     "WceResult",
     "cbc_bound_constant",

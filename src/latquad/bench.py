@@ -25,6 +25,7 @@ from .cbc import cbc_construct
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
+    _numerators,
     lattice_points,
     symmetrize,
     symmetrized_node_count,
@@ -35,7 +36,6 @@ from .points import (  # noqa: F401
 __all__ = [
     "TestFunction",
     "ConvergenceRecord",
-    "VARIANTS",
     "eval_g",
     "eval_h",
     "integrate",
@@ -142,7 +142,7 @@ def integrate(rule: LatticeRule, variant: str, f) -> float:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     N = rule.N
-    nums = (np.arange(N, dtype=np.int64)[:, None] * np.asarray(rule.g, dtype=np.int64)) % N
+    nums = _numerators(rule, N)
     x = nums / float(N)
     if variant == "plain":
         F = f.factors(x)

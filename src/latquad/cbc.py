@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import korobov_omega
+from .kernels import _check_gammas, korobov_omega
 from .points import LatticeRule
-from .wce import _check_gammas, cbc_bound_constant
+from .wce import cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
 

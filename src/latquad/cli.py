@@ -2,7 +2,7 @@
 
 Subcommands: cbc, points, wce, integrate, converge, bound.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 invalid input or
-usage, 2 computation failure (truncation budget or quadrature accuracy).
+usage, 2 computation failure (a series or dual-lattice truncation budget).
 All reals are printed with 17 significant digits, so output is reproducible
 bit for bit.
 """
@@ -20,7 +20,6 @@ from .bench import TestFunction, converge_study, integrate, records_to_csv
 from .cbc import cbc_construct
 from .kernels import (
     FAMILIES,
-    QuadratureAccuracyError,
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
@@ -297,7 +296,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (TruncationBudgetError, QuadratureAccuracyError) as exc:
+    except TruncationBudgetError as exc:
         print(f"latquad: computation failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

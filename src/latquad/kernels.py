@@ -7,20 +7,22 @@ Four kernel families over [0,1], combined by products across coordinates:
       K(x, y) = 1 + gamma * sum_{t=1}^{alpha} B_t(x) B_t(y) / (t!)^2
                   - (-1)^alpha * gamma * B_{2 alpha}(|x - y|) / (2 alpha)!
 * ``korobov``: periodic space with Fourier weights gamma * |h|^(-2 alpha).
-  Integer alpha in {1,2,3} evaluates through the closed form
+  Integer alpha in {1,2,3} has the closed form
       K(x, y) = 1 + gamma * omega(frac(x - y)),
-      omega(z) = (-1)^(alpha+1) (2 pi)^(2 alpha) B_{2 alpha}(z) / (2 alpha)!,
-  other alpha through a truncated Fourier series.
+      omega(z) = (-1)^(alpha+1) (2 pi)^(2 alpha) B_{2 alpha}(z) / (2 alpha)!.
 * ``cosine``: half-period cosine space with weights gamma * k^(-2 alpha) on the
-  orthonormal basis 1, sqrt(2) cos(pi k x).  Since
-      sum_{k >= 1} k^(-2 alpha) cos(pi k theta) = omega(frac(theta / 2)) / 2,
-  integer alpha in {1,2,3} evaluates through the same closed form,
-      K(x, y) = 1 + (gamma / 2) [omega(frac((x - y) / 2))
-                                 + omega(frac((x + y) / 2))],
-  other alpha through a truncated cosine series.  ``cosine_kernel_partial``
-  keeps the series for every alpha as the independent oracle.
-* ``korcos``: the arithmetic mean of the korobov and cosine kernels, closed
-  for integer alpha in {1,2,3} whenever both halves are.
+  orthonormal basis 1, sqrt(2) cos(pi k x).
+* ``korcos``: the arithmetic mean of the korobov and cosine kernels.
+
+The three periodic families are compositions of the one-dimensional sum
+    c(theta) = sum_{k >= 1} k^(-2 alpha) cos(pi k theta):
+    korobov  K = 1 + 2 gamma c(2 (x - y)),
+    cosine   K = 1 + gamma [c(x - y) + c(x + y)],
+    korcos   K = 1 + gamma c(2 (x - y)) + (gamma / 2) [c(x - y) + c(x + y)].
+Integer alpha in {1,2,3} evaluates c through the closed form
+c(theta) = omega(frac(theta / 2)) / 2, so every family is exact there; other
+alpha sum c as a truncated series.  The truncated cosine series oracles live
+in the tests.
 
 Truncated evaluations report a rigorous tail bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,17 +44,12 @@ __all__ = [
     "DEFAULT_POLICY",
     "TruncationBudgetError",
     "QuadratureAccuracyError",
-    "KernelValue",
-    "r_weight",
-    "r_weight_product",
     "bernoulli_poly",
     "zeta",
     "korobov_omega",
     "series_kmax",
     "series_tail_bound",
-    "cosine_kernel_partial",
     "kernel_factor",
-    "kernel_eval",
     "cosine_coeff",
     "fourier_coeff",
 ]
@@ -105,13 +102,8 @@ class SpaceSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        gammas = tuple(float(g) for g in self.gammas)
-        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "gammas", _check_gammas(self.gammas))
         object.__setattr__(self, "alpha", float(self.alpha))
-        if not gammas:
-            raise ValueError("gammas must be nonempty")
-        if min(gammas) <= 0.0:
-            raise ValueError("weights gamma_j must be positive")
         if self.family == "sobolev":
             _require_closed_alpha(self.alpha)
         elif not self.alpha > 0.5:
@@ -122,9 +114,17 @@ class SpaceSpec:
         return len(self.gammas)
 
 
-class KernelValue(NamedTuple):
-    value: float
-    tail_bound: float
+def _check_gammas(gammas: Sequence[float], s: int | None = None) -> tuple[float, ...]:
+    """Weights as floats: a nonempty list (of s, when given), each finite and > 0."""
+    out = tuple(float(g) for g in gammas)
+    if s is not None and len(out) != s:
+        raise ValueError(f"expected {s} weights, got {len(out)}")
+    if not out:
+        raise ValueError("gammas must be nonempty")
+    # the chained comparison is False for NaN
+    if not all(0.0 < g < math.inf for g in out):
+        raise ValueError("weights gamma_j must be finite and positive")
+    return out
 
 
 def _require_closed_alpha(alpha: float) -> int:
@@ -132,27 +132,6 @@ def _require_closed_alpha(alpha: float) -> int:
     if not (a.is_integer() and int(a) in (1, 2, 3)):
         raise ValueError(f"closed-form smoothness must be an integer in 1..3, got {alpha}")
     return int(a)
-
-
-def r_weight(alpha: float, gamma: float, h: int) -> float:
-    """Fourier weight: 1 at h = 0, gamma * |h|^(-2 alpha) otherwise."""
-    if not alpha > 0.5:
-        raise ValueError("alpha must exceed 1/2")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if h == 0:
-        return 1.0
-    return gamma * float(abs(h)) ** (-2.0 * alpha)
-
-
-def r_weight_product(alpha: float, gammas: Sequence[float], h: Sequence[int]) -> float:
-    """Product of per-coordinate Fourier weights for an integer vector h."""
-    if len(gammas) != len(h):
-        raise ValueError("gammas and h must have matching length")
-    out = 1.0
-    for g, hj in zip(gammas, h):
-        out *= r_weight(alpha, g, int(hj))
-    return out
 
 
 # Bernoulli polynomials B_1..B_6, highest degree first.
@@ -265,20 +244,6 @@ def _cos_partial_sum(theta, alpha: float, kmax: int):
     return acc[inv.ravel()].reshape(shape)
 
 
-def cosine_kernel_partial(x, y, alpha: float, gamma: float, kmax: int):
-    """Half-period cosine kernel truncated at k <= kmax; vectorized.
-
-    1 + gamma * sum_k k^(-2 alpha) [cos(pi k (x-y)) + cos(pi k (x+y))], which is
-    the product form 2 cos(pi k x) cos(pi k y) split into difference and sum
-    arguments so repeated lattice values collapse.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    return 1.0 + gamma * (
-        _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
-    )
-
-
 def _sobolev_factor(alpha: float, gamma: float, x, y):
     a = _require_closed_alpha(alpha)
     val = np.ones(np.broadcast(x, y).shape)
@@ -299,14 +264,15 @@ def kernel_factor(
     """One coordinate factor of a product kernel, with its truncation bound.
 
     x and y broadcast against each other; returns (values, tail_bound).  The
-    sobolev family, and the korobov, cosine and korcos families at integer
-    alpha in {1,2,3}, evaluate Bernoulli closed forms with tail_bound 0 and
-    sum no series terms; other alpha sum a truncated series sized by policy.
+    sobolev family is a Bernoulli closed form with tail_bound 0.  The
+    korobov, cosine and korcos families are written once, through the cosine
+    sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
+    the closed form omega(frac(theta / 2)) / 2, with tail_bound 0 and no
+    series terms; other alpha sum c as a series truncated by policy.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    (gamma,) = _check_gammas((gamma,))
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
 
@@ -315,35 +281,28 @@ def kernel_factor(
 
     if float(alpha).is_integer() and int(alpha) in (1, 2, 3):
         a = int(alpha)
-        if family == "korobov":
-            return 1.0 + gamma * korobov_omega(a, np.mod(x - y, 1.0)), 0.0
-        # cosine half: sum_k k^(-2a) cos(pi k theta) = omega(frac(theta/2)) / 2
-        cos_om = korobov_omega(a, np.mod(0.5 * (x - y), 1.0)) + korobov_omega(
-            a, np.mod(0.5 * (x + y), 1.0)
-        )
-        if family == "cosine":
-            return 1.0 + 0.5 * gamma * cos_om, 0.0
-        kor_om = korobov_omega(a, np.mod(x - y, 1.0))
-        return 1.0 + 0.5 * gamma * kor_om + 0.25 * gamma * cos_om, 0.0
 
-    if not alpha > 0.5:
-        raise ValueError("alpha must exceed 1/2")
-    kmax = series_kmax(alpha, gamma, policy)
-    t = series_tail_bound(alpha, gamma, kmax)
+        def c(theta):
+            return 0.5 * korobov_omega(a, np.mod(0.5 * theta, 1.0))
+
+        tail = 0.0
+    else:
+        if not alpha > 0.5:
+            raise ValueError("alpha must exceed 1/2")
+        kmax = series_kmax(alpha, gamma, policy)
+
+        def c(theta):
+            return _cos_partial_sum(theta, alpha, kmax)
+
+        # every family weighs its c terms by 2 gamma in total
+        tail = 2.0 * series_tail_bound(alpha, gamma, kmax)
+
     if family == "korobov":
-        val = 1.0 + 2.0 * gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
-        return val, 2.0 * t
+        return 1.0 + 2.0 * gamma * c(2.0 * (x - y)), tail
+    cos = c(x - y) + c(x + y)
     if family == "cosine":
-        val = 1.0 + gamma * (
-            _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
-        )
-        return val, 2.0 * t
-    # korcos: mean of the two kernels
-    cos_half = 0.5 * gamma * (
-        _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
-    )
-    kor_half = gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
-    return 1.0 + kor_half + cos_half, 2.0 * t
+        return 1.0 + gamma * cos, tail
+    return 1.0 + gamma * c(2.0 * (x - y)) + 0.5 * gamma * cos, tail
 
 
 def _product_tail(bounds: np.ndarray, maxv: np.ndarray) -> float:
@@ -358,25 +317,6 @@ def _product_tail(bounds: np.ndarray, maxv: np.ndarray) -> float:
         if bounds[j]:
             tail += bounds[j] * float(np.prod(np.delete(mags, j)))
     return tail
-
-
-def kernel_eval(spec: SpaceSpec, x, y, policy: TruncationPolicy = DEFAULT_POLICY) -> KernelValue:
-    """Product kernel K(x, y) for points x, y in [0,1]^s.
-
-    Truncation bounds propagate first order: sum over coordinates of the
-    factor bound times the magnitudes of the remaining factors.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    if x.shape != (spec.s,) or y.shape != (spec.s,):
-        raise ValueError(f"points must have shape ({spec.s},)")
-    vals = np.empty(spec.s)
-    bounds = np.empty(spec.s)
-    for j in range(spec.s):
-        v, b = kernel_factor(spec.family, spec.alpha, spec.gammas[j], x[j], y[j], policy)
-        vals[j] = float(v)
-        bounds[j] = b
-    return KernelValue(float(np.prod(vals)), _product_tail(bounds, np.abs(vals)))
 
 
 def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:

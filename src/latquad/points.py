@@ -78,6 +78,8 @@ class WeightedPointSet:
             raise ValueError("points must be a 2-d array (nodes by coordinates)")
         if wts.shape[0] != pts.shape[0]:
             raise ValueError("weights length must match number of nodes")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError("node coordinates and weights must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
             raise ValueError("node coordinates must lie in [0, 1]")
         if wts.size == 0 or wts.min() <= 0.0:
@@ -99,11 +101,15 @@ class WeightedPointSet:
         return self.points.shape[0]
 
 
+def _numerators(rule: LatticeRule, count: int) -> np.ndarray:
+    """Integer numerators n*g mod N of the nodes n = 0..count-1, one row each."""
+    n = np.arange(count, dtype=np.int64)
+    return (n[:, None] * np.asarray(rule.g, dtype=np.int64)) % rule.N
+
+
 def lattice_points(rule: LatticeRule) -> WeightedPointSet:
     """Equal-weight nodes frac(n*g/N), n = 0..N-1, in node order."""
-    n = np.arange(rule.N, dtype=np.int64)
-    nums = (n[:, None] * np.asarray(rule.g, dtype=np.int64)) % rule.N
-    pts = nums / float(rule.N)
+    pts = _numerators(rule, rule.N) / float(rule.N)
     w = np.full(rule.N, 1.0 / rule.N)
     return WeightedPointSet(pts, w)
 
@@ -142,33 +148,28 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     Deduplicated nodes come out sorted lexicographically.
     """
     N, s = rule.N, rule.s
-    g = np.asarray(rule.g, dtype=np.int64)
-    rows = (N // 2 + 1 if dedupe else N) << s
+    count = N // 2 + 1 if dedupe else N
+    rows = count << s
     if rows > _SYM_ROW_CAP:
         raise ValueError(f"symmetrization would materialize {rows} rows (cap {_SYM_ROW_CAP})")
 
+    cur = _numerators(rule, count)
+    blocks = [cur.copy()]
+    for j in _gray_flip_order(s):
+        cur[:, j] = N - cur[:, j]
+        blocks.append(cur.copy())
+
     if not dedupe:
-        cur = (np.arange(N, dtype=np.int64)[:, None] * g) % N
-        blocks = [cur.copy()]
-        for j in _gray_flip_order(s):
-            cur[:, j] = N - cur[:, j]
-            blocks.append(cur.copy())
         nums = np.stack(blocks, axis=1).reshape(-1, s)
         pts = nums / float(N)
         w = np.full(len(nums), 1.0 / (N << s))
         return WeightedPointSet(pts, w)
 
-    ks = np.arange(N // 2 + 1, dtype=np.int64)
-    cur = (ks[:, None] * g) % N
     # shifts k and N-k generate identical reflection orbits
-    mult = np.full(len(ks), 2.0)
+    mult = np.full(count, 2.0)
     mult[0] = 1.0
     if N % 2 == 0:
         mult[-1] = 1.0
-    blocks = [cur.copy()]
-    for j in _gray_flip_order(s):
-        cur[:, j] = N - cur[:, j]
-        blocks.append(cur.copy())
     nums = np.vstack(blocks)
     mult = np.tile(mult, 1 << s)
 

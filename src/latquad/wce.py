@@ -34,6 +34,7 @@ from .kernels import (
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _check_gammas,
     _product_tail,
     kernel_factor,
     korobov_omega,
@@ -71,15 +72,6 @@ class WceResult:
     e2: float
     method: WceMethod
     tail_bound: float
-
-
-def _check_gammas(gammas: Sequence[float], s: int) -> tuple[float, ...]:
-    out = tuple(float(g) for g in gammas)
-    if len(out) != s:
-        raise ValueError(f"expected {s} weights, got {len(out)}")
-    if out and min(out) <= 0.0:
-        raise ValueError("weights gamma_j must be positive")
-    return out
 
 
 def wce_double_sum(
@@ -193,7 +185,7 @@ def wce_korobov_lattice(
             f"dual-lattice box H={H} needs {(2 * H + 1) ** s} candidates (cap {dual_cap})"
         )
     hs = np.abs(dual_lattice(rule, H, max_candidates=dual_cap))
-    # r_weight_product per dual vector, from per-coordinate tables over |h_j|
+    # Fourier weight product per dual vector, from per-coordinate tables over |h_j|
     prod = np.ones(len(hs))
     for j, g in enumerate(gammas):
         table = np.array([1.0] + [g * float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
@@ -321,9 +313,7 @@ def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) 
     C = (-1 + prod_j (1 + 2 zeta(2 alpha / tau) gamma_j^(1/tau)))^(tau/2),
     valid for 1 <= tau < 2 alpha.
     """
-    gammas = tuple(float(g) for g in gammas)
-    if not gammas or min(gammas) <= 0.0:
-        raise ValueError("weights gamma_j must be positive and nonempty")
+    gammas = _check_gammas(gammas)
     tau = float(tau)
     if not 1.0 <= tau < 2.0 * float(alpha):
         raise ValueError(f"tau must satisfy 1 <= tau < 2*alpha, got tau={tau}, alpha={alpha}")

@@ -225,6 +225,39 @@ def test_usage_errors_exit_one(capsys):
     assert "rule is required" in err
 
 
+_WEIGHT_ROUTES = {
+    "korobov": ("wce", "--space", "korobov", "--n", "5", "--g", "1,2"),
+    "cosine-tent": ("wce", "--space", "cosine-tent", "--n", "5", "--g", "1,2"),
+    "double-sum": ("wce", "--space", "double-sum", "--family", "korobov",
+                   "--n", "5", "--g", "1,2"),
+    "bound": ("bound", "--alpha", "1", "--s", "2"),
+    "cbc": ("cbc", "--n", "7", "--s", "2"),
+}
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("route", sorted(_WEIGHT_ROUTES))
+def test_non_finite_weights_exit_one(capsys, route, weight):
+    code, stdout, err = run_cli(capsys, *_WEIGHT_ROUTES[route], "--gamma", weight)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("latquad: ") and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["nan 0.5\n0.5 0.0\n", "0.0 0.5 nan\n0.5 0.0 1.0\n"])
+def test_points_file_with_nan_exits_one(tmp_path, capsys, text):
+    # a NaN coordinate, then a NaN weight column
+    pts = tmp_path / "nodes.txt"
+    pts.write_text(text)
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov",
+        "--points-file", str(pts), "--s", "2")
+    assert code == 1
+    assert stdout == ""
+    assert "must be finite" in err
+
+
 def test_fold_average_cap_exits_one(capsys):
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "cosine-tent", "--n", "4099", "--g", "1",

@@ -1,4 +1,8 @@
-"""Kernel layer: r weights, Bernoulli/zeta forms, truncation, coefficients."""
+"""Kernel layer: Bernoulli/zeta forms, truncation, kernel factors, coefficients.
+
+The truncated cosine-series oracles are built here from plain numpy, apart
+from the library's kernel code.
+"""
 import math
 
 import numpy as np
@@ -6,34 +10,21 @@ import pytest
 
 from latquad.kernels import (
     QuadratureAccuracyError,
-    SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
     bernoulli_poly,
     cosine_coeff,
-    cosine_kernel_partial,
     fourier_coeff,
-    kernel_eval,
     kernel_factor,
     korobov_omega,
-    r_weight,
-    r_weight_product,
     series_kmax,
     series_tail_bound,
     zeta,
     _cos_partial_sum,
 )
+from latquad.points import LatticeRule, symmetrize, tent
 
 PI = math.pi
-
-
-def test_r_weight_values():
-    assert r_weight(1, 0.7, 0) == 1.0
-    assert r_weight(1, 2.0, 3) == pytest.approx(2.0 / 9.0, rel=1e-15)
-    assert r_weight(1, 2.0, -3) == pytest.approx(2.0 / 9.0, rel=1e-15)
-    assert r_weight(2, 0.5, 2) == pytest.approx(0.5 / 16.0, rel=1e-15)
-    assert r_weight_product(1, (1.0, 0.5), (0, 3)) == pytest.approx(0.5 / 9.0, rel=1e-15)
-    assert r_weight_product(1, (1.0, 0.5), (0, 0)) == 1.0
 
 
 def test_bernoulli_spot_values():
@@ -138,9 +129,9 @@ def test_cosine_closed_forms_match_their_series(fam, alpha, kmax):
     v, tail = kernel_factor(fam, alpha, gamma, x, y)
     assert tail == 0.0
     assert float(np.abs(v - v.T).max()) <= 1e-13
-    series = cosine_kernel_partial(x, y, alpha, gamma, kmax)
+    series = _cosine_kernel_series(x, y, alpha, gamma, kmax)
     if fam == "korcos":
-        kor = 1.0 + 2.0 * gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
+        kor = 1.0 + 2.0 * gamma * _cos_series(2.0 * (x - y), alpha, kmax)
         series = 0.5 * (kor + series)
     assert float(np.abs(v - series).max()) <= 2.0 * series_tail_bound(alpha, gamma, kmax)
 
@@ -157,9 +148,67 @@ def test_korobov_closed_form_matches_truncated_series(alpha, tol):
 
 
 def _cos_series(theta, alpha, kmax):
+    """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), once per distinct theta."""
     k = np.arange(1, kmax + 1, dtype=np.float64)
     th = np.asarray(theta, dtype=np.float64)
-    return np.cos(PI * th[..., None] * k) @ k ** (-2.0 * alpha)
+    u, inv = np.unique(th.ravel(), return_inverse=True)
+    return (np.cos(PI * u[:, None] * k) @ k ** (-2.0 * alpha))[inv.ravel()].reshape(th.shape)
+
+
+def _cosine_kernel_series(x, y, alpha, gamma, kmax):
+    """Cosine kernel cut at k <= kmax: 2 cos(pi k x) cos(pi k y) split into
+    the difference and sum arguments."""
+    return 1.0 + gamma * (_cos_series(x - y, alpha, kmax) + _cos_series(x + y, alpha, kmax))
+
+
+def _per_family_factor(family, alpha, gamma, x, y, policy):
+    """The korobov, cosine and korcos factors, each family written out on its
+    own for the closed form and for the series."""
+    if float(alpha).is_integer():
+        a = int(alpha)
+        if family == "korobov":
+            return 1.0 + gamma * korobov_omega(a, np.mod(x - y, 1.0)), 0.0
+        cos_om = korobov_omega(a, np.mod(0.5 * (x - y), 1.0)) + korobov_omega(
+            a, np.mod(0.5 * (x + y), 1.0)
+        )
+        if family == "cosine":
+            return 1.0 + 0.5 * gamma * cos_om, 0.0
+        kor_om = korobov_omega(a, np.mod(x - y, 1.0))
+        return 1.0 + 0.5 * gamma * kor_om + 0.25 * gamma * cos_om, 0.0
+    kmax = series_kmax(alpha, gamma, policy)
+    t = 2.0 * series_tail_bound(alpha, gamma, kmax)
+    if family == "korobov":
+        return 1.0 + 2.0 * gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax), t
+    cos = _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
+    if family == "cosine":
+        return 1.0 + gamma * cos, t
+    kor_half = gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
+    return 1.0 + kor_half + 0.5 * gamma * cos, t
+
+
+_RULE16 = LatticeRule(16, (1, 5))
+# each grid holds 0, 1/2 and 1 (0 and 1/2 for the plain lattice)
+_GRIDS = {
+    "lattice": np.arange(16) / 16.0,
+    "tent": tent(np.arange(16) / 16.0),
+    "sym": np.unique(symmetrize(_RULE16).points),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("alpha", [1, 2, 3, 1.5, 2.5])
+@pytest.mark.parametrize("fam", ["korobov", "cosine", "korcos"])
+def test_periodic_factor_composition_matches_per_family_formulas(fam, alpha, grid):
+    # one cosine-sum primitive composes all three families; the values and
+    # tails must be the bits of each family's own formula
+    g = _GRIDS[grid]
+    x, y = g[:, None], g[None, :]
+    pol = TruncationPolicy(tol=1e-5)
+    for gamma in (0.3, 1.0, 2.5):
+        got, got_tail = kernel_factor(fam, alpha, gamma, x, y, pol)
+        want, want_tail = _per_family_factor(fam, alpha, gamma, x, y, pol)
+        assert np.array_equal(got, want), (fam, alpha, grid, gamma)
+        assert got_tail == want_tail
 
 
 def test_sobolev_equals_rescaled_cosine_kernel():
@@ -169,7 +218,7 @@ def test_sobolev_equals_rescaled_cosine_kernel():
     kmax = 20_000
     for gamma in (0.5, 2.0):
         sob, _ = kernel_factor("sobolev", 1, gamma, X, Y)
-        cos = cosine_kernel_partial(X, Y, 1, gamma / PI**2, kmax=kmax)
+        cos = _cosine_kernel_series(X, Y, 1, gamma / PI**2, kmax)
         assert float(np.abs(sob - cos).max()) <= gamma / PI**2 / kmax
 
 
@@ -200,25 +249,6 @@ def test_gram_matrices_are_positive_semidefinite(fam):
         v, _ = kernel_factor(fam, 1, gamma, pts[:, j][:, None], pts[None, :, j], pol)
         gram *= v
     assert float(np.linalg.eigvalsh(gram).min()) >= -1e-9
-
-
-def test_kernel_eval_is_the_product_of_factors():
-    x = np.array([0.1, 0.7, 0.4])
-    y = np.array([0.9, 0.2, 0.4])
-    for alpha in (1, 1.5):
-        spec = SpaceSpec("korcos", alpha, (1.0, 0.5, 0.25))
-        got = kernel_eval(spec, x, y)
-        want = 1.0
-        for j in range(3):
-            v, _ = kernel_factor("korcos", alpha, spec.gammas[j], x[j], y[j])
-            want *= float(v)
-        assert got.value == pytest.approx(want, rel=1e-12)
-        if alpha == 1:
-            assert got.tail_bound == 0.0  # closed form
-        else:
-            assert got.tail_bound > 0.0
-    with pytest.raises(ValueError):
-        kernel_eval(spec, x[:2], y)
 
 
 def test_cosine_coeffs_of_sine():

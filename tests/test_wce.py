@@ -175,10 +175,15 @@ def test_symmetrized_korcos_exact_value_two_nodes():
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
 def test_dual_lattice_route_is_the_weight_product_sum(alpha, monkeypatch):
-    # the vectorised sum must equal the per-vector r_weight_product loop, bit for bit
+    # the vectorised sum must equal the per-vector Fourier weight product, bit for bit
     import latquad.wce as wce_module
-    from latquad.kernels import r_weight_product
     from latquad.points import dual_lattice
+
+    def r_weight_product(alpha, gammas, h):
+        out = 1.0
+        for g, hj in zip(gammas, h):
+            out *= 1.0 if hj == 0 else g * float(abs(int(hj))) ** (-2.0 * alpha)
+        return out
 
     seen = []
 
