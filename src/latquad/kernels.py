@@ -103,11 +103,9 @@ class SpaceSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         object.__setattr__(self, "gammas", _check_gammas(self.gammas))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if self.family == "sobolev":
             _require_closed_alpha(self.alpha)
-        elif not self.alpha > 0.5:
-            raise ValueError("alpha must exceed 1/2")
 
     @property
     def s(self) -> int:
@@ -125,6 +123,15 @@ def _check_gammas(gammas: Sequence[float], s: int | None = None) -> tuple[float,
     if not all(0.0 < g < math.inf for g in out):
         raise ValueError("weights gamma_j must be finite and positive")
     return out
+
+
+def _check_alpha(alpha: float) -> float:
+    """Smoothness as a float: finite and > 1/2."""
+    a = float(alpha)
+    # the chained comparison is False for NaN
+    if not 0.5 < a < math.inf:
+        raise ValueError(f"alpha must be finite and exceed 1/2, got {alpha}")
+    return a
 
 
 def _require_closed_alpha(alpha: float) -> int:
@@ -207,10 +214,12 @@ def korobov_omega(alpha: int, x):
 
 def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
     """Smallest K with gamma * K^(1-2 alpha)/(2 alpha - 1) <= policy.tol."""
-    if not alpha > 0.5:
-        raise ValueError("alpha must exceed 1/2")
-    need = (gamma / (policy.tol * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
-    k = max(1, math.ceil(need * (1.0 - 1e-12)))
+    alpha = _check_alpha(alpha)
+    try:
+        need = (gamma / (policy.tol * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
+        k = max(1, math.ceil(need * (1.0 - 1e-12)))
+    except OverflowError:  # near alpha = 1/2 the power overflows: no budget suffices
+        k = math.inf
     if k > policy.max_terms:
         raise TruncationBudgetError(
             f"series needs {k} terms for tol={policy.tol}, above max_terms={policy.max_terms}"
@@ -273,13 +282,14 @@ def kernel_factor(
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     (gamma,) = _check_gammas((gamma,))
+    alpha = _check_alpha(alpha)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
 
     if family == "sobolev":
         return _sobolev_factor(alpha, gamma, x, y), 0.0
 
-    if float(alpha).is_integer() and int(alpha) in (1, 2, 3):
+    if alpha.is_integer() and int(alpha) in (1, 2, 3):
         a = int(alpha)
 
         def c(theta):
@@ -287,8 +297,6 @@ def kernel_factor(
 
         tail = 0.0
     else:
-        if not alpha > 0.5:
-            raise ValueError("alpha must exceed 1/2")
         kmax = series_kmax(alpha, gamma, policy)
 
         def c(theta):

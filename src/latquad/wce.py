@@ -8,7 +8,13 @@ worst-case error to
 
 ``wce_double_sum`` evaluates that quadratic form directly and is the expensive,
 assumption-free oracle.  For rank-1 lattices the group structure reduces the
-Korobov-space error to a single sum over nodes.  Tent folding, and averaging
+Korobov-space error to a single sum over nodes at integer alpha in 1..3, and
+otherwise to the sum of the Fourier weights over the dual lattice
+{h != 0 : h . g = 0 (mod N)}.  ``wce_korobov_lattice`` truncates that sum to
+the box |h_j| <= H and evaluates it without enumerating the box, by cyclic
+convolutions of per-coordinate weight tables over the residues mod N: at most
+(s - 2) N min(N, 2H) products of positive terms, refused before any work
+above a stated cap.  Tent folding, and averaging
 over coordinate reflections, turn each kernel factor into the fold average
 
     kbar_j(n, n') = 1 + (gamma_j / 2) [Omega((n - n') g_j mod N)
@@ -34,13 +40,18 @@ from .kernels import (
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _check_alpha,
     _check_gammas,
     _product_tail,
     kernel_factor,
     korobov_omega,
     zeta,
 )
-from .points import LatticeRule, WeightedPointSet, dual_lattice
+from .points import LatticeRule, WeightedPointSet
+# No route here enumerates the dual lattice any more; the name stays a module
+# attribute because the benchmark tracer (perfbench/tracing.py TARGETS) looks
+# up latquad.wce.dual_lattice and fails without it.
+from .points import dual_lattice  # noqa: F401
 
 __all__ = [
     "WceMethod",
@@ -56,6 +67,13 @@ __all__ = [
 
 MAX_DOUBLE_SUM_NODES = 4096
 _ROW_BLOCK = 512
+# wce_korobov_lattice at non-integer alpha, checked before any work: caps on
+# the residue products (s - 2) N min(N, 2H) of its convolutions and, for
+# s >= 3, on the length N of its dense residue tables
+_DUAL_WORK_CAP = 200_000_000
+_DUAL_RESIDUE_CAP = 1 << 22
+# residue products per np.bincount call in the dual-lattice convolution
+_CONV_CHUNK = 1 << 14
 
 
 class WceMethod(str, Enum):
@@ -140,25 +158,70 @@ def wce_double_sum(
     return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(factor_bounds, maxv))
 
 
+def _alias(w: np.ndarray, r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w of h = 1..H, at residues r = h g mod N, and of -h, summed by residue.
+
+    Returns the sorted residues that occur and their weight sums.
+    """
+    keys, inv = np.unique(np.concatenate((r, (N - r) % N)), return_inverse=True)
+    return keys, np.bincount(inv.ravel(), np.concatenate((w, w)))
+
+
+def _cyclic_conv(kb: np.ndarray, vb: np.ndarray, kc: np.ndarray, vc: np.ndarray, N: int) -> np.ndarray:
+    """Dense (b * c)[r] = sum b[k] c[m] over k + m = r (mod N), b and c given sparse.
+
+    Products are binned at k + m in [0, 2N) by np.bincount, a block of
+    columns m at a time, and the two halves are added at the end.  A block
+    holds max(_CONV_CHUNK, 2N) products (at least one column), so memory
+    stays O(N + chunk) and the block size depends on the input only: the
+    summation order, and so every bit, is the same on every host.
+    """
+    out = np.zeros(2 * N)
+    step = max(1, max(_CONV_CHUNK, 2 * N) // kb.size)
+    for i in range(0, kc.size, step):
+        idx = np.add.outer(kc[i:i + step], kb).ravel()
+        out += np.bincount(idx, np.multiply.outer(vc[i:i + step], vb).ravel(), minlength=2 * N)
+    return out[:N] + out[N:]
+
+
+def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """vals at the residues q, 0 where q is not among the sorted keys."""
+    i = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return np.where(keys[i] == q, vals[i], 0.0)
+
+
 def wce_korobov_lattice(
     rule: LatticeRule,
     alpha: float,
     gammas: Sequence[float],
     policy: TruncationPolicy = DEFAULT_POLICY,
-    dual_cap: int = 10_000_000,
 ) -> WceResult:
     """Korobov-space e^2 of a rank-1 lattice.
 
     Integer alpha in 1..3: exact single sum over nodes,
         e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j omega(frac(n g_j / N))).
-    Other alpha: truncated dual-lattice sum of the Fourier weights, with the
-    box half-width H sized so each per-coordinate tail is at most
-    policy.tol / (3 s).
+    Other alpha: the dual-lattice sum of the Fourier weight products
+    prod_{j: h_j != 0} gamma_j |h_j|^(-2 alpha) over the nonzero h with
+    |h_j| <= H and h . g = 0 (mod N), with H sized so each per-coordinate
+    tail is at most policy.tol / (3 s).  The box is never enumerated.  Per
+    coordinate the nonzero weights are aliased onto Z_N at h g_j mod N, giving
+    c_j, and B[r], the weight of the box vectors over the coordinates so far
+    with a nonzero component and residue r, is carried as B = c_1, then
+    B <- B + B * c_j + c_j (cyclic convolution over the nonzero entries).
+    Only residue 0 of the last step is needed, so the last coordinate
+    gathers B at -h g_s instead of convolving, and one math.fsum adds the
+    gathered terms.  Every term is positive, so there is no "mean - 1"
+    cancellation.  Cost at most (s - 2) N min(N, 2H) products plus
+    O(s (N + H)); memory O(H) for s <= 2 and O(N + H) otherwise.  Before any
+    work, raises TruncationBudgetError when H exceeds policy.max_terms or
+    the product count exceeds _DUAL_WORK_CAP, and ValueError when s >= 3
+    and N exceeds _DUAL_RESIDUE_CAP, the length of the dense residue tables.
     """
     N, s = rule.N, rule.s
     gammas = _check_gammas(gammas, s)
+    alpha = _check_alpha(alpha)
 
-    if float(alpha).is_integer() and int(alpha) in (1, 2, 3):
+    if alpha.is_integer() and int(alpha) in (1, 2, 3):
         om = korobov_omega(int(alpha), np.arange(N) / N)
         n = np.arange(N, dtype=np.int64)
         prod = np.ones(N)
@@ -167,30 +230,59 @@ def wce_korobov_lattice(
         e2 = math.fsum(prod) / N - 1.0
         return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
 
-    if not alpha > 0.5:
-        raise ValueError("alpha must exceed 1/2")
-    # 2 gamma H^(1-2a)/(2a-1) <= tol/(3s), per coordinate
+    # 2 gamma H^(1-2a)/(2a-1) <= tol/(3s), per coordinate; near alpha = 1/2
+    # the power overflows, and no budget admits such a box
     per_dim = policy.tol / (3.0 * s)
-    H = max(
-        1,
-        math.ceil(
-            max(
-                (2.0 * g / (per_dim * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
-                for g in gammas
-            )
-        ),
-    )
-    if (2 * H + 1) ** s > dual_cap:
-        raise TruncationBudgetError(
-            f"dual-lattice box H={H} needs {(2 * H + 1) ** s} candidates (cap {dual_cap})"
+    try:
+        H = max(
+            1,
+            math.ceil(
+                max(
+                    (2.0 * g / (per_dim * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
+                    for g in gammas
+                )
+            ),
         )
-    hs = np.abs(dual_lattice(rule, H, max_candidates=dual_cap))
-    # Fourier weight product per dual vector, from per-coordinate tables over |h_j|
-    prod = np.ones(len(hs))
-    for j, g in enumerate(gammas):
-        table = np.array([1.0] + [g * float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
-        prod *= table[hs[:, j]]
-    e2 = math.fsum(prod.tolist())
+    except OverflowError:
+        H = math.inf
+    if H > policy.max_terms:
+        raise TruncationBudgetError(
+            f"dual-lattice box H={H} for tol={policy.tol} is above max_terms={policy.max_terms}"
+        )
+    if s > 2 and N > _DUAL_RESIDUE_CAP:
+        raise ValueError(f"dual-lattice residue tables capped at N={_DUAL_RESIDUE_CAP}, got {N}")
+    work = max(s - 2, 0) * N * min(N, 2 * H)
+    if work > _DUAL_WORK_CAP:
+        raise TruncationBudgetError(
+            f"dual-lattice convolution needs {work} products for H={H} (cap {_DUAL_WORK_CAP})"
+        )
+    # |h|^(-2 alpha) by Python float powers; gamma * power rounds as in Python
+    powers = np.array([float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
+    h = np.arange(1, H + 1, dtype=np.int64) % N
+    # B: weight sums by residue of the box vectors over the coordinates so far
+    # that have a nonzero component, kept as (sorted residues, sums)
+    B = None
+    for g_j, gamma in zip(rule.g[:-1], gammas[:-1]):
+        kc, vc = _alias(gamma * powers, h * g_j % N, N)
+        if B is None:
+            B = kc, vc
+            continue
+        kb, vb = B
+        nxt = _cyclic_conv(kb, vb, kc, vc, N)
+        nxt[kb] = vb + nxt[kb]
+        nxt[kc] += vc
+        nz = np.flatnonzero(nxt)
+        B = nz, nxt[nz]
+    # the last coordinate needs residue 0 only: vectors with h_s = +-h and
+    # nothing before, then B gathered at -(+-h) g_s
+    w = gammas[-1] * powers
+    r = h * rule.g[-1] % N
+    terms = [w[r == 0], w[r == 0]]
+    if B is not None:
+        kb, vb = B
+        terms += [_lookup(kb, vb, np.zeros(1, dtype=np.int64)), w * _lookup(kb, vb, (N - r) % N),
+                  w * _lookup(kb, vb, r)]
+    e2 = math.fsum(np.concatenate(terms).tolist())
     z2a = zeta(2.0 * alpha)
     tails = [2.0 * g * H ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0) for g in gammas]
     full = [1.0 + 2.0 * g * z2a for g in gammas]
@@ -263,6 +355,7 @@ def wce_cosine_tent(
     is strictly smaller.
     """
     gammas = _check_gammas(gammas, rule.s)
+    alpha = _check_alpha(alpha)
     return _fold_average_e2(rule, alpha, gammas, policy)
 
 
@@ -282,7 +375,8 @@ def wce_korcos_sym(
     exact for alpha in 1..3, with a rigorous series tail bound otherwise.
     """
     gammas = _check_gammas(gammas, rule.s)
-    scale = 0.5 * (1.0 + 4.0 ** (-float(alpha)))
+    alpha = _check_alpha(alpha)
+    scale = 0.5 * (1.0 + 4.0 ** -alpha)
     return _fold_average_e2(rule, alpha, [g * scale for g in gammas], policy)
 
 
@@ -303,7 +397,8 @@ def wce_cosine_sym(
     under per-coordinate sign flips; otherwise it is strictly smaller.
     """
     gammas = _check_gammas(gammas, rule.s)
-    scale = 4.0 ** (-float(alpha))
+    alpha = _check_alpha(alpha)
+    scale = 4.0 ** -alpha
     return _fold_average_e2(rule, alpha, [g * scale for g in gammas], policy)
 
 
@@ -314,10 +409,11 @@ def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) 
     valid for 1 <= tau < 2 alpha.
     """
     gammas = _check_gammas(gammas)
+    alpha = _check_alpha(alpha)
     tau = float(tau)
-    if not 1.0 <= tau < 2.0 * float(alpha):
+    if not 1.0 <= tau < 2.0 * alpha:
         raise ValueError(f"tau must satisfy 1 <= tau < 2*alpha, got tau={tau}, alpha={alpha}")
-    z = zeta(2.0 * float(alpha) / tau)
+    z = zeta(2.0 * alpha / tau)
     prod = 1.0
     for g in gammas:
         prod *= 1.0 + 2.0 * z * g ** (1.0 / tau)

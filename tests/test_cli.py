@@ -258,6 +258,25 @@ def test_points_file_with_nan_exits_one(tmp_path, capsys, text):
     assert "must be finite" in err
 
 
+_ALPHA_ROUTES = {
+    space: ("wce", "--space", space, "--n", "5", "--g", "1,2")
+    for space in ("korobov", "cosine-tent", "korcos-sym", "cosine-sym")
+}
+_ALPHA_ROUTES["double-sum"] = ("wce", "--space", "double-sum", "--family", "korobov",
+                               "--n", "5", "--g", "1,2")
+_ALPHA_ROUTES["bound"] = ("bound", "--s", "2")
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+@pytest.mark.parametrize("route", sorted(_ALPHA_ROUTES))
+def test_non_finite_alpha_exits_one(capsys, route, alpha):
+    code, stdout, err = run_cli(capsys, *_ALPHA_ROUTES[route], "--alpha", alpha)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("latquad: ") and "alpha must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_fold_average_cap_exits_one(capsys):
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "cosine-tent", "--n", "4099", "--g", "1",
@@ -280,6 +299,20 @@ def test_truncation_budget_exit_two(capsys):
         "--n", "4", "--g", "1", "--alpha", "1", "--gamma", "1", "--tol", "1e-14")
     assert code == 0
     assert "tail=0 " in stdout
+    # the dual-lattice route: H would exceed --max-terms, with no work done
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "korobov", "--n", "4", "--g", "1", "--alpha", "1.5",
+        "--gamma", "1", "--tol", "1e-14")
+    assert code == 2
+    assert stdout == ""
+    assert "computation failed" in err and "max_terms" in err
+    # near alpha = 1/2 the term count overflows a float: still a budget failure
+    for space in ("korobov", "cosine-tent"):
+        code, stdout, err = run_cli(
+            capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", "--alpha", "0.5000001")
+        assert code == 2, space
+        assert stdout == ""
+        assert "computation failed" in err and "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -13,15 +13,18 @@ import numpy as np
 import pytest
 
 from latquad.kernels import (
+    DEFAULT_POLICY,
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
     _product_tail,
     kernel_factor,
+    zeta,
 )
 from latquad.points import (
     LatticeRule,
     WeightedPointSet,
+    dual_lattice,
     lattice_points,
     symmetrize,
     tent_transform,
@@ -173,35 +176,119 @@ def test_symmetrized_korcos_exact_value_two_nodes():
     assert res.tail_bound == 0.0
 
 
+def _gamma_n(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff of binary64."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
+
+
+def _box_halfwidth(alpha, gammas, tol):
+    """H with 2 gamma H^(1 - 2 alpha) / (2 alpha - 1) <= tol / (3 s) per coordinate."""
+    per_dim = tol / (3.0 * len(gammas))
+    return max(1, math.ceil(max(
+        (2.0 * g / (per_dim * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0)) for g in gammas
+    )))
+
+
+def _box_tail(alpha, gammas, H):
+    """Dropped weight outside the box: sum_j tail_j prod_{i != j} (1 + 2 gamma_i zeta(2 alpha))."""
+    z2a = zeta(2.0 * alpha)
+    tails = [2.0 * g * H ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0) for g in gammas]
+    full = [1.0 + 2.0 * g * z2a for g in gammas]
+    return sum(t * math.prod(f for i, f in enumerate(full) if i != j) for j, t in enumerate(tails))
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
-def test_dual_lattice_route_is_the_weight_product_sum(alpha, monkeypatch):
-    # the vectorised sum must equal the per-vector Fourier weight product, bit for bit
-    import latquad.wce as wce_module
-    from latquad.points import dual_lattice
+def test_dual_lattice_route_is_the_weight_product_sum(alpha):
+    """The residue convolution against math.fsum over the enumerated box.
 
-    def r_weight_product(alpha, gammas, h):
-        out = 1.0
-        for g, hj in zip(gammas, h):
-            out *= 1.0 if hj == 0 else g * float(abs(int(hj))) ** (-2.0 * alpha)
-        return out
-
-    seen = []
-
-    def spy(*args, **kwargs):
-        seen.append(dual_lattice(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(wce_module, "dual_lattice", spy)
+    Both routes sum the same positive terms, products of the same table
+    entries gamma_j |h_j|^(-2 alpha), so they differ by rounding only.  A
+    computed sum of positive terms is sum_t term_t (1 + theta_t) with
+    |theta_t| <= gamma_d, d the largest number of roundings on any term's
+    path.  The oracle rounds s - 1 products and one fsum: d = s.  The route,
+    per term: a residue bucket of at most 2H weights in each of the first
+    s - 1 coordinates (at most 2H roundings each); in each of the s - 2
+    convolutions one product, at most N additions (N products per residue,
+    summed within and then across blocks), the fold of the two halves and
+    the two additions of B + conv + c; for the last coordinate one product;
+    then one correctly rounded fsum.  So d <= 2H(s - 1) + (s - 2)(N + 4) + 2,
+    and with S the exact sum, |route - oracle| <= (gamma_d + gamma_s) S
+    <= (gamma_d + gamma_s) / (1 - gamma_s) oracle.
+    """
     pol = TruncationPolicy(tol=1e-2 if alpha < 2 else 1e-6)
-    for rule, gammas in (
-        (LatticeRule(31, (1, 12)), (1.0, 0.5)),
-        (LatticeRule(17, (1, 5, 7)), (0.8, 0.4, 0.2)),
-        (LatticeRule(12, (2, 3)), (0.3, 0.9)),
+    for rule, gammas, policy in (
+        (LatticeRule(31, (1, 12)), (1.0, 0.5), pol),
+        (LatticeRule(17, (1, 5, 7)), (0.8, 0.4, 0.2), pol),
+        # g is not a unit mod 12
+        (LatticeRule(12, (2, 3)), (0.3, 0.9), pol),
+        (LatticeRule(9, (3,)), (0.7,), pol),
+        # two convolutions; a coarse tol keeps the enumerated box small
+        (LatticeRule(13, (1, 5, 8, 12)), (1.0, 0.6, 0.4, 0.3), TruncationPolicy(tol=0.5)),
     ):
-        res = wce_korobov_lattice(rule, alpha, gammas, pol)
+        N, s = rule.N, rule.s
+        H = _box_halfwidth(alpha, gammas, policy.tol)
+        res = wce_korobov_lattice(rule, alpha, gammas, policy)
         assert res.method is WceMethod.DUAL_LATTICE_TRUNCATED
-        assert len(seen[-1]) > 0
-        assert res.e2 == math.fsum(r_weight_product(alpha, gammas, h) for h in seen[-1])
+        assert res.tail_bound == _box_tail(alpha, gammas, H)
+        hs = np.abs(dual_lattice(rule, H))
+        assert len(hs) > 0
+        prod = np.ones(len(hs))
+        for j, g in enumerate(gammas):
+            table = np.array([1.0] + [g * float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
+            prod *= table[hs[:, j]]
+        oracle = math.fsum(prod.tolist())
+        d = 2 * H * (s - 1) + max(s - 2, 0) * (N + 4) + 2
+        bound = (_gamma_n(d) + _gamma_n(s)) / (1.0 - _gamma_n(s)) * oracle
+        assert abs(res.e2 - oracle) <= bound, (N, s, res.e2, oracle)
+
+
+def test_dual_lattice_route_reaches_four_dimensions():
+    # the enumerated box here would hold (2H + 1)^4 = 221^4 candidates
+    rule = LatticeRule(1021, (1, 76, 388, 120))
+    gammas = (1.0, 0.5, 0.25, 0.125)
+    policy = TruncationPolicy(tol=1e-3)
+    res = wce_korobov_lattice(rule, 1.5, gammas, policy)
+    assert res.method is WceMethod.DUAL_LATTICE_TRUNCATED
+    ds = wce_double_sum(SpaceSpec("korobov", 1.5, gammas), lattice_points(rule), policy)
+    assert abs(res.e2 - ds.e2) <= res.tail_bound + ds.tail_bound
+    assert res.e2 > 0.0
+
+
+def test_dual_lattice_route_caps_fail_before_any_work():
+    # s = 1 has no convolution, so only the H cap stops a tiny tol
+    with pytest.raises(TruncationBudgetError, match="max_terms"):
+        wce_korobov_lattice(LatticeRule(4, (1,)), 1.5, (1.0,), TruncationPolicy(tol=1e-14))
+    # (s - 2) N min(N, 2H) = 2 * 20011^2 products
+    with pytest.raises(TruncationBudgetError, match="products"):
+        wce_korobov_lattice(LatticeRule(20011, (1, 2, 3, 4)), 1.5, (1.0,) * 4)
+    # dense residue tables of 2^22 + 1 entries
+    with pytest.raises(ValueError, match="capped"):
+        wce_korobov_lattice(LatticeRule((1 << 22) + 1, (1, 2, 3)), 1.5, (1.0,) * 3,
+                            TruncationPolicy(tol=1.0))
+    # s <= 2 builds no residue table over Z_N: at N = 2^30 the only dual
+    # vectors in the box are h = (-3k, k) and (3k, -k), k <= H / 3
+    big = wce_korobov_lattice(LatticeRule(1 << 30, (1, 3)), 1.5, (1.0, 1.0))
+    H = _box_halfwidth(1.5, (1.0, 1.0), DEFAULT_POLICY.tol)
+    pairs = math.fsum(2.0 * float(3 * k) ** -3.0 * float(k) ** -3.0 for k in range(1, H // 3 + 1))
+    assert big.e2 == pytest.approx(pairs, rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.5])
+def test_smoothness_must_be_finite_and_above_one_half(alpha):
+    rule = LatticeRule(5, (1, 2))
+    calls = [
+        lambda: SpaceSpec("korobov", alpha, (1.0,)),
+        lambda: kernel_factor("cosine", alpha, 1.0, 0.2, 0.3),
+        lambda: wce_korobov_lattice(rule, alpha, (1.0, 1.0)),
+        lambda: wce_cosine_tent(rule, alpha, (1.0, 1.0)),
+        lambda: wce_korcos_sym(rule, alpha, (1.0, 1.0)),
+        lambda: wce_cosine_sym(rule, alpha, (1.0, 1.0)),
+        lambda: cbc_bound_constant(alpha, (1.0,)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            call()
 
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5])
@@ -433,8 +520,6 @@ def test_bound_constant_values():
 
 def test_bound_constant_subset_expansion():
     from itertools import combinations
-
-    from latquad.kernels import zeta
 
     rng = np.random.default_rng(5)
     for s in (1, 2, 3, 4):
