@@ -10,8 +10,6 @@ from .bench import (
     ConvergenceRecord,
     TestFunction,
     converge_study,
-    eval_g,
-    eval_h,
     fit_slope,
     integrate,
     records_to_csv,
@@ -63,8 +61,6 @@ __all__ = [
     "ConvergenceRecord",
     "TestFunction",
     "converge_study",
-    "eval_g",
-    "eval_h",
     "fit_slope",
     "integrate",
     "records_to_csv",

@@ -36,8 +36,6 @@ from .points import (  # noqa: F401
 __all__ = [
     "TestFunction",
     "ConvergenceRecord",
-    "eval_g",
-    "eval_h",
     "integrate",
     "converge_study",
     "fit_slope",
@@ -78,16 +76,6 @@ def _h_factors(s: int, w: float, x) -> np.ndarray:
 
 
 _FACTORS = {"g": _g_factors, "h": _h_factors}
-
-
-def eval_g(s: int, w: float, x) -> np.ndarray:
-    """Polynomial product integrand; coordinates on the last axis."""
-    return np.prod(_g_factors(s, w, x), axis=-1)
-
-
-def eval_h(s: int, w: float, x) -> np.ndarray:
-    """Polynomial-plus-sine product integrand; coordinates on the last axis."""
-    return np.prod(_h_factors(s, w, x), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -164,15 +152,16 @@ def converge_study(
     N_list,
     cbc_alpha: int = 1,
     cbc_gammas=None,
-    out=None,
 ) -> list[ConvergenceRecord]:
-    """Error records over increasing N with CBC-constructed vectors.
+    """Error records over a nonempty, increasing N_list with CBC-constructed vectors.
 
     The construction weights default to gamma_j = w^j, matching the product
-    decay of the integrand.  ``out`` (path or file object) gets the records as
-    CSV when given.
+    decay of the integrand.  ``cbc_alpha`` goes to ``cbc_construct``
+    unchanged, so a smoothness without a closed form raises ValueError.
     """
     Ns = [int(N) for N in N_list]
+    if not Ns:
+        raise ValueError("N_list must be nonempty")
     if Ns != sorted(Ns) or len(set(Ns)) != len(Ns):
         raise ValueError("N_list must be strictly increasing")
     if variant not in VARIANTS:
@@ -184,30 +173,23 @@ def converge_study(
 
     records = []
     for N in Ns:
-        rule = _cbc_cached(N, f.s, int(cbc_alpha), gammas)
+        rule = _cbc_cached(N, f.s, cbc_alpha, gammas)
         est = integrate(rule, variant, f)
         nodes = symmetrized_node_count(N, f.s) if variant == "sym" else N
         records.append(
             ConvergenceRecord(variant, N, nodes, est, abs(est - f.exact_integral))
         )
-    if out is not None:
-        text = records_to_csv(records)
-        if hasattr(out, "write"):
-            out.write(text)
-        else:
-            with open(out, "w", encoding="ascii") as fh:
-                fh.write(text)
     return records
 
 
-def fit_slope(records, floor: float = _ERROR_FLOOR) -> float:
+def fit_slope(records) -> float:
     """Least-squares slope of log2(abs_error) against log2(N).
 
-    Errors at or below ``floor`` sit in rounding noise and are excluded; at
-    least four usable records are required.
+    Errors at or below _ERROR_FLOOR = 1e-13 sit in rounding noise and are
+    excluded; at least four usable records are required.
     """
-    xs = [math.log2(r.N) for r in records if r.abs_error > floor]
-    ys = [math.log2(r.abs_error) for r in records if r.abs_error > floor]
+    xs = [math.log2(r.N) for r in records if r.abs_error > _ERROR_FLOOR]
+    ys = [math.log2(r.abs_error) for r in records if r.abs_error > _ERROR_FLOOR]
     if len(xs) < 4:
         raise ValueError(f"need at least 4 records above the error floor, have {len(xs)}")
     return float(np.polyfit(xs, ys, 1)[0])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_gammas, korobov_omega
+from .kernels import _check_gammas, _require_closed_alpha, korobov_omega
 from .points import LatticeRule
 from .wce import cbc_bound_constant
 
@@ -81,9 +81,7 @@ def _construct(N: int, s: int, alpha: int, gammas, fast: bool) -> CbcResult:
     s = int(s)
     if s < 1:
         raise ValueError("dimension must be at least 1")
-    if not float(alpha).is_integer() or int(alpha) not in (1, 2, 3):
-        raise ValueError(f"CBC needs integer smoothness in 1..3, got {alpha}")
-    alpha = int(alpha)
+    alpha = _require_closed_alpha(alpha)
     gammas = _check_gammas(gammas, s)
 
     zs = np.array(candidate_set(N), dtype=np.int64)

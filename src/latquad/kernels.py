@@ -56,6 +56,9 @@ __all__ = [
 
 FAMILIES = ("sobolev", "korobov", "cosine", "korcos")
 
+# smoothness values with a Bernoulli closed form
+_CLOSED_ALPHAS = (1, 2, 3)
+
 # caps for vectorized series chunks and tensor quadrature grids
 _SERIES_CHUNK = 4_000_000
 _QUAD_POINT_CAP = 1 << 24
@@ -136,7 +139,7 @@ def _check_alpha(alpha: float) -> float:
 
 def _require_closed_alpha(alpha: float) -> int:
     a = float(alpha)
-    if not (a.is_integer() and int(a) in (1, 2, 3)):
+    if not (a.is_integer() and int(a) in _CLOSED_ALPHAS):
         raise ValueError(f"closed-form smoothness must be an integer in 1..3, got {alpha}")
     return int(a)
 
@@ -289,7 +292,7 @@ def kernel_factor(
     if family == "sobolev":
         return _sobolev_factor(alpha, gamma, x, y), 0.0
 
-    if alpha.is_integer() and int(alpha) in (1, 2, 3):
+    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
         a = int(alpha)
 
         def c(theta):
@@ -313,13 +316,12 @@ def kernel_factor(
     return 1.0 + gamma * c(2.0 * (x - y)) + 0.5 * gamma * cos, tail
 
 
-def _product_tail(bounds: np.ndarray, maxv: np.ndarray) -> float:
+def _product_tail(bounds, mags) -> float:
     """Error bound for a product of factors, factor j off by at most bounds[j].
 
     Sums bounds[j] times the product of the other factors' magnitude caps
-    maxv + bounds, where maxv holds the largest computed magnitudes.
+    mags, each a bound on the exact factor's magnitude.
     """
-    mags = maxv + bounds
     tail = 0.0
     for j in range(len(bounds)):
         if bounds[j]:

@@ -30,6 +30,8 @@ __all__ = [
 
 # Hard cap on materialized symmetrization rows (2^s per retained shift).
 _SYM_ROW_CAP = 1 << 25
+# Hard cap on the (2H+1)^s candidates that dual_lattice scans.
+_DUAL_BOX_CAP = 10_000_000
 
 VARIANTS = ("plain", "tent", "sym")
 
@@ -200,19 +202,19 @@ def node_set(rule: LatticeRule, variant: str, dedupe: bool = True) -> WeightedPo
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def dual_lattice(rule: LatticeRule, H: int, max_candidates: int = 10_000_000) -> np.ndarray:
+def dual_lattice(rule: LatticeRule, H: int) -> np.ndarray:
     """Nonzero integer vectors h with |h_j| <= H and h . g == 0 (mod N).
 
-    Exhaustive scan of the (2H+1)^s box; refuses boxes beyond
-    ``max_candidates`` candidates.  Rows come back in odometer order.
+    Exhaustive scan of the (2H+1)^s box; raises ValueError for boxes beyond
+    _DUAL_BOX_CAP candidates.  Rows come back in odometer order.
     """
     if H < 0:
         raise ValueError("H must be nonnegative")
     s = rule.s
     total = (2 * H + 1) ** s
-    if total > max_candidates:
+    if total > _DUAL_BOX_CAP:
         raise ValueError(
-            f"dual lattice box has {total} candidates, above the cap {max_candidates}"
+            f"dual lattice box has {total} candidates, above the cap {_DUAL_BOX_CAP}"
         )
     axes = [np.arange(-H, H + 1, dtype=np.int64)] * s
     grid = np.meshgrid(*axes, indexing="ij")

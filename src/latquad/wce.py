@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import (
+    _CLOSED_ALPHAS,
     DEFAULT_POLICY,
     SpaceSpec,
     TruncationBudgetError,
@@ -45,6 +46,8 @@ from .kernels import (
     _product_tail,
     kernel_factor,
     korobov_omega,
+    series_kmax,
+    series_tail_bound,
     zeta,
 )
 from .points import LatticeRule, WeightedPointSet
@@ -154,8 +157,8 @@ def wce_double_sum(
 
     e2 = math.fsum(q for q, _, _ in results) - 1.0
     maxv = np.max(np.stack([mv for _, mv, _ in results]), axis=0)
-    factor_bounds = results[0][2]
-    return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(factor_bounds, maxv))
+    bnds = results[0][2]
+    return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
 
 
 def _alias(w: np.ndarray, r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +205,11 @@ def wce_korobov_lattice(
         e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j omega(frac(n g_j / N))).
     Other alpha: the dual-lattice sum of the Fourier weight products
     prod_{j: h_j != 0} gamma_j |h_j|^(-2 alpha) over the nonzero h with
-    |h_j| <= H and h . g = 0 (mod N), with H sized so each per-coordinate
-    tail is at most policy.tol / (3 s).  The box is never enumerated.  Per
+    |h_j| <= H and h . g = 0 (mod N).  H and the tail bound follow the kernels
+    truncation rule: H = series_kmax at tol / (3 s) for the largest weight
+    2 gamma_j, the tail is 2 series_tail_bound per coordinate, and
+    _product_tail takes the full sums 1 + 2 gamma_j zeta(2 alpha) as the
+    magnitude caps.  The box is never enumerated.  Per
     coordinate the nonzero weights are aliased onto Z_N at h g_j mod N, giving
     c_j, and B[r], the weight of the box vectors over the coordinates so far
     with a nonzero component and residue r, is carried as B = c_1, then
@@ -213,15 +219,16 @@ def wce_korobov_lattice(
     gathered terms.  Every term is positive, so there is no "mean - 1"
     cancellation.  Cost at most (s - 2) N min(N, 2H) products plus
     O(s (N + H)); memory O(H) for s <= 2 and O(N + H) otherwise.  Before any
-    work, raises TruncationBudgetError when H exceeds policy.max_terms or
-    the product count exceeds _DUAL_WORK_CAP, and ValueError when s >= 3
-    and N exceeds _DUAL_RESIDUE_CAP, the length of the dense residue tables.
+    work, raises TruncationBudgetError when series_kmax finds H above
+    policy.max_terms or the product count exceeds _DUAL_WORK_CAP, and
+    ValueError when s >= 3 and N exceeds _DUAL_RESIDUE_CAP, the length of
+    the dense residue tables.
     """
     N, s = rule.N, rule.s
     gammas = _check_gammas(gammas, s)
     alpha = _check_alpha(alpha)
 
-    if alpha.is_integer() and int(alpha) in (1, 2, 3):
+    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
         om = korobov_omega(int(alpha), np.arange(N) / N)
         n = np.arange(N, dtype=np.int64)
         prod = np.ones(N)
@@ -230,25 +237,7 @@ def wce_korobov_lattice(
         e2 = math.fsum(prod) / N - 1.0
         return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
 
-    # 2 gamma H^(1-2a)/(2a-1) <= tol/(3s), per coordinate; near alpha = 1/2
-    # the power overflows, and no budget admits such a box
-    per_dim = policy.tol / (3.0 * s)
-    try:
-        H = max(
-            1,
-            math.ceil(
-                max(
-                    (2.0 * g / (per_dim * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
-                    for g in gammas
-                )
-            ),
-        )
-    except OverflowError:
-        H = math.inf
-    if H > policy.max_terms:
-        raise TruncationBudgetError(
-            f"dual-lattice box H={H} for tol={policy.tol} is above max_terms={policy.max_terms}"
-        )
+    H = series_kmax(alpha, 2.0 * max(gammas), replace(policy, tol=policy.tol / (3.0 * s)))
     if s > 2 and N > _DUAL_RESIDUE_CAP:
         raise ValueError(f"dual-lattice residue tables capped at N={_DUAL_RESIDUE_CAP}, got {N}")
     work = max(s - 2, 0) * N * min(N, 2 * H)
@@ -284,16 +273,9 @@ def wce_korobov_lattice(
                   w * _lookup(kb, vb, r)]
     e2 = math.fsum(np.concatenate(terms).tolist())
     z2a = zeta(2.0 * alpha)
-    tails = [2.0 * g * H ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0) for g in gammas]
+    tails = [2.0 * series_tail_bound(alpha, g, H) for g in gammas]
     full = [1.0 + 2.0 * g * z2a for g in gammas]
-    tail = 0.0
-    for j in range(s):
-        rest = 1.0
-        for i in range(s):
-            if i != j:
-                rest *= full[i]
-        tail += tails[j] * rest
-    return WceResult(e2, WceMethod.DUAL_LATTICE_TRUNCATED, tail)
+    return WceResult(e2, WceMethod.DUAL_LATTICE_TRUNCATED, _product_tail(tails, full))
 
 
 def _fold_average_e2(
@@ -318,23 +300,25 @@ def _fold_average_e2(
     if N > MAX_DOUBLE_SUM_NODES:
         raise ValueError(f"fold-average sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {N}")
     m = np.arange(N, dtype=np.int64)
-    tables, bnds = [], np.empty(s)
-    for j, gamma in enumerate(gammas):
+    # A_j[k] = F_j[k g_j mod N] / 2 gives kbar_j = A_j[n - n'] + A_j[n + n'], with
+    # the same bits as (F + F) / 2 since halving is exact
+    rows, bnds = [], np.empty(s)
+    for j, (g_j, gamma) in enumerate(zip(rule.g, gammas)):
         F, bnds[j] = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
-        tables.append(F)
-    ngs = [(m * g_j) % N for g_j in rule.g]
+        rows.append(0.5 * F[m * g_j % N])
     maxv = np.zeros(s)
     row_sums = []
     for i0 in range(0, N, _ROW_BLOCK):
+        n = m[i0:i0 + _ROW_BLOCK, None]
+        lo, hi = (n - m) % N, (n + m) % N
         prod = None
-        for j, (F, ng) in enumerate(zip(tables, ngs)):
-            a = ng[i0:i0 + _ROW_BLOCK, None]
-            vals = 0.5 * (F[(a - ng) % N] + F[(a + ng) % N])
+        for j, A in enumerate(rows):
+            vals = A[lo] + A[hi]
             maxv[j] = max(maxv[j], float(np.abs(vals).max()))
             prod = vals if prod is None else prod * vals
         row_sums.extend(prod.sum(axis=1).tolist())
     e2 = math.fsum(row_sums) / (N * N) - 1.0
-    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _product_tail(bnds, maxv))
+    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
 
 
 def wce_cosine_tent(

@@ -1,8 +1,12 @@
 """The package namespace is exactly the union of its modules' public names."""
+import importlib.util
+from pathlib import Path
+
 import latquad
 from latquad import bench, cbc, kernels, points, wce
 
 MODULES = (points, kernels, wce, cbc, bench)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_is_the_union_of_the_module_lists():
@@ -16,3 +20,13 @@ def test_each_name_is_the_module_object():
     for mod in MODULES:
         for name in mod.__all__:
             assert getattr(latquad, name) is getattr(mod, name), (mod.__name__, name)
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every (module, attribute) the benchmark tracer wraps exists and is callable."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _layer in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

@@ -1,5 +1,4 @@
 """Benchmark integrands, the three rule variants, and slope fitting."""
-import io
 import math
 
 import numpy as np
@@ -9,8 +8,6 @@ from latquad.bench import (
     ConvergenceRecord,
     TestFunction as Integrand,
     converge_study,
-    eval_g,
-    eval_h,
     fit_slope,
     integrate,
     records_to_csv,
@@ -36,20 +33,23 @@ class _Product:
 
 
 def test_eval_g_endpoints():
-    assert eval_g(1, 0.1, [0.0]) == pytest.approx(20.0 / 21.0, rel=1e-15)
-    assert eval_g(1, 0.1, [1.0]) == pytest.approx(1.0 + 0.1 * 11.0 / 21.0, rel=1e-15)
+    g1 = Integrand("g", 1, 0.1)
+    assert g1([0.0]) == pytest.approx(20.0 / 21.0, rel=1e-15)
+    assert g1([1.0]) == pytest.approx(1.0 + 0.1 * 11.0 / 21.0, rel=1e-15)
     # batch shape: trailing axis is the coordinate axis
-    out = eval_g(2, 0.5, np.zeros((7, 2)))
+    g2 = Integrand("g", 2, 0.5)
+    out = g2(np.zeros((7, 2)))
     assert out.shape == (7,)
     with pytest.raises(ValueError):
-        eval_g(2, 0.5, np.zeros((7, 3)))
+        g2(np.zeros((7, 3)))
 
 
 def test_eval_h_values():
     c = (31.0 - 16.0 * math.cos(1.0)) / 8.0
-    assert eval_h(1, 0.1, [0.0]) == pytest.approx(1.0 + 0.1 * c, rel=1e-14)
-    assert float(eval_h(1, 0.1, [0.0])) == pytest.approx(1.2794395388263722, rel=1e-13)
-    got = eval_h(2, 0.5, [0.0, 0.0])
+    h1 = Integrand("h", 1, 0.1)
+    assert h1([0.0]) == pytest.approx(1.0 + 0.1 * c, rel=1e-14)
+    assert float(h1([0.0])) == pytest.approx(1.2794395388263722, rel=1e-13)
+    got = Integrand("h", 2, 0.5)([0.0, 0.0])
     assert got == pytest.approx((1.0 + 0.5 * c) * (1.0 + 0.25 * c), rel=1e-14)
 
 
@@ -136,16 +136,16 @@ def test_fit_slope_needs_enough_points_above_the_floor():
 def test_converge_study_records_and_csv():
     f = Integrand("g", 2, 0.9)
     Ns = [2**m for m in range(6, 10)]
-    buf = io.StringIO()
-    recs = converge_study(f, "tent", Ns, cbc_alpha=1, out=buf)
+    recs = converge_study(f, "tent", Ns, cbc_alpha=1)
     assert [r.N for r in recs] == Ns
     assert all(r.nodes == r.N for r in recs)
     assert all(r.abs_error == abs(r.estimate - 1.0) for r in recs)
-    lines = buf.getvalue().strip().splitlines()
+    text = records_to_csv(recs)
+    lines = text.strip().splitlines()
     assert lines[0] == "variant,N,nodes,estimate,abs_error"
     assert len(lines) == 1 + len(Ns)
     assert lines[1].startswith("tent,64,64,")
-    assert records_to_csv(recs) == buf.getvalue()
+    assert text.endswith("\n")
 
 
 def test_converge_study_validation():
@@ -154,6 +154,8 @@ def test_converge_study_validation():
         converge_study(f, "tent", [64, 32])
     with pytest.raises(ValueError):
         converge_study(f, "spiral", [32, 64])
+    with pytest.raises(ValueError, match="nonempty"):
+        converge_study(f, "tent", [])
     # no dimension or node-count cap on symmetrized studies: nothing is materialised
     f11 = Integrand("g", 11, 0.9)
     gammas = tuple(0.9**j for j in range(1, 12))
@@ -163,6 +165,17 @@ def test_converge_study_validation():
         assert abs(rec.estimate - want) <= 1e-14 * abs(want)
     (rec,) = converge_study(Integrand("g", 10, 0.9), "sym", [1 << 16])
     assert rec.nodes == symmetrized_node_count(1 << 16, 10)
+
+
+@pytest.mark.parametrize("cbc_alpha", [1.5, 2.9])
+def test_converge_study_passes_cbc_alpha_through(cbc_alpha):
+    # CBC has closed forms at alpha in 1..3 only; rounding 1.5 down to 1 would
+    # quietly build alpha = 1 rules
+    f = Integrand("g", 2, 0.9)
+    with pytest.raises(ValueError, match="closed-form smoothness"):
+        converge_study(f, "tent", [32, 64], cbc_alpha=cbc_alpha)
+    assert converge_study(f, "tent", [32, 64], cbc_alpha=2.0) == converge_study(
+        f, "tent", [32, 64], cbc_alpha=2)
 
 
 def test_symmetrized_node_counts_in_records():

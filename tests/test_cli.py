@@ -277,6 +277,15 @@ def test_non_finite_alpha_exits_one(capsys, route, alpha):
     assert "Traceback" not in err
 
 
+def test_converge_empty_exponent_range_exits_one(capsys):
+    code, stdout, err = run_cli(
+        capsys, "converge", "--family", "g", "--s", "2", "--w", "0.9",
+        "--nmin", "5", "--nmax", "3")
+    assert code == 1
+    assert stdout == ""
+    assert "N_list must be nonempty" in err
+
+
 def test_fold_average_cap_exits_one(capsys):
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "cosine-tent", "--n", "4099", "--g", "1",

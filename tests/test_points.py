@@ -168,7 +168,7 @@ def test_dual_lattice_bruteforce(N, g):
 def test_dual_lattice_empty_box_and_cap():
     assert dual_lattice(LatticeRule(4, (1,)), 0).size == 0
     with pytest.raises(ValueError):
-        dual_lattice(LatticeRule(4, (1, 2, 3)), 200, max_candidates=1000)
+        dual_lattice(LatticeRule(4, (1, 2, 3)), 200)
     with pytest.raises(ValueError):
         dual_lattice(LatticeRule(4, (1,)), -1)
 

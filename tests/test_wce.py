@@ -457,7 +457,7 @@ def _direct_double_sum(spec, ps, policy):
             maxv[j] = max(maxv[j], float(np.abs(vals).max()))
             prod = vals if prod is None else prod * vals
         row_sums.append(float(w[i0:i0 + _ROW_BLOCK] @ (prod @ w)))
-    return math.fsum(row_sums) - 1.0, _product_tail(bnds, maxv)
+    return math.fsum(row_sums) - 1.0, _product_tail(bnds, maxv + bnds)
 
 
 def _oracle_point_sets():
