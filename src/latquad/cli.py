@@ -195,6 +195,8 @@ def cmd_converge(args) -> int:
     Ns = [2**m for m in range(args.nmin, args.nmax + 1)]
     gammas = parse_gammas(args.gamma, args.s) if args.gamma else None
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+    if not variants or len(set(variants)) < len(variants):
+        raise ValueError(f"--variants must name distinct variants, got {args.variants!r}")
     records = []
     for variant in variants:
         records.extend(converge_study(f, variant, Ns, cbc_alpha=args.alpha, cbc_gammas=gammas))

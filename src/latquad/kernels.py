@@ -340,26 +340,35 @@ def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, wts
 
 
-def _coeff_quadrature(f: Callable, axis_weight: Callable, s: int, panels: int):
+def _coeff_quadrature(f: Callable, axis_weight: Callable, s: int, panels: int, target: float):
     """Tensor quadrature of f(x) * prod_j axis_weight(j, x_j) over [0,1]^s.
 
     axis_weight(j, nodes) must return the (possibly complex) per-axis factor.
-    f is called once with the full (M, s) grid.
+    f is called once with each full (M, s) grid, at panels and 2 * panels per
+    axis; the finer value is returned only if it is within target of the other.
     """
-    nodes, wts = _gl_grid(panels)
-    m = nodes.size
-    if m**s > _QUAD_POINT_CAP:
-        raise ValueError(f"tensor quadrature grid of {m**s} points is too large")
-    grids = np.meshgrid(*([nodes] * s), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, s)
-    acc = np.asarray(f(pts)).reshape(len(pts))
-    full = tuple([m] * s)
-    for j in range(s):
-        wj = wts * axis_weight(j, nodes)
-        shape = [1] * s
-        shape[j] = m
-        acc = acc * np.broadcast_to(wj.reshape(shape), full).reshape(-1)
-    return acc.sum()
+    vals = []
+    for p in (panels, 2 * panels):
+        nodes, wts = _gl_grid(p)
+        m = nodes.size
+        if m**s > _QUAD_POINT_CAP:
+            raise ValueError(f"tensor quadrature grid of {m**s} points is too large")
+        grids = np.meshgrid(*([nodes] * s), indexing="ij")
+        pts = np.stack(grids, axis=-1).reshape(-1, s)
+        acc = np.asarray(f(pts)).reshape(len(pts))
+        full = tuple([m] * s)
+        for j in range(s):
+            wj = wts * axis_weight(j, nodes)
+            shape = [1] * s
+            shape[j] = m
+            acc = acc * np.broadcast_to(wj.reshape(shape), full).reshape(-1)
+        vals.append(acc.sum())
+    v1, v2 = vals
+    if abs(v2 - v1) > target:
+        raise QuadratureAccuracyError(
+            f"panel doubling moved the coefficient by {abs(v2 - v1):.3e} (> {target})"
+        )
+    return v2
 
 
 def cosine_coeff(f: Callable, k, s: int | None = None, target: float = 1e-10) -> float:
@@ -385,13 +394,7 @@ def cosine_coeff(f: Callable, k, s: int | None = None, target: float = 1e-10) ->
         return math.sqrt(2.0) * np.cos(math.pi * int(kvec[j]) * xs)
 
     panels = max(8, 5 * int(kvec.max(initial=0)))
-    v1 = _coeff_quadrature(f, axis_weight, s, panels)
-    v2 = _coeff_quadrature(f, axis_weight, s, 2 * panels)
-    if abs(v2 - v1) > target:
-        raise QuadratureAccuracyError(
-            f"panel doubling moved the coefficient by {abs(v2 - v1):.3e} (> {target})"
-        )
-    return float(v2)
+    return float(_coeff_quadrature(f, axis_weight, s, panels, target))
 
 
 def fourier_coeff(f: Callable, h, s: int | None = None, target: float = 1e-10) -> complex:
@@ -411,10 +414,4 @@ def fourier_coeff(f: Callable, h, s: int | None = None, target: float = 1e-10) -
         return np.exp(-2j * math.pi * int(hvec[j]) * xs)
 
     panels = max(8, 10 * int(np.abs(hvec).max(initial=0)))
-    v1 = _coeff_quadrature(f, axis_weight, s, panels)
-    v2 = _coeff_quadrature(f, axis_weight, s, 2 * panels)
-    if abs(v2 - v1) > target:
-        raise QuadratureAccuracyError(
-            f"panel doubling moved the coefficient by {abs(v2 - v1):.3e} (> {target})"
-        )
-    return complex(v2)
+    return complex(_coeff_quadrature(f, axis_weight, s, panels, target))

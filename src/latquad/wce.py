@@ -21,9 +21,9 @@ over coordinate reflections, turn each kernel factor into the fold average
                                        + Omega((n + n') g_j mod N)],
 
 with Omega(m) = omega(m / N) the Korobov closed form.  ``wce_cosine_tent``,
-``wce_korcos_sym`` and ``wce_cosine_sym`` sum that exactly over the
-base-lattice numerators.  For s >= 2 the result is in general strictly below
-the Korobov single sum, which only bounds it from above.
+``wce_korcos_sym`` and ``wce_cosine_sym`` sum that exactly, in O(2^s N) by
+subset sums under a cap on 2^s N.  For s >= 2 the result is in general
+strictly below the Korobov single sum, which only bounds it from above.
 """
 from __future__ import annotations
 
@@ -70,6 +70,7 @@ __all__ = [
 
 MAX_DOUBLE_SUM_NODES = 4096
 _ROW_BLOCK = 512
+_FOLD_WORK_CAP = 1 << 24  # on 2^s N in the fold-average routes, checked before any work
 # wce_korobov_lattice at non-integer alpha, checked before any work: caps on
 # the residue products (s - 2) N min(N, 2H) of its convolutions and, for
 # s >= 3, on the length N of its dense residue tables
@@ -286,38 +287,39 @@ def _fold_average_e2(
 ) -> WceResult:
     """e^2 = -1 + N^-2 sum_{n,n'} prod_j kbar_j(n, n') over the base lattice.
 
-    kbar_j = (F_j[(n - n') g_j mod N] + F_j[(n + n') g_j mod N]) / 2 with the
-    Korobov factor table F_j[m] = 1 + gamma_j omega(m / N) from
-    ``kernel_factor``: the closed form for alpha in 1..3 (tail 0), the
-    truncated series otherwise.  Processed in fixed row blocks through integer
-    table lookups and reduced by one fsum over per-row sums, so repeated calls
-    are bit-identical.  The tail bound propagates the per-factor series bounds
-    as ``wce_double_sum`` does.  Cost O(N^2 s) time, O(block N) memory, so
-    like the double sum it is capped at MAX_DOUBLE_SUM_NODES nodes and raises
-    ValueError above that before doing any work.
+    kbar_j = A_j[n - n'] + A_j[n + n'], A_j[m] = F_j[m g_j mod N] / 2, with the
+    Korobov table F_j[m] = 1 + gamma_j omega(m / N) from ``kernel_factor``
+    (tail 0 at alpha in 1..3).  With P_S = sum_m prod_{j in S} A_j[m] over the
+    subsets S of the coordinates, the pair sum is sum_S P_S P_{S^c} for odd N,
+    where (n, n') -> (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
+    P_{S^c}^even + P_S^odd P_{S^c}^odd) for even N, where it covers the
+    equal-parity pairs (m even, m odd) twice; g need not be a unit.  A
+    depth-first walk keeps one running product per depth; math.fsum reduces
+    each leaf, then the 2^s leaf products, so calls are bit-identical.
+    O(2^s N) time, O(s N) memory; ValueError before any work when 2^s N
+    exceeds _FOLD_WORK_CAP.  The tail bound is ``wce_double_sum``'s, with
+    max over pairs |kbar_j| = max_m |F_j[m g_j mod N]| = 2 max|A_j| (n' = 0).
     """
     N, s = rule.N, rule.s
-    if N > MAX_DOUBLE_SUM_NODES:
-        raise ValueError(f"fold-average sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {N}")
+    if N << s > _FOLD_WORK_CAP:
+        raise ValueError(f"fold-average sum capped at 2^s N = {_FOLD_WORK_CAP}, got {N << s}")
     m = np.arange(N, dtype=np.int64)
-    # A_j[k] = F_j[k g_j mod N] / 2 gives kbar_j = A_j[n - n'] + A_j[n + n'], with
-    # the same bits as (F + F) / 2 since halving is exact
     rows, bnds = [], np.empty(s)
     for j, (g_j, gamma) in enumerate(zip(rule.g, gammas)):
         F, bnds[j] = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
         rows.append(0.5 * F[m * g_j % N])
-    maxv = np.zeros(s)
-    row_sums = []
-    for i0 in range(0, N, _ROW_BLOCK):
-        n = m[i0:i0 + _ROW_BLOCK, None]
-        lo, hi = (n - m) % N, (n + m) % N
-        prod = None
-        for j, A in enumerate(rows):
-            vals = A[lo] + A[hi]
-            maxv[j] = max(maxv[j], float(np.abs(vals).max()))
-            prod = vals if prod is None else prod * vals
-        row_sums.extend(prod.sum(axis=1).tolist())
-    e2 = math.fsum(row_sums) / (N * N) - 1.0
+    maxv = np.array([2.0 * float(np.abs(A).max()) for A in rows])
+    parts = 2 - N % 2
+    P = np.empty((1 << s, parts))  # P[S] for the subset S with bit j for coordinate j
+    stack = [(0, 0, np.ones(N))]  # (depth j, subset S so far, its running product)
+    while stack:
+        j, S, prod = stack.pop()
+        if j == s:
+            P[S] = [math.fsum(memoryview(prod[p::parts])) for p in range(parts)]
+        else:
+            stack += [(j + 1, S, prod), (j + 1, S | 1 << j, prod * rows[j])]
+    # S^c = (2^s - 1) - S, so P reversed lists the complements
+    e2 = parts * math.fsum(memoryview((P * P[::-1]).ravel())) / (N * N) - 1.0
     return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
 
 
@@ -331,12 +333,11 @@ def wce_cosine_tent(
 
     At a tent-folded node phi(t), cos(pi k phi(t)) = cos(2 pi k t), so each
     cosine factor becomes the fold average of the Korobov factor over t - t'
-    and t + t'.  Computed by the O(N^2 s) fold-average sum, capped at
-    MAX_DOUBLE_SUM_NODES nodes: exact for alpha in 1..3, with a rigorous
-    series tail bound otherwise.  This is
-    the Korobov error ``wce_korobov_lattice`` only in one dimension or when
-    the dual lattice is closed under per-coordinate sign flips; otherwise it
-    is strictly smaller.
+    and t + t', summed in O(2^s N) under a cap on 2^s N: exact for alpha in
+    1..3, with a rigorous series tail bound otherwise.  This is the Korobov
+    error ``wce_korobov_lattice`` only in one dimension or when the dual
+    lattice is closed under per-coordinate sign flips; otherwise it is
+    strictly smaller.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)
@@ -354,9 +355,9 @@ def wce_korcos_sym(
     Averaging over the coordinate reflections turns the Korobov half into the
     fold average with weight gamma and leaves only the even frequencies of
     the cosine half, the fold average with weight gamma 4^(-alpha).  The
-    mean is the fold average with weight (1 + 4^(-alpha)) gamma / 2, computed
-    by the O(N^2 s) fold-average sum, capped at MAX_DOUBLE_SUM_NODES nodes:
-    exact for alpha in 1..3, with a rigorous series tail bound otherwise.
+    mean is the fold average with weight (1 + 4^(-alpha)) gamma / 2, summed
+    in O(2^s N) under a cap on 2^s N: exact for alpha in 1..3, with a
+    rigorous series tail bound otherwise.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)
@@ -374,11 +375,11 @@ def wce_cosine_sym(
 
     Averaging over the coordinate reflections leaves only the even cosine
     frequencies, so each factor becomes the fold average with weight
-    gamma 4^(-alpha), computed by the O(N^2 s) fold-average sum, capped at
-    MAX_DOUBLE_SUM_NODES nodes: exact for alpha in 1..3, with a rigorous
-    series tail bound otherwise.  This is the Korobov error with weights
-    gamma 4^(-alpha) only in one dimension or when the dual lattice is closed
-    under per-coordinate sign flips; otherwise it is strictly smaller.
+    gamma 4^(-alpha), summed in O(2^s N) under a cap on 2^s N: exact for
+    alpha in 1..3, with a rigorous series tail bound otherwise.  This is the
+    Korobov error with weights gamma 4^(-alpha) only in one dimension or when
+    the dual lattice is closed under per-coordinate sign flips; otherwise it
+    is strictly smaller.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)

@@ -287,12 +287,29 @@ def test_converge_empty_exponent_range_exits_one(capsys):
 
 
 def test_fold_average_cap_exits_one(capsys):
+    # 2^s N = 2^8 (2^16 + 1) is just above the 2^24 work cap, 2^8 2^16 is at it
+    g = "1,3,5,7,9,11,13,15"
     code, stdout, err = run_cli(
-        capsys, "wce", "--space", "cosine-tent", "--n", "4099", "--g", "1",
+        capsys, "wce", "--space", "cosine-tent", "--n", "65537", "--g", g,
         "--alpha", "1", "--gamma", "1")
     assert code == 1
     assert stdout == ""
-    assert "capped at 4096 nodes" in err
+    assert "capped at 2^s N = 16777216" in err
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "cosine-tent", "--n", "65536", "--g", g,
+        "--alpha", "1", "--gamma", "1")
+    assert code == 0
+    assert stdout.endswith(" method=fold-average-double-sum\n")
+
+
+@pytest.mark.parametrize("variants", ["", " , ", "tent,tent", "plain,sym,plain"])
+def test_converge_rejects_empty_or_repeated_variants(capsys, variants):
+    code, stdout, err = run_cli(
+        capsys, "converge", "--family", "g", "--s", "2", "--w", "0.9",
+        "--nmin", "3", "--nmax", "4", "--variants", variants)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("latquad: --variants must name distinct variants")
 
 
 def test_truncation_budget_exit_two(capsys):

@@ -2,16 +2,18 @@
 
 The tent, symmetrized-cosine and symmetrized-korcos wrappers evaluate the
 exact fold-average sum and are checked against the double sum in every
-dimension.  The periodic Korobov closed form equals those errors only in one
-dimension or for rules whose dual lattice is closed under per-coordinate sign
-flips; elsewhere the double sum is checked against a direct
-spectral-projection oracle, which sits strictly below the closed form.
+dimension, and against a direct pair sum over the base lattice.  The periodic
+Korobov closed form equals those errors only in one dimension or for rules
+whose dual lattice is closed under per-coordinate sign flips; elsewhere the
+double sum is checked against a direct spectral-projection oracle, which sits
+strictly below the closed form.
 """
 import math
 
 import numpy as np
 import pytest
 
+from latquad import wce
 from latquad.kernels import (
     DEFAULT_POLICY,
     SpaceSpec,
@@ -30,8 +32,8 @@ from latquad.points import (
     tent_transform,
 )
 from latquad.wce import (
+    _FOLD_WORK_CAP,
     _ROW_BLOCK,
-    MAX_DOUBLE_SUM_NODES,
     WceMethod,
     cbc_bound_constant,
     wce_cosine_sym,
@@ -320,12 +322,109 @@ def test_fold_average_routes_are_exact_and_repeatable(alpha):
         assert 0.0 < a.e2 <= wce_korobov_lattice(rule, alpha, gammas).e2
 
 
+# the gamma scale each wrapper applies before the fold average
+_FOLD_SCALES = {
+    wce_cosine_tent: lambda alpha: 1.0,
+    wce_korcos_sym: lambda alpha: 0.5 * (1.0 + 4.0 ** -alpha),
+    wce_cosine_sym: lambda alpha: 4.0 ** -alpha,
+}
+
+
+def _fold_average_by_pairs(rule, alpha, gammas, policy):
+    """Direct fold-average pair sum: (e2, M / N^2, tail bound).
+
+    e2 = N^-2 sum_{n,n'} prod_j (A_j[n - n'] + A_j[n + n']) - 1 with
+    A_j[m] = F_j[m g_j mod N] / 2, M the same pair sum over
+    |A_j[n - n']| + |A_j[n + n']|, and the tail bound propagated from the
+    per-pair factor maxima as the double sum does.
+    """
+    N = rule.N
+    m = np.arange(N)
+    lo, hi = (m[:, None] - m) % N, (m[:, None] + m) % N
+    terms, mags, maxv, bnds = np.ones((N, N)), np.ones((N, N)), [], []
+    for g_j, gamma in zip(rule.g, gammas):
+        F, bnd = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
+        A = 0.5 * F[m * g_j % N]
+        terms = terms * (A[lo] + A[hi])
+        mags = mags * (np.abs(A[lo]) + np.abs(A[hi]))
+        maxv.append(float(np.abs(A[lo] + A[hi]).max()))
+        bnds.append(bnd)
+    e2 = math.fsum(terms.ravel().tolist()) / (N * N) - 1.0
+    return e2, float(mags.sum()) / (N * N), _product_tail(np.array(bnds), np.array(maxv) + bnds)
+
+
+def _gamma_k(k):
+    u = 2.0 ** -53
+    return k * u / (1.0 - k * u)
+
+
+@pytest.mark.parametrize("alpha", [1, 1.5, 2, 3])
+@pytest.mark.parametrize("N,g", [
+    (2, (1,)), (7, (3,)), (8, (1, 3)), (9, (3, 6)), (12, (2, 3)), (15, (1, 4, 11)),
+    (16, (1, 6, 10, 14)), (21, (1, 4, 9, 14, 20)), (24, (1, 5, 6, 9, 16)),
+])
+def test_fold_average_routes_match_the_direct_pair_sum(alpha, N, g):
+    """Factorised subset sums against the direct pair sum, with a derived tolerance.
+
+    Both routes approximate T = sum_{n,n'} prod_j (A_j[n - n'] + A_j[n + n'])
+    from the same stored A_j; let M be that sum over the magnitudes
+    |A_j[n - n']| + |A_j[n + n']|, u = 2^-53 and gamma_k = k u / (1 - k u).
+    The direct sum rounds s additions and s - 1 multiplications per pair
+    term, then math.fsum once: |T_direct - T| <= gamma_2s M.  The
+    factorised route rounds at most s - 1 multiplications per leaf term,
+    once in each leaf fsum, once per product P_S P_{S^c} and once in the
+    last fsum (the even-N factor 2 is exact), and sum_S |P|_S |P|_{S^c} = M:
+    |T_fold - T| <= gamma_{2s+2} M.  Dividing by N^2 (exact in float) and
+    subtracting 1 round twice more, and |e2| <= M / N^2 + 1, so the two e2
+    differ by at most gamma_{4s+8} (M / N^2 + 1).  M is itself computed in
+    floating point; its relative error gamma_2s is far inside the slack.
+    The tail bound uses the same per-factor bounds and, per factor, the
+    same maximum, so it matches bit for bit.
+    """
+    s = len(g)
+    rule = LatticeRule(N, g)
+    gammas = (1.0, 0.5, 2.0, 0.25, 0.125)[:s]
+    for fn, scale in _FOLD_SCALES.items():
+        c = scale(float(alpha))
+        e2, mag, tail = _fold_average_by_pairs(rule, alpha, [gm * c for gm in gammas], POL)
+        res = fn(rule, alpha, gammas, POL)
+        assert res.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
+        assert res.tail_bound == tail, (fn.__name__, N, g)
+        assert abs(res.e2 - e2) <= _gamma_k(4 * s + 8) * (mag + 1.0), (fn.__name__, N, g)
+
+
+@pytest.mark.parametrize("N", [8191, 8192])
+@pytest.mark.parametrize("g1", [1, 3])
+def test_cosine_tent_is_the_korobov_error_in_one_dimension_above_4096_nodes(N, g1):
+    """In one dimension the fold average is the Korobov single sum.
+
+    Both reduce the table F[m g_1 mod N] (all positive here, as gamma = 1/2
+    keeps 1 + gamma omega > 0): the Korobov route as fsum(F) / N, the fold
+    average as fsum-ed leaf sums (two for even N) times N, added by fsum and
+    divided by N^2.  With every term positive that is at most four
+    roundings against two, relative to e2 + 1, plus one in each "- 1", so
+    they differ by at most gamma_6 (e2 + 1) + 2 u |e2| <= gamma_8 (e2 + 1).
+    """
+    rule = LatticeRule(N, (g1,))
+    tent = wce_cosine_tent(rule, 1, (0.5,))
+    kor = wce_korobov_lattice(rule, 1, (0.5,))
+    assert tent.tail_bound == 0.0
+    assert abs(tent.e2 - kor.e2) <= _gamma_k(8) * (kor.e2 + 1.0)
+
+
 @pytest.mark.parametrize("fn", [wce_cosine_tent, wce_korcos_sym, wce_cosine_sym])
-def test_fold_average_routes_refuse_rules_above_the_node_cap(fn):
-    with pytest.raises(ValueError, match="capped"):
-        fn(LatticeRule(MAX_DOUBLE_SUM_NODES + 3, (1,)), 1, (1.0,))
-    at_cap = fn(LatticeRule(MAX_DOUBLE_SUM_NODES, (1,)), 1, (1.0,))
+def test_fold_average_routes_refuse_rules_above_the_work_cap(fn, monkeypatch):
+    # 2^s N = 2^8 (2^16 + 1) is just above the cap and is refused before
+    # any kernel table is built; 2^8 2^16 is at the cap and runs
+    assert _FOLD_WORK_CAP == 1 << 24
+    g = (1, 3, 5, 7, 9, 11, 13, 15)
+    with monkeypatch.context() as mp:
+        mp.setattr(wce, "kernel_factor", lambda *a, **k: pytest.fail("work before the cap"))
+        with pytest.raises(ValueError, match="capped"):
+            fn(LatticeRule((1 << 16) + 1, g), 1, (1.0,) * 8)
+    at_cap = fn(LatticeRule(1 << 16, g), 1, (0.5,) * 8)
     assert at_cap.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
+    assert at_cap.e2 > 0.0
 
 
 def test_symmetrization_leaves_korobov_error_unchanged_in_one_dimension():
