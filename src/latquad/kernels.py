@@ -320,13 +320,14 @@ def _product_tail(bounds, mags) -> float:
     """Error bound for a product of factors, factor j off by at most bounds[j].
 
     Sums bounds[j] times the product of the other factors' magnitude caps
-    mags, each a bound on the exact factor's magnitude.
+    mags, each a bound on the exact factor's magnitude.  Returns a Python
+    float whether the inputs are sequences or arrays.
     """
     tail = 0.0
     for j in range(len(bounds)):
         if bounds[j]:
             tail += bounds[j] * float(np.prod(np.delete(mags, j)))
-    return tail
+    return float(tail)
 
 
 def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:

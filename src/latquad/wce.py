@@ -70,6 +70,8 @@ __all__ = [
 
 MAX_DOUBLE_SUM_NODES = 4096
 _ROW_BLOCK = 512
+# float64 elements per row tile of the double-sum product (256 KiB)
+_TILE = 1 << 15
 _FOLD_WORK_CAP = 1 << 24  # on 2^s N in the fold-average routes, checked before any work
 # wce_korobov_lattice at non-integer alpha, checked before any work: caps on
 # the residue products (s - 2) N min(N, 2H) of its convolutions and, for
@@ -115,11 +117,17 @@ def wce_double_sum(
     values times the set's distinct values, gathered into the block's rows and
     columns.  Lattice, tent and symmetrized node sets of an N-point rule take
     at most N + 1 distinct values per coordinate, so each block costs s
-    tables of at most (N + 1)^2 evaluations, and the whole sum s gathers of
-    M^2 values, instead of s M^2 evaluations.  No table is larger than the
-    block times M, so memory stays O(block M).  The factors are elementwise,
-    so every gathered value, and hence e2 and the tail bound, has the same
-    bits as evaluating every node pair directly.
+    tables of at most (N + 1)^2 evaluations, and the whole sum s gathers and
+    s - 1 products of M^2 values, instead of s M^2 evaluations.  A block
+    builds one coordinate's table at a time and gathers it, one tile of
+    max(1, _TILE // M) rows at a time, into a block-by-M product buffer (the
+    first coordinate) or a tile-sized work buffer multiplied into it (the
+    others); both buffers serve every tile and coordinate, so nothing
+    block-sized is allocated per coordinate.  A block thus holds one table
+    (no larger than the block times M), one block-by-M buffer and two tiles:
+    memory O(block M).  The factors are elementwise and multiplied in
+    coordinate order, so every product, and hence e2 and the tail bound, has
+    the same bits as evaluating every node pair directly.
     """
     X, w = ps.points, ps.weights
     M, s = X.shape
@@ -133,9 +141,15 @@ def wce_double_sum(
 
     def run_block(block: tuple[int, int]):
         i0, i1 = block
-        prod = None
         maxv = np.empty(s)
         bnds = np.empty(s)
+        # prod stays C-contiguous, as the direct evaluation was: a Fortran-
+        # ordered block sends prod @ w down another BLAS path and moves the
+        # last bits of e2.  The matvec stays per block, not per tile, because
+        # BLAS row results depend on the row count.
+        prod = np.empty((i1 - i0, M))
+        t = max(1, _TILE // M)
+        work = np.empty((min(t, i1 - i0), M))
         for j, (cu, cinv) in enumerate(cols):
             ru, rinv = (cu, cinv) if i1 - i0 == M else np.unique(X[i0:i1, j], return_inverse=True)
             table, bnds[j] = kernel_factor(
@@ -143,11 +157,15 @@ def wce_double_sum(
             )
             # every table entry is some node pair's value, so the maxima match
             maxv[j] = float(np.abs(table).max())
-            # np.take along axis 1 keeps the gathered block C-contiguous, as
-            # the direct evaluation was; a Fortran-ordered block sends
-            # prod @ w down another BLAS path and moves the last bits of e2
-            vals = np.take(table[rinv], cinv, axis=1)
-            prod = vals if prod is None else prod * vals
+            for r0 in range(0, i1 - i0, t):
+                p = prod[r0:r0 + t]
+                v = work[:len(p)] if j else p
+                # mode="clip" gathers straight into out; the default "raise"
+                # buffers a copy.  Inverse indices from np.unique are in range.
+                np.take(table[rinv[r0:r0 + t]], cinv, axis=1, out=v, mode="clip")
+                if j:
+                    np.multiply(p, v, out=p)
+            del table  # one table alive at a time
         return float(w[i0:i1] @ (prod @ w)), maxv, bnds
 
     if threads is not None and threads > 1 and len(blocks) > 1:
@@ -289,9 +307,10 @@ def _fold_average_e2(
 
     kbar_j = A_j[n - n'] + A_j[n + n'], A_j[m] = F_j[m g_j mod N] / 2, with the
     Korobov table F_j[m] = 1 + gamma_j omega(m / N) from ``kernel_factor``
-    (tail 0 at alpha in 1..3).  With P_S = sum_m prod_{j in S} A_j[m] over the
-    subsets S of the coordinates, the pair sum is sum_S P_S P_{S^c} for odd N,
-    where (n, n') -> (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
+    (tail 0 at alpha in 1..3), evaluated once per distinct gamma_j.  With
+    P_S = sum_m prod_{j in S} A_j[m] over the subsets S of the coordinates,
+    the pair sum is sum_S P_S P_{S^c} for odd N, where (n, n') ->
+    (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
     P_{S^c}^even + P_S^odd P_{S^c}^odd) for even N, where it covers the
     equal-parity pairs (m even, m odd) twice; g need not be a unit.  A
     depth-first walk keeps one running product per depth; math.fsum reduces
@@ -305,8 +324,11 @@ def _fold_average_e2(
         raise ValueError(f"fold-average sum capped at 2^s N = {_FOLD_WORK_CAP}, got {N << s}")
     m = np.arange(N, dtype=np.int64)
     rows, bnds = [], np.empty(s)
+    tables = {}  # gamma -> kernel_factor's (F, bound): equal weights share one table
     for j, (g_j, gamma) in enumerate(zip(rule.g, gammas)):
-        F, bnds[j] = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
+        if gamma not in tables:
+            tables[gamma] = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
+        F, bnds[j] = tables[gamma]
         rows.append(0.5 * F[m * g_j % N])
     maxv = np.array([2.0 * float(np.abs(A).max()) for A in rows])
     parts = 2 - N % 2

@@ -9,6 +9,7 @@ double sum is checked against a direct spectral-projection oracle, which sits
 strictly below the closed form.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -571,6 +572,9 @@ def _oracle_point_sets():
         symmetrize(LatticeRule(31, (1, 18, 7))),
         # more than one row block
         symmetrize(LatticeRule(251, (1, 76, 114))),
+        # 608 nodes, row tiles of _TILE // 608 = 53 rows: every block ends in
+        # a partial tile (512 = 9 * 53 + 35), and the last block is partial
+        symmetrize(LatticeRule(151, (1, 58, 40))),
         # repeated grid values, uneven weights
         WeightedPointSet(grid, grid_w / math.fsum(grid_w)),
         # every coordinate value distinct
@@ -590,6 +594,87 @@ def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
         e2, tail = _direct_double_sum(spec, ps, POL)
         assert got.e2 == e2, len(ps)
         assert got.tail_bound == tail, len(ps)
+
+
+def _traced_peak(fn):
+    """Traced peak of fn() in bytes above what was traced when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("nodes", ["symmetrized", "distinct"])
+def test_double_sum_peak_memory_is_one_block_buffer_one_table_and_two_tiles(nodes):
+    """Traced peak of one threads=1 double sum over 2040 nodes, s = 3.
+
+    A block allocates one block-by-M product buffer and one work tile of at
+    most _TILE values.  Then, one coordinate at a time, it builds that
+    coordinate's kernel table, takes its largest magnitude (a table-sized
+    temporary) and gathers it a tile at a time through a row-indexed table
+    slice of at most _TILE values; the table is dropped before the next one
+    is built, and blocks run one after another.  So the peak is at most
+      _ROW_BLOCK * M * 8 bytes      the product buffer,
+      + 2 * _TILE * 8 bytes         work tile and gathered slice,
+      + the largest, over blocks and coordinates, of
+        max(traced peak of the kernel_factor call building the table,
+            2 * table bytes)        the table and its absolute values,
+      + 1 MiB slack                 np.unique values and inverses of the set
+                                    and of one block, 2 s (M + 512) words =
+                                    0.12 MiB, and small arrays.
+    The symmetrized set (N = 509) has at most 510 distinct values per
+    coordinate; the random set has 2040, so each of its tables is
+    block-by-M.  Keeping every coordinate's table alive, or allocating a
+    fresh block-by-M array per coordinate, does not fit.
+    """
+    if nodes == "symmetrized":
+        ps = symmetrize(LatticeRule(509, (1, 191, 85)))
+    else:
+        x = np.random.default_rng(3).random((2040, 3))
+        ps = WeightedPointSet(x, np.full(2040, 1 / 2040))
+    X = ps.points
+    M, s = X.shape
+    tile = wce._TILE
+    assert M == 2040 and tile < M * _ROW_BLOCK
+    spec = SpaceSpec("korobov", 1, (1.0, 0.5, 0.25))
+    table = 0
+    for i0 in range(0, M, _ROW_BLOCK):
+        for j in range(s):
+            ru, cu = np.unique(X[i0:i0 + _ROW_BLOCK, j]), np.unique(X[:, j])
+            built = _traced_peak(lambda: kernel_factor(
+                "korobov", 1, spec.gammas[j], ru[:, None], cu[None, :], POL))
+            table = max(table, built, 2 * ru.size * cu.size * 8)
+    bound = _ROW_BLOCK * M * 8 + 2 * tile * 8 + table + (1 << 20)
+    peak = _traced_peak(lambda: wce_double_sum(spec, ps, POL, threads=1))
+    assert peak <= bound, (peak / 2**20, bound / 2**20)
+
+
+_TAIL_ROUTES = {
+    "korobov": lambda a: wce_korobov_lattice(LatticeRule(31, (1, 12)), a, (1.0, 0.5)),
+    "cosine-tent": lambda a: wce_cosine_tent(LatticeRule(31, (1, 12)), a, (1.0, 0.5)),
+    "korcos-sym": lambda a: wce_korcos_sym(LatticeRule(31, (1, 12)), a, (1.0, 0.5)),
+    "cosine-sym": lambda a: wce_cosine_sym(LatticeRule(31, (1, 12)), a, (1.0, 0.5)),
+    "double-sum-cosine": lambda a: wce_double_sum(
+        SpaceSpec("cosine", a, (1.0, 0.5)), symmetrize(LatticeRule(31, (1, 12)))),
+    "double-sum-korcos": lambda a: wce_double_sum(
+        SpaceSpec("korcos", a, (1.0, 0.5)), tent_transform(lattice_points(LatticeRule(31, (1, 12))))),
+}
+
+
+@pytest.mark.parametrize("alpha", [1, 1.5])
+@pytest.mark.parametrize("route", sorted(_TAIL_ROUTES))
+def test_tail_bound_is_a_python_float(route, alpha):
+    r = _TAIL_ROUTES[route](alpha)
+    assert type(r.tail_bound) is float
+    assert type(r.e2) is float
+    assert (r.tail_bound == 0.0) == (alpha == 1)
 
 
 def test_double_sum_input_validation():
