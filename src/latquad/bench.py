@@ -142,7 +142,7 @@ def integrate(rule: LatticeRule, variant: str, f) -> float:
 
 
 @lru_cache(maxsize=128)
-def _cbc_cached(N: int, s: int, alpha: int, gammas: tuple[float, ...]) -> LatticeRule:
+def _cbc_cached(N: int, s: int, alpha: float, gammas: tuple[float, ...]) -> LatticeRule:
     return cbc_construct(N, s, alpha, gammas).rule
 
 
@@ -150,14 +150,14 @@ def converge_study(
     f: TestFunction,
     variant: str,
     N_list,
-    cbc_alpha: int = 1,
+    cbc_alpha: float = 1,
     cbc_gammas=None,
 ) -> list[ConvergenceRecord]:
     """Error records over a nonempty, increasing N_list with CBC-constructed vectors.
 
     The construction weights default to gamma_j = w^j, matching the product
     decay of the integrand.  ``cbc_alpha`` goes to ``cbc_construct``
-    unchanged, so a smoothness without a closed form raises ValueError.
+    unchanged: any finite alpha > 1/2, else ValueError.
     """
     Ns = [int(N) for N in N_list]
     if not Ns:

@@ -2,7 +2,7 @@
 
 Subcommands: cbc, points, wce, integrate, converge, bound.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 invalid input or
-usage, 2 computation failure (a series or dual-lattice truncation budget).
+usage, 2 computation failure (a series truncation budget).
 All reals are printed with 17 significant digits, so output is reproducible
 bit for bit.
 """
@@ -223,8 +223,10 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6, help="per-factor truncation tolerance")
-    p.add_argument("--max-terms", type=int, default=2_000_000, help="series term cap")
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="per-factor truncation tolerance of the double-sum series")
+    p.add_argument("--max-terms", type=int, default=2_000_000,
+                   help="term cap of the double-sum series")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cbc", help="construct a generating vector", parents=[])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--alpha", type=int, default=1, choices=(1, 2, 3))
+    p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--gamma", default="1")
     p.add_argument("--output", "-o", default="-")
     p.add_argument("--report", action="store_true", help="per-dimension e2 to stderr")
@@ -276,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="plain,tent,sym")
     p.add_argument("--nmin", type=int, required=True, help="smallest exponent: N = 2^nmin")
     p.add_argument("--nmax", type=int, required=True, help="largest exponent: N = 2^nmax")
-    p.add_argument("--alpha", type=int, default=1, choices=(1, 2, 3), help="CBC smoothness")
+    p.add_argument("--alpha", type=float, default=1.0, help="CBC smoothness")
     p.add_argument("--gamma", help="CBC weights (default w^j)")
     p.add_argument("--output", "-o", default="-")
     p.set_defaults(func=cmd_converge)

@@ -24,6 +24,10 @@ c(theta) = omega(frac(theta / 2)) / 2, so every family is exact there; other
 alpha sum c as a truncated series.  The truncated cosine series oracles live
 in the tests.
 
+On lattice nodes only omega(m / N), m in Z_N, is needed, and
+``_omega_table`` gives it at every alpha > 1/2: the closed form at 1..3,
+else one real FFT of the Hurwitz-zeta residue sums, with an error bound.
+
 Truncated evaluations report a rigorous tail bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
 <= 2 * gamma * K^(1 - 2 alpha) / (2 alpha - 1) (basis products never exceed 2
@@ -62,6 +66,15 @@ _CLOSED_ALPHAS = (1, 2, 3)
 # caps for vectorized series chunks and tensor quadrature grids
 _SERIES_CHUNK = 4_000_000
 _QUAD_POINT_CAP = 1 << 24
+# largest modulus of the omega table, refused before any work above it
+_TABLE_CAP = 1 << 22
+# direct terms per residue class before the Euler-Maclaurin tail
+_HURWITZ_TERMS = 16
+# unit roundoff, and the multiple of u log2(L) taken as the relative 2-norm
+# error of one length-L FFT; Cooley-Tukey's is about 7 u log2(L), and the
+# bounds that use it only need a safe margin
+_U = 0.5 * float(np.finfo(float).eps)
+_FFT_ETA = 32.0
 
 
 class TruncationBudgetError(ArithmeticError):
@@ -175,6 +188,33 @@ _B2K = (
     7.0 / 6.0,
     -3617.0 / 510.0,
 )
+# B_18, whose Euler-Maclaurin term bounds the remainder after B_16
+_B18 = 43867.0 / 798.0
+
+
+def _hurwitz_sum(x: float, head, t, step):
+    """head + sum_{i >= 0} (t + i step)^(-x) by Euler-Maclaurin, and its remainder bound.
+
+    The tail is the integral, half the first term and the corrections through
+    B_16.  Every derivative of (t + u step)^(-x) keeps one sign on u >= 0, so
+    the remainder lies between 0 and the first omitted (B_18) term (DLMF
+    §2.10(i), §25.11), which is returned as the bound.  x > 1; head and t are
+    floats or arrays alike, step > 0.  At step 1 the operations are zeta's,
+    in zeta's order, so zeta keeps its bits.
+    """
+    total = head + (0.5 * t ** -x + t ** (1.0 - x) / (step * (x - 1.0)))
+    rising = x  # x (x + 1) ... (x + 2k - 2), one factor at a time as zeta had it
+    for k, b2k in enumerate(_B2K + (_B18,), start=1):
+        # rising overflows only for x > 1e18, where t^-x underflows and every
+        # later term lies below the least float
+        if rising == math.inf:
+            return total, 0.0
+        term = b2k / math.factorial(2 * k) * rising * (step ** (2 * k - 1)
+                                                       * t ** (1.0 - x - 2 * k))
+        if k > len(_B2K):
+            return total, term
+        total = total + term
+        rising = rising * (x + 2 * k - 1) * (x + 2 * k)
 
 
 def zeta(x: float) -> float:
@@ -194,14 +234,7 @@ def zeta(x: float) -> float:
     if x == 6.0:
         return math.pi**6 / 945.0
     M = 64
-    total = math.fsum(n ** (-x) for n in range(1, M))
-    total += 0.5 * M ** (-x) + M ** (1.0 - x) / (x - 1.0)
-    for k, b2k in enumerate(_B2K, start=1):
-        rising = 1.0
-        for i in range(2 * k - 1):
-            rising *= x + i
-        total += b2k / math.factorial(2 * k) * rising * M ** (1.0 - x - 2 * k)
-    return total
+    return _hurwitz_sum(x, math.fsum(n ** (-x) for n in range(1, M)), M, 1)[0]
 
 
 def korobov_omega(alpha: int, x):
@@ -213,6 +246,48 @@ def korobov_omega(alpha: int, x):
     a = _require_closed_alpha(alpha)
     scale = (-1.0) ** (a + 1) * (2.0 * math.pi) ** (2 * a) / math.factorial(2 * a)
     return scale * bernoulli_poly(2 * a, x)
+
+
+def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
+    """Omega[m] = omega(m / N) for m in Z_N, and a bound on its error.
+
+    omega(x) = 2 sum_{k >= 1} k^(-2 alpha) cos(2 pi k x), the korobov_omega
+    sum.  Integer alpha in {1,2,3} returns korobov_omega(alpha, m / N) and
+    bound 0.0.  Other alpha group k by residue: with
+        c_r = sum_{k >= 1, k = r mod N} k^(-2 alpha)
+            = N^(-2 alpha) zeta(2 alpha, r / N)   (Hurwitz; r = 0: zeta(2 alpha)),
+    Omega = 2 Re(DFT(c)), one real FFT of length N with nothing truncated.
+    Each c_r sums its first _HURWITZ_TERMS terms directly and the rest by
+    _hurwitz_sum.  The bound, a Python float, is twice the sum of
+      * the Euler-Maclaurin remainders of the c_r,
+      * 4u per summed term of c (16 direct, 2 tail, 8 corrections), times
+        sum(c), for the rounding of c,
+      * eta sqrt(N) |c|_2, eta = _FFT_ETA u log2(N): the FFT's 2-norm error,
+        which caps its largest entry error.
+    The last bits of a non-integer table follow the numpy FFT build, as
+    _cos_partial_sum's follow np.cos.  ValueError before any work unless
+    1 <= N <= _TABLE_CAP.
+    """
+    alpha = _check_alpha(alpha)
+    N = int(N)
+    if not 1 <= N <= _TABLE_CAP:
+        raise ValueError(f"omega table capped at 1 <= N <= {_TABLE_CAP}, got N={N}")
+    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
+        return korobov_omega(int(alpha), np.arange(N) / N), 0.0
+    x = 2.0 * alpha
+    r = np.arange(N, dtype=np.float64)
+    r[0] = N  # residue 0 starts at k = N
+    head = np.zeros(N)
+    for j in range(_HURWITZ_TERMS - 1, -1, -1):  # smallest terms first
+        head += (r + j * N) ** -x
+    c, rem = _hurwitz_sum(x, head, r + _HURWITZ_TERMS * N, N)
+    half = 2.0 * np.fft.rfft(c).real
+    table = np.concatenate((half, half[1:(N + 1) // 2][::-1]))
+    terms = _HURWITZ_TERMS + 2 + len(_B2K)
+    eta = _FFT_ETA * _U * math.log2(max(N, 2))
+    bound = 2.0 * (float(np.sum(rem)) + 4.0 * terms * _U * float(c.sum())
+                   + eta * math.sqrt(N) * math.sqrt(float(c @ c)))
+    return table, bound
 
 
 def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:

@@ -8,52 +8,52 @@ worst-case error to
 
 ``wce_double_sum`` evaluates that quadratic form directly and is the expensive,
 assumption-free oracle.  For rank-1 lattices the group structure reduces the
-Korobov-space error to a single sum over nodes at integer alpha in 1..3, and
-otherwise to the sum of the Fourier weights over the dual lattice
-{h != 0 : h . g = 0 (mod N)}.  ``wce_korobov_lattice`` truncates that sum to
-the box |h_j| <= H and evaluates it without enumerating the box, by cyclic
-convolutions of per-coordinate weight tables over the residues mod N: at most
-(s - 2) N min(N, 2H) products of positive terms, refused before any work
-above a stated cap.  Tent folding, and averaging
-over coordinate reflections, turn each kernel factor into the fold average
+Korobov-space error to a single sum over nodes,
+
+    e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j Omega(n g_j mod N)),
+
+with Omega(m) = omega(m / N) the table of ``kernels._omega_table``: the
+Bernoulli closed form at integer alpha in 1..3, and at any other alpha > 1/2
+one real FFT of the Hurwitz-zeta residue sums, exact up to a stated bound.
+That table's last bits follow the numpy FFT build, as the series kernels'
+follow np.cos.  Tent folding, and averaging over coordinate reflections,
+turn each kernel factor into the fold average
 
     kbar_j(n, n') = 1 + (gamma_j / 2) [Omega((n - n') g_j mod N)
                                        + Omega((n + n') g_j mod N)],
 
-with Omega(m) = omega(m / N) the Korobov closed form.  ``wce_cosine_tent``,
-``wce_korcos_sym`` and ``wce_cosine_sym`` sum that exactly, in O(2^s N) by
-subset sums under a cap on 2^s N.  For s >= 2 the result is in general
-strictly below the Korobov single sum, which only bounds it from above.
+from the same table.  ``wce_cosine_tent``, ``wce_korcos_sym`` and
+``wce_cosine_sym`` sum that exactly, in O(2^s N) by subset sums under a cap
+on 2^s N.  For s >= 2 the result is in general strictly below the Korobov
+single sum, which only bounds it from above.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import (
-    _CLOSED_ALPHAS,
     DEFAULT_POLICY,
     SpaceSpec,
-    TruncationBudgetError,
     TruncationPolicy,
     _check_alpha,
     _check_gammas,
+    _omega_table,
     _product_tail,
     kernel_factor,
-    korobov_omega,
-    series_kmax,
-    series_tail_bound,
     zeta,
 )
+# The routes here read omega from _omega_table and enumerate no dual lattice;
+# korobov_omega and dual_lattice stay module attributes because the benchmark
+# tracer (perfbench/tracing.py TARGETS) wraps latquad.wce.korobov_omega and
+# latquad.wce.dual_lattice and fails without them.
+from .kernels import korobov_omega  # noqa: F401
 from .points import LatticeRule, WeightedPointSet
-# No route here enumerates the dual lattice any more; the name stays a module
-# attribute because the benchmark tracer (perfbench/tracing.py TARGETS) looks
-# up latquad.wce.dual_lattice and fails without it.
 from .points import dual_lattice  # noqa: F401
 
 __all__ = [
@@ -73,19 +73,12 @@ _ROW_BLOCK = 512
 # float64 elements per row tile of the double-sum product (256 KiB)
 _TILE = 1 << 15
 _FOLD_WORK_CAP = 1 << 24  # on 2^s N in the fold-average routes, checked before any work
-# wce_korobov_lattice at non-integer alpha, checked before any work: caps on
-# the residue products (s - 2) N min(N, 2H) of its convolutions and, for
-# s >= 3, on the length N of its dense residue tables
-_DUAL_WORK_CAP = 200_000_000
-_DUAL_RESIDUE_CAP = 1 << 22
-# residue products per np.bincount call in the dual-lattice convolution
-_CONV_CHUNK = 1 << 14
 
 
 class WceMethod(str, Enum):
     KERNEL_DOUBLE_SUM = "kernel-double-sum"
     CLOSED_FORM_SINGLE_SUM = "closed-form-single-sum"
-    DUAL_LATTICE_TRUNCATED = "dual-lattice-truncated"
+    ALIASED_SINGLE_SUM = "aliased-single-sum"
     FOLD_AVERAGE_DOUBLE_SUM = "fold-average-double-sum"
 
 
@@ -180,156 +173,68 @@ def wce_double_sum(
     return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
 
 
-def _alias(w: np.ndarray, r: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w of h = 1..H, at residues r = h g mod N, and of -h, summed by residue.
-
-    Returns the sorted residues that occur and their weight sums.
-    """
-    keys, inv = np.unique(np.concatenate((r, (N - r) % N)), return_inverse=True)
-    return keys, np.bincount(inv.ravel(), np.concatenate((w, w)))
-
-
-def _cyclic_conv(kb: np.ndarray, vb: np.ndarray, kc: np.ndarray, vc: np.ndarray, N: int) -> np.ndarray:
-    """Dense (b * c)[r] = sum b[k] c[m] over k + m = r (mod N), b and c given sparse.
-
-    Products are binned at k + m in [0, 2N) by np.bincount, a block of
-    columns m at a time, and the two halves are added at the end.  A block
-    holds max(_CONV_CHUNK, 2N) products (at least one column), so memory
-    stays O(N + chunk) and the block size depends on the input only: the
-    summation order, and so every bit, is the same on every host.
-    """
-    out = np.zeros(2 * N)
-    step = max(1, max(_CONV_CHUNK, 2 * N) // kb.size)
-    for i in range(0, kc.size, step):
-        idx = np.add.outer(kc[i:i + step], kb).ravel()
-        out += np.bincount(idx, np.multiply.outer(vc[i:i + step], vb).ravel(), minlength=2 * N)
-    return out[:N] + out[N:]
-
-
-def _lookup(keys: np.ndarray, vals: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """vals at the residues q, 0 where q is not among the sorted keys."""
-    i = np.minimum(np.searchsorted(keys, q), keys.size - 1)
-    return np.where(keys[i] == q, vals[i], 0.0)
-
-
 def wce_korobov_lattice(
     rule: LatticeRule,
     alpha: float,
     gammas: Sequence[float],
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> WceResult:
-    """Korobov-space e^2 of a rank-1 lattice.
+    """Korobov-space e^2 of a rank-1 lattice, by the single sum over nodes
 
-    Integer alpha in 1..3: exact single sum over nodes,
-        e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j omega(frac(n g_j / N))).
-    Other alpha: the dual-lattice sum of the Fourier weight products
-    prod_{j: h_j != 0} gamma_j |h_j|^(-2 alpha) over the nonzero h with
-    |h_j| <= H and h . g = 0 (mod N).  H and the tail bound follow the kernels
-    truncation rule: H = series_kmax at tol / (3 s) for the largest weight
-    2 gamma_j, the tail is 2 series_tail_bound per coordinate, and
-    _product_tail takes the full sums 1 + 2 gamma_j zeta(2 alpha) as the
-    magnitude caps.  The box is never enumerated.  Per
-    coordinate the nonzero weights are aliased onto Z_N at h g_j mod N, giving
-    c_j, and B[r], the weight of the box vectors over the coordinates so far
-    with a nonzero component and residue r, is carried as B = c_1, then
-    B <- B + B * c_j + c_j (cyclic convolution over the nonzero entries).
-    Only residue 0 of the last step is needed, so the last coordinate
-    gathers B at -h g_s instead of convolving, and one math.fsum adds the
-    gathered terms.  Every term is positive, so there is no "mean - 1"
-    cancellation.  Cost at most (s - 2) N min(N, 2H) products plus
-    O(s (N + H)); memory O(H) for s <= 2 and O(N + H) otherwise.  Before any
-    work, raises TruncationBudgetError when series_kmax finds H above
-    policy.max_terms or the product count exceeds _DUAL_WORK_CAP, and
-    ValueError when s >= 3 and N exceeds _DUAL_RESIDUE_CAP, the length of
-    the dense residue tables.
+        e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j Omega(n g_j mod N)),
+
+    with Omega from ``_omega_table``.  Integer alpha in 1..3: the closed
+    form, tail 0, method closed-form-single-sum.  Other alpha: the aliased
+    table, off by at most its bound b per entry, so factor j is off by at
+    most gamma_j b and the tail is _product_tail with the magnitude caps
+    1 + gamma_j (max|Omega| + b); method aliased-single-sum.  O(s N) time
+    and O(N) memory at every alpha; ValueError before any work for N above
+    the table's cap.  ``policy`` is kept for callers that pass it and is not
+    used: the table truncates no series.
     """
     N, s = rule.N, rule.s
     gammas = _check_gammas(gammas, s)
-    alpha = _check_alpha(alpha)
-
-    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
-        om = korobov_omega(int(alpha), np.arange(N) / N)
-        n = np.arange(N, dtype=np.int64)
-        prod = np.ones(N)
-        for g_j, gamma_j in zip(rule.g, gammas):
-            prod *= 1.0 + gamma_j * om[(n * g_j) % N]
-        e2 = math.fsum(prod) / N - 1.0
+    om, bound = _omega_table(alpha, N)
+    n = np.arange(N, dtype=np.int64)
+    prod = np.ones(N)
+    for g_j, gamma_j in zip(rule.g, gammas):
+        prod *= 1.0 + gamma_j * om[(n * g_j) % N]
+    e2 = math.fsum(prod) / N - 1.0
+    if not bound:
         return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
-
-    H = series_kmax(alpha, 2.0 * max(gammas), replace(policy, tol=policy.tol / (3.0 * s)))
-    if s > 2 and N > _DUAL_RESIDUE_CAP:
-        raise ValueError(f"dual-lattice residue tables capped at N={_DUAL_RESIDUE_CAP}, got {N}")
-    work = max(s - 2, 0) * N * min(N, 2 * H)
-    if work > _DUAL_WORK_CAP:
-        raise TruncationBudgetError(
-            f"dual-lattice convolution needs {work} products for H={H} (cap {_DUAL_WORK_CAP})"
-        )
-    # |h|^(-2 alpha) by Python float powers; gamma * power rounds as in Python
-    powers = np.array([float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
-    h = np.arange(1, H + 1, dtype=np.int64) % N
-    # B: weight sums by residue of the box vectors over the coordinates so far
-    # that have a nonzero component, kept as (sorted residues, sums)
-    B = None
-    for g_j, gamma in zip(rule.g[:-1], gammas[:-1]):
-        kc, vc = _alias(gamma * powers, h * g_j % N, N)
-        if B is None:
-            B = kc, vc
-            continue
-        kb, vb = B
-        nxt = _cyclic_conv(kb, vb, kc, vc, N)
-        nxt[kb] = vb + nxt[kb]
-        nxt[kc] += vc
-        nz = np.flatnonzero(nxt)
-        B = nz, nxt[nz]
-    # the last coordinate needs residue 0 only: vectors with h_s = +-h and
-    # nothing before, then B gathered at -(+-h) g_s
-    w = gammas[-1] * powers
-    r = h * rule.g[-1] % N
-    terms = [w[r == 0], w[r == 0]]
-    if B is not None:
-        kb, vb = B
-        terms += [_lookup(kb, vb, np.zeros(1, dtype=np.int64)), w * _lookup(kb, vb, (N - r) % N),
-                  w * _lookup(kb, vb, r)]
-    e2 = math.fsum(np.concatenate(terms).tolist())
-    z2a = zeta(2.0 * alpha)
-    tails = [2.0 * series_tail_bound(alpha, g, H) for g in gammas]
-    full = [1.0 + 2.0 * g * z2a for g in gammas]
-    return WceResult(e2, WceMethod.DUAL_LATTICE_TRUNCATED, _product_tail(tails, full))
+    top = float(np.abs(om).max()) + bound
+    tail = _product_tail([g * bound for g in gammas], [1.0 + g * top for g in gammas])
+    return WceResult(e2, WceMethod.ALIASED_SINGLE_SUM, tail)
 
 
 def _fold_average_e2(
     rule: LatticeRule,
     alpha: float,
     gammas: Sequence[float],
-    policy: TruncationPolicy,
 ) -> WceResult:
     """e^2 = -1 + N^-2 sum_{n,n'} prod_j kbar_j(n, n') over the base lattice.
 
-    kbar_j = A_j[n - n'] + A_j[n + n'], A_j[m] = F_j[m g_j mod N] / 2, with the
-    Korobov table F_j[m] = 1 + gamma_j omega(m / N) from ``kernel_factor``
-    (tail 0 at alpha in 1..3), evaluated once per distinct gamma_j.  With
-    P_S = sum_m prod_{j in S} A_j[m] over the subsets S of the coordinates,
-    the pair sum is sum_S P_S P_{S^c} for odd N, where (n, n') ->
-    (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
+    kbar_j = A_j[n - n'] + A_j[n + n'], A_j[m] = (1 + gamma_j Omega[m g_j mod N]) / 2,
+    with Omega and its bound b from ``_omega_table`` (b = 0 at alpha in
+    1..3).  With P_S = sum_m prod_{j in S} A_j[m] over the subsets S of the
+    coordinates, the pair sum is sum_S P_S P_{S^c} for odd N, where (n, n')
+    -> (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
     P_{S^c}^even + P_S^odd P_{S^c}^odd) for even N, where it covers the
     equal-parity pairs (m even, m odd) twice; g need not be a unit.  A
     depth-first walk keeps one running product per depth; math.fsum reduces
     each leaf, then the 2^s leaf products, so calls are bit-identical.
     O(2^s N) time, O(s N) memory; ValueError before any work when 2^s N
-    exceeds _FOLD_WORK_CAP.  The tail bound is ``wce_double_sum``'s, with
-    max over pairs |kbar_j| = max_m |F_j[m g_j mod N]| = 2 max|A_j| (n' = 0).
+    exceeds _FOLD_WORK_CAP.  The tail bound is ``wce_double_sum``'s: factor
+    j is off by at most gamma_j b, and max over pairs |kbar_j| =
+    2 max|A_j| (n' = 0).
     """
     N, s = rule.N, rule.s
     if N << s > _FOLD_WORK_CAP:
         raise ValueError(f"fold-average sum capped at 2^s N = {_FOLD_WORK_CAP}, got {N << s}")
+    om, bound = _omega_table(alpha, N)
     m = np.arange(N, dtype=np.int64)
-    rows, bnds = [], np.empty(s)
-    tables = {}  # gamma -> kernel_factor's (F, bound): equal weights share one table
-    for j, (g_j, gamma) in enumerate(zip(rule.g, gammas)):
-        if gamma not in tables:
-            tables[gamma] = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
-        F, bnds[j] = tables[gamma]
-        rows.append(0.5 * F[m * g_j % N])
+    rows = [0.5 * (1.0 + gamma * om[m * g_j % N]) for g_j, gamma in zip(rule.g, gammas)]
+    bnds = np.array([gamma * bound for gamma in gammas])
     maxv = np.array([2.0 * float(np.abs(A).max()) for A in rows])
     parts = 2 - N % 2
     P = np.empty((1 << s, parts))  # P[S] for the subset S with bit j for coordinate j
@@ -356,14 +261,15 @@ def wce_cosine_tent(
     At a tent-folded node phi(t), cos(pi k phi(t)) = cos(2 pi k t), so each
     cosine factor becomes the fold average of the Korobov factor over t - t'
     and t + t', summed in O(2^s N) under a cap on 2^s N: exact for alpha in
-    1..3, with a rigorous series tail bound otherwise.  This is the Korobov
+    1..3, within the omega table's bound otherwise.  This is the Korobov
     error ``wce_korobov_lattice`` only in one dimension or when the dual
     lattice is closed under per-coordinate sign flips; otherwise it is
-    strictly smaller.
+    strictly smaller.  ``policy`` is kept for callers that pass it and is
+    not used: the omega table truncates no series.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)
-    return _fold_average_e2(rule, alpha, gammas, policy)
+    return _fold_average_e2(rule, alpha, gammas)
 
 
 def wce_korcos_sym(
@@ -378,13 +284,14 @@ def wce_korcos_sym(
     fold average with weight gamma and leaves only the even frequencies of
     the cosine half, the fold average with weight gamma 4^(-alpha).  The
     mean is the fold average with weight (1 + 4^(-alpha)) gamma / 2, summed
-    in O(2^s N) under a cap on 2^s N: exact for alpha in 1..3, with a
-    rigorous series tail bound otherwise.
+    in O(2^s N) under a cap on 2^s N: exact for alpha in 1..3, within the
+    omega table's bound otherwise.  ``policy`` is kept for callers that pass
+    it and is not used.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)
     scale = 0.5 * (1.0 + 4.0 ** -alpha)
-    return _fold_average_e2(rule, alpha, [g * scale for g in gammas], policy)
+    return _fold_average_e2(rule, alpha, [g * scale for g in gammas])
 
 
 def wce_cosine_sym(
@@ -398,15 +305,16 @@ def wce_cosine_sym(
     Averaging over the coordinate reflections leaves only the even cosine
     frequencies, so each factor becomes the fold average with weight
     gamma 4^(-alpha), summed in O(2^s N) under a cap on 2^s N: exact for
-    alpha in 1..3, with a rigorous series tail bound otherwise.  This is the
+    alpha in 1..3, within the omega table's bound otherwise.  This is the
     Korobov error with weights gamma 4^(-alpha) only in one dimension or when
     the dual lattice is closed under per-coordinate sign flips; otherwise it
-    is strictly smaller.
+    is strictly smaller.  ``policy`` is kept for callers that pass it and is
+    not used.
     """
     gammas = _check_gammas(gammas, rule.s)
     alpha = _check_alpha(alpha)
     scale = 4.0 ** -alpha
-    return _fold_average_e2(rule, alpha, [g * scale for g in gammas], policy)
+    return _fold_average_e2(rule, alpha, [g * scale for g in gammas])
 
 
 def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) -> float:

@@ -220,17 +220,20 @@ def test_criterion_05_quadrature_coefficients_match_closed_forms():
 
 
 def test_criterion_06_cbc_bound_certificate():
+    # tau = 1 needs 1 <= tau < 2 alpha, so every alpha > 1/2 is certified
     start = time.perf_counter()
     gammas = tuple(1.0 / j**2 for j in range(1, 11))
     failures = []
-    for N in (257, 509, 1021):
-        res = cbc_construct(N, 10, 1, gammas)
-        if not all(res.bound_ok):
-            failures.append(N)
+    for alpha in (1, 0.75, 1.5):
+        for N in (257, 509, 1021):
+            res = cbc_construct(N, 10, alpha, gammas)
+            if not all(res.bound_ok):
+                failures.append((alpha, N))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed <= 60.0
-    detail = (f"every per-dimension e2 within C^2/(N-1) for N in (257, 509, 1021), "
-              f"{elapsed:.1f}s" if not failures else f"bound violated at N in {failures}")
+    detail = (f"every per-dimension e2 within C^2/(N-1) for N in (257, 509, 1021) at "
+              f"alpha in (1, 0.75, 1.5), {elapsed:.1f}s" if not failures
+              else f"bound violated at (alpha, N) in {failures}")
     _report(6, ok, detail)
 
 

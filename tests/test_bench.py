@@ -169,11 +169,15 @@ def test_converge_study_validation():
 
 @pytest.mark.parametrize("cbc_alpha", [1.5, 2.9])
 def test_converge_study_passes_cbc_alpha_through(cbc_alpha):
-    # CBC has closed forms at alpha in 1..3 only; rounding 1.5 down to 1 would
-    # quietly build alpha = 1 rules
-    f = Integrand("g", 2, 0.9)
-    with pytest.raises(ValueError, match="closed-form smoothness"):
-        converge_study(f, "tent", [32, 64], cbc_alpha=cbc_alpha)
+    # rounding the smoothness down to an int would quietly build the rules of
+    # int(cbc_alpha); at these N and weights CBC picks other vectors there
+    f = Integrand("g", 4, 0.9)
+    gammas = tuple(1.0 / j**2 for j in range(1, 5))
+    Ns = [64, 128, 256]
+    recs = converge_study(f, "tent", Ns, cbc_alpha=cbc_alpha, cbc_gammas=gammas)
+    assert [r.estimate for r in recs] == [
+        integrate(cbc_construct(N, 4, cbc_alpha, gammas).rule, "tent", f) for N in Ns]
+    assert recs != converge_study(f, "tent", Ns, cbc_alpha=int(cbc_alpha), cbc_gammas=gammas)
     assert converge_study(f, "tent", [32, 64], cbc_alpha=2.0) == converge_study(
         f, "tent", [32, 64], cbc_alpha=2)
 

@@ -9,7 +9,13 @@ from latquad import cbc
 from latquad.cbc import _reference_construct, _UnitScreen, candidate_set, cbc_construct
 from latquad.kernels import korobov_omega
 from latquad.points import LatticeRule
-from latquad.wce import cbc_bound_constant, wce_korobov_lattice
+from latquad.wce import (
+    cbc_bound_constant,
+    wce_cosine_sym,
+    wce_cosine_tent,
+    wce_korcos_sym,
+    wce_korobov_lattice,
+)
 
 
 def test_candidate_sets():
@@ -77,10 +83,10 @@ def test_certificate_holds_at_prime_moduli():
 def test_input_validation():
     with pytest.raises(ValueError):
         cbc_construct(8, 0, 1, ())
-    with pytest.raises(ValueError):
-        cbc_construct(8, 2, 4, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        cbc_construct(8, 2, 1.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        cbc_construct(8, 2, 0.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        cbc_construct(8, 2, math.nan, (1.0, 1.0))
     with pytest.raises(ValueError):
         cbc_construct(8, 2, 1, (1.0,))
     with pytest.raises(ValueError):
@@ -102,6 +108,36 @@ _SCREENED = [N for N in range(5, 65) if cbc._has_fft_screen(N)] + [
 def test_fft_screen_matches_the_reference_scan(N, alpha, weights):
     gammas = _WEIGHTS[weights]
     assert cbc_construct(N, 6, alpha, gammas) == _reference_construct(N, 6, alpha, gammas)
+
+
+# a sample of the screened moduli, prime and 2^m, small and large
+_SCREENED_SAMPLE = [5, 8, 13, 32, 61, 127, 256, 1019, 1021, 2048, 4093]
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("alpha", [0.75, 1.5])
+@pytest.mark.parametrize("N", _SCREENED_SAMPLE)
+def test_fft_screen_matches_the_reference_scan_at_non_integer_alpha(N, alpha, weights):
+    # both searches read one aliased omega table, so they agree bit for bit
+    gammas = _WEIGHTS[weights]
+    assert cbc_construct(N, 6, alpha, gammas) == _reference_construct(N, 6, alpha, gammas)
+
+
+def test_non_integer_alpha_constructs_a_certified_rule():
+    """At alpha = 0.75 every route returns: CBC within its tau = 1 bound,
+    the Korobov single sum equal to CBC's last error up to rounding (both
+    read one table), and the fold averages at most the Korobov error up to
+    their tails."""
+    gammas = _WEIGHTS["j^-2"][:4]
+    res = cbc_construct(1021, 4, 0.75, gammas)
+    assert all(res.bound_ok)
+    kor = wce_korobov_lattice(res.rule, 0.75, gammas)
+    assert kor.tail_bound > 0.0
+    assert abs(kor.e2 - res.per_dim_e2[-1]) <= 1e-12 * (1.0 + kor.e2)
+    for fn in (wce_cosine_tent, wce_korcos_sym, wce_cosine_sym):
+        fold = fn(res.rule, 0.75, gammas)
+        assert fold.tail_bound > 0.0
+        assert 0.0 < fold.e2 <= kor.e2 + kor.tail_bound + fold.tail_bound, fn.__name__
 
 
 @pytest.mark.parametrize("N", [12, 1000])

@@ -265,6 +265,9 @@ _ALPHA_ROUTES = {
 _ALPHA_ROUTES["double-sum"] = ("wce", "--space", "double-sum", "--family", "korobov",
                                "--n", "5", "--g", "1,2")
 _ALPHA_ROUTES["bound"] = ("bound", "--s", "2")
+_ALPHA_ROUTES["cbc"] = ("cbc", "--n", "5", "--s", "2")
+_ALPHA_ROUTES["converge"] = ("converge", "--family", "g", "--s", "2", "--w", "0.9",
+                             "--nmin", "3", "--nmax", "4")
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -325,20 +328,27 @@ def test_truncation_budget_exit_two(capsys):
         "--n", "4", "--g", "1", "--alpha", "1", "--gamma", "1", "--tol", "1e-14")
     assert code == 0
     assert "tail=0 " in stdout
-    # the dual-lattice route: H would exceed --max-terms, with no work done
+    # the Korobov route reads the aliased omega table and sums no series, so
+    # the same tolerance costs it no term budget
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "korobov", "--n", "4", "--g", "1", "--alpha", "1.5",
         "--gamma", "1", "--tol", "1e-14")
+    assert code == 0
+    assert stdout.endswith(" method=aliased-single-sum\n") and err == ""
+    # near alpha = 1/2 the term count overflows a float: still a budget
+    # failure of the double-sum series, while the table routes return
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov", "--n", "5", "--g", "1,2",
+        "--alpha", "0.5000001")
     assert code == 2
     assert stdout == ""
-    assert "computation failed" in err and "max_terms" in err
-    # near alpha = 1/2 the term count overflows a float: still a budget failure
+    assert "computation failed" in err and "Traceback" not in err
     for space in ("korobov", "cosine-tent"):
         code, stdout, err = run_cli(
             capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", "--alpha", "0.5000001")
-        assert code == 2, space
-        assert stdout == ""
-        assert "computation failed" in err and "Traceback" not in err
+        assert code == 0, space
+        e2, tail = (float(f.split("=")[1]) for f in stdout.split()[:2])
+        assert math.isfinite(e2) and 0.0 < tail < math.inf, space
 
 
 def test_help_exits_zero(capsys):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from latquad.kernels import (
+    _BERNOULLI_COEFFS,
+    _TABLE_CAP,
     QuadratureAccuracyError,
     TruncationBudgetError,
     TruncationPolicy,
@@ -21,6 +23,7 @@ from latquad.kernels import (
     series_tail_bound,
     zeta,
     _cos_partial_sum,
+    _omega_table,
 )
 from latquad.points import LatticeRule, symmetrize, tent
 
@@ -71,6 +74,81 @@ def test_korobov_omega_matches_its_cosine_series(alpha, kmax):
     series = 2.0 * (np.cos(2.0 * PI * np.outer(x, k)) @ k ** (-2.0 * alpha))
     tail = 2.0 * kmax ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
     assert float(np.abs(korobov_omega(alpha, x) - series).max()) <= tail
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 2.0])
+@pytest.mark.parametrize("N", [1, 7, 4096])
+def test_omega_table_is_korobov_omega_at_integer_alpha(alpha, N):
+    table, bound = _omega_table(alpha, N)
+    assert type(bound) is float and bound == 0.0
+    assert np.array_equal(table, korobov_omega(int(alpha), np.arange(N) / N))
+
+
+def _omega_series(alpha, N, K):
+    """2 sum_{k <= K} k^(-2 alpha) cos(2 pi k m / N) for m in Z_N, k m reduced mod N in integers."""
+    m = np.arange(N)
+    out = np.zeros(N)
+    for k0 in range(1, K + 1, 2000):
+        k = np.arange(k0, min(K, k0 + 1999) + 1)
+        out += np.cos(2.0 * PI * (np.outer(m, k) % N) / N) @ k.astype(float) ** (-2.0 * alpha)
+    return 2.0 * out
+
+
+@pytest.mark.parametrize("alpha,K", [(0.75, 20_000), (1.5, 20_000), (2.5, 2_000)])
+@pytest.mark.parametrize("N", [7, 64, 1021])
+def test_omega_table_matches_its_cosine_series(alpha, K, N):
+    """The aliased table against the K-term series, within the series tail
+    2 K^(1 - 2 alpha) / (2 alpha - 1), the table's bound and the series'
+    rounding: each cosine of a reduced argument errs by a few u, and the K
+    summed terms by K u more, relative to 2 zeta(2 alpha) in all, so
+    2 (K + 16) u zeta(2 alpha) covers it."""
+    table, bound = _omega_table(alpha, N)
+    assert type(bound) is float and bound > 0.0
+    tail = 2.0 * K ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
+    rounding = 2.0 * (K + 16) * 2.0**-53 * zeta(2.0 * alpha)
+    err = float(np.abs(table - _omega_series(alpha, N, K)).max())
+    assert err <= tail + bound + rounding, (err, tail, bound)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("N", [7, 64, 1021, 4096])
+def test_omega_table_next_to_an_integer_alpha_is_the_closed_form(a, N):
+    """Just above an integer a the table takes the Hurwitz-zeta FFT route.
+
+    Raising alpha by d moves omega by at most 2 d sum ln(k) k^(-2a)
+    <= 2 d zeta(2a - 1/2), as ln k <= sqrt(k).  korobov_omega is scale
+    B_2a(x) by Horner at x = m / N rounded once, so it errs by at most
+    |scale| (gamma_{4a+1} sum|c_i| + u sum i |c_i|) over the coefficients c_i.
+    """
+    u = 2.0**-53
+    alpha = math.nextafter(float(a), 4.0)
+    table, bound = _omega_table(alpha, N)
+    assert bound > 0.0
+    coeffs = _BERNOULLI_COEFFS[2 * a]
+    scale = (2.0 * PI) ** (2 * a) / math.factorial(2 * a)
+    n = 4 * a + 1
+    horner = scale * (n * u / (1.0 - n * u) * sum(map(abs, coeffs))
+                      + u * sum(i * abs(c) for i, c in enumerate(reversed(coeffs))))
+    shift = 2.0 * 2.0 * (alpha - a) * zeta(2.0 * a - 0.5)
+    err = float(np.abs(table - korobov_omega(a, np.arange(N) / N)).max())
+    assert err <= bound + shift + horner, (err, bound, shift, horner)
+
+
+@pytest.mark.parametrize("alpha", [60.5, 1e300])
+def test_omega_table_stays_finite_at_huge_alpha(alpha):
+    # only k = 1 survives in double precision: omega(x) = 2 cos(2 pi x)
+    N = 7
+    table, bound = _omega_table(alpha, N)
+    assert math.isfinite(bound) and bound > 0.0
+    err = float(np.abs(table - 2.0 * np.cos(2.0 * PI * np.arange(N) / N)).max())
+    assert err <= bound + 4.0 * 2.0**-53
+
+
+def test_omega_table_refuses_moduli_above_its_cap():
+    for alpha in (1, 1.5):
+        for N in (0, _TABLE_CAP + 1, 1 << 30):
+            with pytest.raises(ValueError, match="capped"):
+                _omega_table(alpha, N)
 
 
 def test_series_truncation_budget():

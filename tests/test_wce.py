@@ -16,10 +16,11 @@ import pytest
 
 from latquad import wce
 from latquad.kernels import (
-    DEFAULT_POLICY,
+    _TABLE_CAP,
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _omega_table,
     _product_tail,
     kernel_factor,
     zeta,
@@ -203,37 +204,36 @@ def _box_tail(alpha, gammas, H):
 
 @pytest.mark.parametrize("alpha", [1.5, 2.5, 3.5])
 def test_dual_lattice_route_is_the_weight_product_sum(alpha):
-    """The residue convolution against math.fsum over the enumerated box.
+    """The aliased single sum against math.fsum over the enumerated dual box.
 
-    Both routes sum the same positive terms, products of the same table
-    entries gamma_j |h_j|^(-2 alpha), so they differ by rounding only.  A
-    computed sum of positive terms is sum_t term_t (1 + theta_t) with
-    |theta_t| <= gamma_d, d the largest number of roundings on any term's
-    path.  The oracle rounds s - 1 products and one fsum: d = s.  The route,
-    per term: a residue bucket of at most 2H weights in each of the first
-    s - 1 coordinates (at most 2H roundings each); in each of the s - 2
-    convolutions one product, at most N additions (N products per residue,
-    summed within and then across blocks), the fold of the two halves and
-    the two additions of B + conv + c; for the last coordinate one product;
-    then one correctly rounded fsum.  So d <= 2H(s - 1) + (s - 2)(N + 4) + 2,
-    and with S the exact sum, |route - oracle| <= (gamma_d + gamma_s) S
-    <= (gamma_d + gamma_s) / (1 - gamma_s) oracle.
+    The exact e^2 is the sum of the positive weight products
+    prod_{j: h_j != 0} gamma_j |h_j|^(-2 alpha) over the nonzero dual
+    vectors, so the box sum S_H lies below it by at most the dropped weight
+    _box_tail.  The oracle rounds s - 1 products and one fsum: it is within
+    gamma_s S_H <= gamma_s / (1 - gamma_s) oracle of S_H.  The route is
+    within its tail of the single sum over the exact table; rounding the
+    s factors 1 + gamma_j Omega (two operations each), their product, the
+    mean and the "- 1" moves it by at most gamma_{3s+2} prod_j (1 + 2
+    gamma_j zeta(2 alpha)), since |Omega| <= 2 zeta(2 alpha).  So the route
+    exceeds the oracle by at most the box tail plus these, and falls below
+    it by at most its tail plus the rounding terms.
     """
     pol = TruncationPolicy(tol=1e-2 if alpha < 2 else 1e-6)
     for rule, gammas, policy in (
         (LatticeRule(31, (1, 12)), (1.0, 0.5), pol),
         (LatticeRule(17, (1, 5, 7)), (0.8, 0.4, 0.2), pol),
-        # g is not a unit mod 12
+        # g is not a unit mod 12, nor mod 20
         (LatticeRule(12, (2, 3)), (0.3, 0.9), pol),
+        (LatticeRule(20, (4, 5, 10)), (0.9, 0.6, 0.3), pol),
         (LatticeRule(9, (3,)), (0.7,), pol),
-        # two convolutions; a coarse tol keeps the enumerated box small
+        # a coarse tol keeps the enumerated four-dimensional box small
         (LatticeRule(13, (1, 5, 8, 12)), (1.0, 0.6, 0.4, 0.3), TruncationPolicy(tol=0.5)),
     ):
-        N, s = rule.N, rule.s
+        s = rule.s
         H = _box_halfwidth(alpha, gammas, policy.tol)
         res = wce_korobov_lattice(rule, alpha, gammas, policy)
-        assert res.method is WceMethod.DUAL_LATTICE_TRUNCATED
-        assert res.tail_bound == _box_tail(alpha, gammas, H)
+        assert res.method is WceMethod.ALIASED_SINGLE_SUM
+        assert 0.0 < res.tail_bound < 1e-10
         hs = np.abs(dual_lattice(rule, H))
         assert len(hs) > 0
         prod = np.ones(len(hs))
@@ -241,40 +241,59 @@ def test_dual_lattice_route_is_the_weight_product_sum(alpha):
             table = np.array([1.0] + [g * float(k) ** (-2.0 * alpha) for k in range(1, H + 1)])
             prod *= table[hs[:, j]]
         oracle = math.fsum(prod.tolist())
-        d = 2 * H * (s - 1) + max(s - 2, 0) * (N + 4) + 2
-        bound = (_gamma_n(d) + _gamma_n(s)) / (1.0 - _gamma_n(s)) * oracle
-        assert abs(res.e2 - oracle) <= bound, (N, s, res.e2, oracle)
+        full = math.prod(1.0 + 2.0 * g * zeta(2.0 * alpha) for g in gammas)
+        rounding = _gamma_n(3 * s + 2) * full + _gamma_n(s) / (1.0 - _gamma_n(s)) * oracle
+        assert res.e2 - oracle <= _box_tail(alpha, gammas, H) + res.tail_bound + rounding, (rule, alpha)
+        assert oracle - res.e2 <= res.tail_bound + rounding, (rule, alpha)
 
 
 def test_dual_lattice_route_reaches_four_dimensions():
-    # the enumerated box here would hold (2H + 1)^4 = 221^4 candidates
+    # the enumerated dual box at this tolerance would hold (2H + 1)^4 = 221^4
+    # candidates; the single sum visits the 1021 nodes
     rule = LatticeRule(1021, (1, 76, 388, 120))
     gammas = (1.0, 0.5, 0.25, 0.125)
     policy = TruncationPolicy(tol=1e-3)
     res = wce_korobov_lattice(rule, 1.5, gammas, policy)
-    assert res.method is WceMethod.DUAL_LATTICE_TRUNCATED
+    assert res.method is WceMethod.ALIASED_SINGLE_SUM
     ds = wce_double_sum(SpaceSpec("korobov", 1.5, gammas), lattice_points(rule), policy)
     assert abs(res.e2 - ds.e2) <= res.tail_bound + ds.tail_bound
     assert res.e2 > 0.0
 
 
 def test_dual_lattice_route_caps_fail_before_any_work():
-    # s = 1 has no convolution, so only the H cap stops a tiny tol
-    with pytest.raises(TruncationBudgetError, match="max_terms"):
-        wce_korobov_lattice(LatticeRule(4, (1,)), 1.5, (1.0,), TruncationPolicy(tol=1e-14))
-    # (s - 2) N min(N, 2H) = 2 * 20011^2 products
-    with pytest.raises(TruncationBudgetError, match="products"):
-        wce_korobov_lattice(LatticeRule(20011, (1, 2, 3, 4)), 1.5, (1.0,) * 4)
-    # dense residue tables of 2^22 + 1 entries
+    # the policy is not used: a tolerance no truncated series could meet costs nothing
+    rule = LatticeRule(4, (1,))
+    assert wce_korobov_lattice(rule, 1.5, (1.0,), TruncationPolicy(tol=1e-14, max_terms=1)) == (
+        wce_korobov_lattice(rule, 1.5, (1.0,)))
+    # one cap on N, checked before the table is built: N = 2^30 would need
+    # 8 GiB per table array, and is refused at once
     with pytest.raises(ValueError, match="capped"):
-        wce_korobov_lattice(LatticeRule((1 << 22) + 1, (1, 2, 3)), 1.5, (1.0,) * 3,
-                            TruncationPolicy(tol=1.0))
-    # s <= 2 builds no residue table over Z_N: at N = 2^30 the only dual
-    # vectors in the box are h = (-3k, k) and (3k, -k), k <= H / 3
-    big = wce_korobov_lattice(LatticeRule(1 << 30, (1, 3)), 1.5, (1.0, 1.0))
-    H = _box_halfwidth(1.5, (1.0, 1.0), DEFAULT_POLICY.tol)
-    pairs = math.fsum(2.0 * float(3 * k) ** -3.0 * float(k) ** -3.0 for k in range(1, H // 3 + 1))
-    assert big.e2 == pytest.approx(pairs, rel=1e-14)
+        wce_korobov_lattice(LatticeRule(1 << 30, (1, 3)), 1.5, (1.0, 1.0))
+    above = LatticeRule(_TABLE_CAP + 1, (1,))
+    for alpha in (1, 1.5):
+        for fn in (wce_korobov_lattice, wce_cosine_tent, wce_korcos_sym, wce_cosine_sym):
+            with pytest.raises(ValueError, match="capped"):
+                fn(above, alpha, (1.0,))
+
+
+@pytest.mark.parametrize("alpha", [0.5000001, 0.75, 1.5, 2.5])
+@pytest.mark.parametrize("N", [2, 7, 64, 1021, 4096])
+def test_korobov_error_in_one_dimension_is_the_zeta_value(alpha, N):
+    """At s = 1 the dual lattice is N Z, so e^2 = 2 gamma N^(-2 alpha) zeta(2 alpha).
+
+    The route is within its tail of the single sum over the exact table.
+    Rounding 1 + gamma Omega, the mean and the "- 1" adds at most
+    3u (1 + gamma max|Omega| + e^2), and the oracle is within a few u of
+    its value; 8u (1 + 2 gamma zeta(2 alpha) + e^2) covers both, since
+    |Omega| <= 2 zeta(2 alpha).
+    """
+    gamma = 0.7
+    z = zeta(2.0 * alpha)
+    want = 2.0 * gamma * z * float(N) ** (-2.0 * alpha)
+    res = wce_korobov_lattice(LatticeRule(N, (1,)), alpha, (gamma,))
+    assert res.method is WceMethod.ALIASED_SINGLE_SUM
+    rounding = 8.0 * 2.0**-53 * (1.0 + 2.0 * gamma * z + want)
+    assert abs(res.e2 - want) <= res.tail_bound + rounding, (res.e2, want, res.tail_bound)
 
 
 @pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.5])
@@ -331,21 +350,23 @@ _FOLD_SCALES = {
 }
 
 
-def _fold_average_by_pairs(rule, alpha, gammas, policy):
+def _fold_average_by_pairs(rule, alpha, gammas):
     """Direct fold-average pair sum: (e2, M / N^2, tail bound).
 
     e2 = N^-2 sum_{n,n'} prod_j (A_j[n - n'] + A_j[n + n']) - 1 with
-    A_j[m] = F_j[m g_j mod N] / 2, M the same pair sum over
-    |A_j[n - n']| + |A_j[n + n']|, and the tail bound propagated from the
-    per-pair factor maxima as the double sum does.
+    A_j[m] = (1 + gamma_j Omega[m g_j mod N]) / 2 from the shared omega
+    table, M the same pair sum over |A_j[n - n']| + |A_j[n + n']|, and the
+    tail bound propagated from the per-pair factor maxima, with factor
+    bound gamma_j times the table's, as the double sum does.
     """
     N = rule.N
     m = np.arange(N)
     lo, hi = (m[:, None] - m) % N, (m[:, None] + m) % N
+    om, bound = _omega_table(alpha, N)
     terms, mags, maxv, bnds = np.ones((N, N)), np.ones((N, N)), [], []
     for g_j, gamma in zip(rule.g, gammas):
-        F, bnd = kernel_factor("korobov", alpha, gamma, m / N, 0.0, policy)
-        A = 0.5 * F[m * g_j % N]
+        bnd = gamma * bound
+        A = 0.5 * (1.0 + gamma * om[m * g_j % N])
         terms = terms * (A[lo] + A[hi])
         mags = mags * (np.abs(A[lo]) + np.abs(A[hi]))
         maxv.append(float(np.abs(A[lo] + A[hi]).max()))
@@ -387,7 +408,7 @@ def test_fold_average_routes_match_the_direct_pair_sum(alpha, N, g):
     gammas = (1.0, 0.5, 2.0, 0.25, 0.125)[:s]
     for fn, scale in _FOLD_SCALES.items():
         c = scale(float(alpha))
-        e2, mag, tail = _fold_average_by_pairs(rule, alpha, [gm * c for gm in gammas], POL)
+        e2, mag, tail = _fold_average_by_pairs(rule, alpha, [gm * c for gm in gammas])
         res = fn(rule, alpha, gammas, POL)
         assert res.method is WceMethod.FOLD_AVERAGE_DOUBLE_SUM
         assert res.tail_bound == tail, (fn.__name__, N, g)
@@ -416,11 +437,11 @@ def test_cosine_tent_is_the_korobov_error_in_one_dimension_above_4096_nodes(N, g
 @pytest.mark.parametrize("fn", [wce_cosine_tent, wce_korcos_sym, wce_cosine_sym])
 def test_fold_average_routes_refuse_rules_above_the_work_cap(fn, monkeypatch):
     # 2^s N = 2^8 (2^16 + 1) is just above the cap and is refused before
-    # any kernel table is built; 2^8 2^16 is at the cap and runs
+    # the omega table is built; 2^8 2^16 is at the cap and runs
     assert _FOLD_WORK_CAP == 1 << 24
     g = (1, 3, 5, 7, 9, 11, 13, 15)
     with monkeypatch.context() as mp:
-        mp.setattr(wce, "kernel_factor", lambda *a, **k: pytest.fail("work before the cap"))
+        mp.setattr(wce, "_omega_table", lambda *a, **k: pytest.fail("work before the cap"))
         with pytest.raises(ValueError, match="capped"):
             fn(LatticeRule((1 << 16) + 1, g), 1, (1.0,) * 8)
     at_cap = fn(LatticeRule(1 << 16, g), 1, (0.5,) * 8)
