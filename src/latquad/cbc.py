@@ -1,20 +1,20 @@
 """Component-by-component construction of generating vectors.
 
 Greedy per-coordinate minimization of the Korobov-space squared worst-case
-error.  The per-node products of already-fixed coordinates are kept and
-updated incrementally, so one candidate z costs O(N) by the direct sum
+error.  The node products prod of the fixed coordinates are updated
+incrementally; unit z for the next coordinate, of weight gamma > 0, has
+e2(z) = (sum_n prod[n] + gamma prod[0] Omega[0] + gamma D(z)) / N - 1 with
 
-    e2(z) = N^-1 sum_n prod[n] (1 + gamma omega(n z mod N / N)) - 1.
+    D(z) = sum_{n >= 1} prod[n] Omega[n z mod N],
 
-For prime N and N = 2^m the unit group is cyclic, or {+-5^a} on each 2-adic
-level of n, so the errors of all candidates of one coordinate form one cyclic
-correlation that an FFT evaluates in O(N log N) (Nuyens & Cools, Math. Comp.
-75, 2006, for prime N; J. Complexity 22, 2006, for non-prime N).  That screen
-only rules candidates out: the few whose screened error lies within the tie
-window plus a stated rounding bound of the screened minimum are re-evaluated
-by the direct sum, so the result equals the full direct scan bit for bit and
-the search costs O(s N log N).  Every other modulus goes through the full
-direct scan, O(s N phi(N)).
+so the units are ranked by D alone, summed directly in O(N) per unit, and
+the reported errors come from ``wce``'s single sum.  For prime N and N = 2^m
+the unit group is cyclic, or {+-5^a} on each 2-adic level of n, so D of all
+units is one cyclic correlation that an FFT evaluates in O(N log N) (Nuyens
+& Cools, Math. Comp. 75, 2006, for prime N; J. Complexity 22, 2006, for
+non-prime N).  That screen only rules units out: the few it cannot are
+summed directly, so the result equals the full direct scan bit for bit and
+the search costs O(s N log N).  Other moduli take the full scan, O(s N phi(N)).
 """
 from __future__ import annotations
 
@@ -29,11 +29,12 @@ from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table
 # wraps latquad.cbc.korobov_omega and fails without it.
 from .kernels import korobov_omega  # noqa: F401
 from .points import LatticeRule
-from .wce import cbc_bound_constant
+from .wce import _single_sum_e2, cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
 
-# Candidates whose e2 lies within TIE_RTOL * (1 + |min|) of the minimum tie.
+# Units whose D lies within TIE_RTOL * sum_{n >= 1} |prod[n]| max_{m != 0}
+# |Omega[m]|, the size of D's terms, of the minimum tie.
 TIE_RTOL = 1e-12
 
 
@@ -67,10 +68,12 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
 
     Tie rule: g_1 = 1, since every unit gives the same error in one
     dimension.  In each later coordinate the winner is the smallest unit z
-    whose directly summed e2 lies within TIE_RTOL * (1 + |min|) of the
-    minimum over all units, so rounding noise never picks the component and
-    the result is deterministic.  Prime and power-of-two moduli are screened
-    by FFT and return the same result as the full scan, bit for bit.
+    whose directly summed D(z) lies within TIE_RTOL * sum_{n >= 1} |prod[n]|
+    max_{m != 0} |Omega[m]|, the size of D's terms, of the minimum over all
+    units; the weight does not enter, so rounding noise never picks the
+    component.  Prime and power-of-two moduli are screened by FFT and return
+    the same result as the full scan, bit for bit.  ``per_dim_e2[d]`` is
+    ``wce_korobov_lattice`` of the first d + 1 coordinates, bit for bit.
     """
     return _construct(N, s, alpha, gammas, fast=True)
 
@@ -90,6 +93,7 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
 
     om, _ = _omega_table(alpha, N)
     zs = np.array(candidate_set(N), dtype=np.int64)
+    om_max = float(np.abs(om[1:]).max())
     n = np.arange(N, dtype=np.int64)
     screen = _UnitScreen(N, om, zs) if fast and s > 1 and _has_fft_screen(N) else None
     prod = np.ones(N)
@@ -97,32 +101,20 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
     per_dim_e2: list[float] = []
     bound_ok: list[bool] = []
     for d in range(s):
-        gamma = gammas[d]
-
-        def e2_of(z: int) -> float:
-            factor = 1.0 + gamma * om[(n * z) % N]
-            return float(np.sum(prod * factor)) / N - 1.0
-
         if d == 0:
-            cands = [1]
-        elif screen is not None:
-            cands = screen.candidates(prod, gamma).tolist()
+            best_z = 1
         else:
-            cands = zs.tolist()
-        best_z, best_e2 = _pick(cands, [e2_of(z) for z in cands])
+            scale = float(np.abs(prod[1:]).sum()) * om_max
+            cands = (zs if screen is None else screen.candidates(prod, scale)).tolist()
+            D = [float(np.sum(prod[1:] * om[n[1:] * z % N])) for z in cands]
+            top = min(D) + TIE_RTOL * scale
+            best_z = next(z for z, v in zip(cands, D) if v <= top)
         g.append(best_z)
-        per_dim_e2.append(best_e2)
-        prod *= 1.0 + gamma * om[(n * best_z) % N]
+        prod *= 1.0 + gammas[d] * om[(n * best_z) % N]
+        per_dim_e2.append(_single_sum_e2(prod))
         c = cbc_bound_constant(alpha, gammas[: d + 1], tau=1.0)
-        bound_ok.append(best_e2 <= c * c / (N - 1))
+        bound_ok.append(per_dim_e2[-1] <= c * c / (N - 1))
     return CbcResult(LatticeRule(N, tuple(g)), tuple(per_dim_e2), tuple(bound_ok))
-
-
-def _pick(zs: list[int], e2s: list[float]) -> tuple[int, float]:
-    """The smallest z whose e2 lies within the tie window of the minimum."""
-    lo = min(e2s)
-    top = lo + TIE_RTOL * (1.0 + abs(lo))
-    return next((z, e) for z, e in zip(zs, e2s) if e <= top)
 
 
 def _has_fft_screen(N: int) -> bool:
@@ -153,22 +145,23 @@ def _primitive_root(p: int) -> int:
 
 
 class _UnitScreen:
-    """Screened e2 of every unit z for one coordinate, by FFT correlation.
+    """Screened D of every unit z for one coordinate, by FFT correlation.
 
-    T(z) = sum_n prod[n] omega[n z mod N] splits over the nodes n.  Nodes with
-    a few fixed residues n z mod N for all units (n = 0, and the 2-adic levels
-    of modulus below 8) are summed directly.  Every other node set is an orbit
-    of the unit group acting by multiplication, indexed by cyclic groups: the
-    powers r^j of a primitive root r for odd prime N (shape 1 x (N - 1)), and
-    2^v (-1)^b 5^a mod N on the level of nodes with 2-adic valuation v for
-    N = 2^m (shape 2 x 2^(m-v-2)).  There T is the cyclic correlation of prod
-    with omega over that group, one rfft2 and one irfft2 per level.
+    T(z) = sum_{n >= 1} prod[n] omega[n z mod N] splits over the nodes n.
+    Nodes with a few fixed residues n z mod N for all units (the 2-adic
+    levels of modulus below 8) are summed directly.  Every other node set is
+    an orbit of the unit group acting by multiplication, indexed by cyclic
+    groups: the powers r^j of a primitive root r for odd prime N (shape
+    1 x (N - 1)), and 2^v (-1)^b 5^a mod N on the level of nodes with 2-adic
+    valuation v for N = 2^m (shape 2 x 2^(m-v-2)).  There T is the cyclic
+    correlation of prod with omega over that group, one rfft2 and one
+    irfft2 per level.  Node 0, the same for every unit, is left out.
     """
 
     def __init__(self, N: int, om: np.ndarray, zs: np.ndarray):
         self.N, self.zs = N, zs
-        self.om_max = float(np.abs(om).max())
-        fixed = [0]
+        self.om_max = float(np.abs(om[1:]).max())
+        fixed = []
         groups = []  # (node grid, flat correlation index of each unit)
         if N & (N - 1):
             root = _powers(_primitive_root(N), N - 1, N)
@@ -198,42 +191,39 @@ class _UnitScreen:
             self.levels.append((grid, pos, np.fft.rfft2(b), float(np.abs(b).sum()),
                                 float(np.sqrt((b * b).sum())), 2.0 * eta + 3.0 * _U))
 
-    def screen(self, prod: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-        """Screened e2 of every unit, ascending, and a bound B on its distance
-        to the direct sum of each unit.
+    def screen(self, prod: np.ndarray) -> tuple[np.ndarray, float]:
+        """Screened T of every unit, ascending, and a bound B on |T - D| for
+        the exact D of each unit.
 
         Each level's FFT correlation c of a = prod and b = omega on its node
         grid of size L is taken to satisfy |c - exact| <= (2 eta + 3u)
         (|a|_1 |b|_2 + |a|_2 |b|_1) with eta = _FFT_ETA u log2 L.  The directly
-        summed terms and the additions across levels add 2u |prod|_1
-        |omega|_max each.  B is gamma/N times the sum of these, plus the
-        recursive summation bounds (N + 4) u |prod|_1 (1 + gamma |omega|_max)
-        / N of sum(prod) and of the direct sum, plus 3u for the final
-        division and subtraction.
+        summed terms and the additions across levels add 2u
+        sum_{n >= 1} |prod[n]| max_{m != 0} |omega[m]| each.  B is the sum of
+        these.
         """
-        N = self.N
-        p1 = float(np.abs(prod).sum())
         T = np.zeros(len(self.zs))
         for k, w in self.fixed:
             T += prod[k] * w
+        p1 = float(np.abs(prod[1:]).sum())
         err = 2.0 * (len(self.fixed) + len(self.levels)) * _U * p1 * self.om_max
         for grid, pos, fb, b1, b2, scale in self.levels:
             a = prod[grid]
             c = np.fft.irfft2(np.conj(np.fft.rfft2(a)) * fb, s=a.shape)
             T += c.ravel()[pos]
             err += scale * (float(np.abs(a).sum()) * b2 + float(np.sqrt((a * a).sum())) * b1)
-        e2 = (float(np.sum(prod)) + gamma * T) / N - 1.0
-        mag = p1 * (1.0 + gamma * self.om_max)
-        return e2, (gamma * err + 2.0 * (N + 4) * _U * mag) / N + 3.0 * _U
+        return T, err
 
-    def candidates(self, prod: np.ndarray, gamma: float) -> np.ndarray:
+    def candidates(self, prod: np.ndarray, scale: float) -> np.ndarray:
         """Units, ascending, that may win by the tie rule; all others cannot.
 
-        With |screened - direct| <= B for every unit, the direct minimum lies
-        within B of the screened minimum lo, so every unit whose direct e2 is
-        within the tie window of the direct minimum has a screened value at
-        most lo + 2B + TIE_RTOL (1 + |lo| + B).
+        With scale = sum_{n >= 1} |prod[n]| max_{m != 0} |omega[m]|, the
+        direct D of each unit is within (N + 4) u scale of the exact D, and T
+        within B, so |T - direct D| <= E = B + (N + 4) u scale.  The direct
+        minimum then lies within E of the screened minimum lo, and every unit
+        whose direct D is within the tie window TIE_RTOL scale of the direct
+        minimum has T <= lo + 2E + TIE_RTOL scale.
         """
-        e2, B = self.screen(prod, gamma)
-        lo = float(e2.min())
-        return self.zs[e2 <= lo + 2.0 * B + TIE_RTOL * (1.0 + abs(lo) + B)]
+        T, B = self.screen(prod)
+        top = float(T.min()) + 2.0 * (B + (self.N + 4) * _U * scale) + TIE_RTOL * scale
+        return self.zs[T <= top]

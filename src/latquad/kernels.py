@@ -313,10 +313,10 @@ def series_tail_bound(alpha: float, gamma: float, kmax: int) -> float:
 def _cos_partial_sum(theta, alpha: float, kmax: int):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
-    theta is reduced mod 2 (the period).  Lattice-derived arguments repeat
-    heavily, so the sum is evaluated once per distinct value.
+    |theta| is reduced mod 2 (the sum is even).  Lattice-derived arguments
+    repeat heavily, so the sum is evaluated once per distinct value.
     """
-    th = np.mod(np.asarray(theta, dtype=np.float64), 2.0)
+    th = np.mod(np.abs(np.asarray(theta, dtype=np.float64)), 2.0)
     shape = th.shape
     u, inv = np.unique(th.ravel(), return_inverse=True)
     acc = np.zeros(u.size)
@@ -335,7 +335,8 @@ def _sobolev_factor(alpha: float, gamma: float, x, y):
     a = _require_closed_alpha(alpha)
     val = np.ones(np.broadcast(x, y).shape)
     for t in range(1, a + 1):
-        val = val + gamma * bernoulli_poly(t, x) * bernoulli_poly(t, y) / math.factorial(t) ** 2
+        # B_t(x) B_t(y) first, so the value is symmetric in x and y to the bit
+        val = val + gamma * (bernoulli_poly(t, x) * bernoulli_poly(t, y)) / math.factorial(t) ** 2
     val = val - (-1.0) ** a * gamma * bernoulli_poly(2 * a, np.abs(x - y)) / math.factorial(2 * a)
     return val
 
@@ -355,7 +356,8 @@ def kernel_factor(
     korobov, cosine and korcos families are written once, through the cosine
     sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
     the closed form omega(frac(theta / 2)) / 2, with tail_bound 0 and no
-    series terms; other alpha sum c as a series truncated by policy.
+    series terms; other alpha sum c as a series truncated by policy.  Both
+    read the even c at |theta|, so values are symmetric in x and y to the bit.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
@@ -371,7 +373,9 @@ def kernel_factor(
         a = int(alpha)
 
         def c(theta):
-            return 0.5 * korobov_omega(a, np.mod(0.5 * theta, 1.0))
+            # omega is even, so this is exact and c(-theta) has c(theta)'s bits
+            t = np.mod(0.5 * np.abs(theta), 1.0)
+            return 0.5 * korobov_omega(a, np.minimum(t, 1.0 - t))
 
         tail = 0.0
     else:

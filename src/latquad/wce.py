@@ -199,12 +199,17 @@ def wce_korobov_lattice(
     prod = np.ones(N)
     for g_j, gamma_j in zip(rule.g, gammas):
         prod *= 1.0 + gamma_j * om[(n * g_j) % N]
-    e2 = math.fsum(prod) / N - 1.0
+    e2 = _single_sum_e2(prod)
     if not bound:
         return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
     top = float(np.abs(om).max()) + bound
     tail = _product_tail([g * bound for g in gammas], [1.0 + g * top for g in gammas])
     return WceResult(e2, WceMethod.ALIASED_SINGLE_SUM, tail)
+
+
+def _single_sum_e2(prod: np.ndarray) -> float:
+    """-1 + mean of a rule's N node products by math.fsum, for this module and CBC."""
+    return math.fsum(memoryview(prod)) / len(prod) - 1.0
 
 
 def _fold_average_e2(

@@ -59,6 +59,19 @@ def test_cbc_writes_vector_file(tmp_path, capsys):
     ]
 
 
+def test_cbc_report_is_the_korobov_route(capsys):
+    # each report line prints the e2 that wce --space korobov prints for
+    # that prefix of the vector, digit for digit
+    args = ["--n", "1021", "--alpha", "1.5", "--gamma", "/j^2"]
+    code, out, err = run_cli(capsys, "cbc", "--s", "4", *args, "--report")
+    assert code == 0
+    g = out.split()[2:]
+    for d, line in enumerate(err.splitlines(), start=1):
+        _, wce_out, _ = run_cli(capsys, "wce", "--space", "korobov",
+                                "--g", ",".join(g[:d]), *args)
+        assert line.split()[2] == wce_out.split()[0]
+
+
 def test_cbc_default_output_is_stdout(capsys):
     code, stdout, stderr = run_cli(capsys, "cbc", "--n", "5", "--s", "2")
     assert code == 0

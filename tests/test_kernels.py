@@ -300,6 +300,18 @@ def test_sobolev_equals_rescaled_cosine_kernel():
         assert float(np.abs(sob - cos).max()) <= gamma / PI**2 / kmax
 
 
+@pytest.mark.parametrize("fam,alpha", [(f, a) for f in ("sobolev", "korobov", "cosine", "korcos")
+                                       for a in (1, 2, 3, 1.5) if f != "sobolev" or a != 1.5])
+def test_kernel_factor_is_symmetric_to_the_bit(fam, alpha):
+    # c is read at |theta|, the closed form at min(t, 1 - t), and sobolev
+    # forms B_t(x) B_t(y) before weighting it, so K(x, y) and K(y, x) take
+    # the same operations on the same arguments (sobolev has integer
+    # smoothness only)
+    grid = np.linspace(0.0, 1.0, 203)
+    v, _ = kernel_factor(fam, alpha, 0.7, grid[:, None], grid[None, :])
+    assert np.array_equal(v, v.T)
+
+
 def test_kernel_factor_symmetry_and_validation():
     x = np.linspace(0.0, 1.0, 9)[:, None]
     y = np.linspace(0.0, 1.0, 9)[None, :]
