@@ -13,15 +13,15 @@ symmetrized rule kills exactly; h is deliberately not symmetric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .cbc import cbc_construct
-# integrate builds no node set, so lattice_points, tent_transform and
-# symmetrize are not called here; they stay importable as latquad.bench
-# attributes for code that looks them up, or wraps them, there.
+# lattice_points, tent_transform and symmetrize are not called here: the
+# benchmark tracer wraps them as latquad.bench attributes.
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
@@ -141,6 +141,16 @@ def integrate(rule: LatticeRule, variant: str, f) -> float:
     return math.fsum(np.prod(F, axis=1).tolist()) / N
 
 
+def _node_count(N) -> int:
+    """N as an int; ValueError naming it unless it is an integer >= 2."""
+    try:
+        if operator.index(N) >= 2:
+            return operator.index(N)
+    except TypeError:
+        pass
+    raise ValueError(f"N_list entries must be integers >= 2, got {N!r}")
+
+
 @lru_cache(maxsize=128)
 def _cbc_cached(N: int, s: int, alpha: float, gammas: tuple[float, ...]) -> LatticeRule:
     return cbc_construct(N, s, alpha, gammas).rule
@@ -153,13 +163,14 @@ def converge_study(
     cbc_alpha: float = 1,
     cbc_gammas=None,
 ) -> list[ConvergenceRecord]:
-    """Error records over a nonempty, increasing N_list with CBC-constructed vectors.
+    """Error records over a nonempty, increasing N_list of integers >= 2, with
+    CBC-constructed vectors.
 
     The construction weights default to gamma_j = w^j, matching the product
     decay of the integrand.  ``cbc_alpha`` goes to ``cbc_construct``
     unchanged: any finite alpha > 1/2, else ValueError.
     """
-    Ns = [int(N) for N in N_list]
+    Ns = [_node_count(N) for N in N_list]
     if not Ns:
         raise ValueError("N_list must be nonempty")
     if Ns != sorted(Ns) or len(set(Ns)) != len(Ns):

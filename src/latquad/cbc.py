@@ -24,12 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table
-# The search reads omega from _omega_table; korobov_omega stays a module
-# attribute because the benchmark tracer (perfbench/tracing.py TARGETS)
-# wraps latquad.cbc.korobov_omega and fails without it.
+# Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega.
 from .kernels import korobov_omega  # noqa: F401
 from .points import LatticeRule
-from .wce import _single_sum_e2, cbc_bound_constant
+from .wce import _factor_row, _single_sum_e2, cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
 
@@ -110,7 +108,7 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
             top = min(D) + TIE_RTOL * scale
             best_z = next(z for z, v in zip(cands, D) if v <= top)
         g.append(best_z)
-        prod *= 1.0 + gammas[d] * om[(n * best_z) % N]
+        prod *= _factor_row(om, best_z, gammas[d])
         per_dim_e2.append(_single_sum_e2(prod))
         c = cbc_bound_constant(alpha, gammas[: d + 1], tau=1.0)
         bound_ok.append(per_dim_e2[-1] <= c * c / (N - 1))
@@ -123,11 +121,14 @@ def _has_fft_screen(N: int) -> bool:
 
 
 def _powers(base: int, count: int, N: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    x = 1
-    for k in range(count):
-        out[k] = x
-        x = x * base % N
+    """base^k mod N for 0 <= k < count, by doubling the known prefix:
+    out[k:2k] = out[:k] base^k mod N, products below N^2 <= 2^44."""
+    out = np.ones(count, dtype=np.int64)
+    k = 1
+    while k < count:
+        m = min(k, count - k)
+        out[k:k + m] = out[:m] * (int(out[k - 1]) * base % N) % N
+        k += m
     return out
 
 
@@ -171,16 +172,16 @@ class _UnitScreen:
         else:
             m = N.bit_length() - 1
             if m >= 3:
-                pw = _powers(5, N // 4, N)
+                full = _powers(5, N // 4, N)
                 sign, log = np.empty(N, dtype=np.int64), np.empty(N, dtype=np.int64)
-                sign[pw], sign[N - pw] = 0, 1
-                log[pw] = log[N - pw] = np.arange(N // 4)
+                sign[full], sign[N - full] = 0, 1
+                log[full] = log[N - full] = np.arange(N // 4)
             for v in range(m):
                 M = N >> v
                 if M < 8:
                     fixed.extend(u << v for u in range(1, M, 2))
                     continue
-                pw = _powers(5, M // 4, M)
+                pw = full[:M // 4] % M  # 5^k mod M, as M divides N
                 grid = np.stack([pw, M - pw]) << v
                 groups.append((grid, sign[zs] * (M // 4) + log[zs] % (M // 4)))
         self.fixed = [(k, om[(k * zs) % N]) for k in fixed]

@@ -9,7 +9,7 @@ bit for bit.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import os
 import re
 import sys
@@ -25,8 +25,7 @@ from .kernels import (
     TruncationPolicy,
 )
 # lattice_points, tent_transform and symmetrize are reached through node_set;
-# they stay importable as latquad.cli attributes for code that looks them up,
-# or wraps them, there.
+# the benchmark tracer wraps them as latquad.cli attributes.
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
@@ -122,21 +121,21 @@ def _write_points(ps: WeightedPointSet, dest, with_weights: bool) -> None:
     dest.write("\n".join([row_fmt % tuple(r) for r in rows.tolist()]) + "\n")
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The text sink of --output: stdout for "-", else the file, closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
 
 
 def cmd_cbc(args) -> int:
     gammas = parse_gammas(args.gamma, args.s)
     res = cbc_construct(args.n, args.s, args.alpha, gammas)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         write_vector_file(res.rule, out)
-    finally:
-        if close:
-            out.close()
     if args.report:
         for d, (e2, ok) in enumerate(zip(res.per_dim_e2, res.bound_ok), start=1):
             print(f"dim {d}: e2={_fmt(e2)} bound_ok={ok}", file=sys.stderr)
@@ -145,12 +144,8 @@ def cmd_cbc(args) -> int:
 
 def cmd_points(args) -> int:
     ps = node_set(_rule_from_args(args), args.variant, dedupe=not args.no_dedupe)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         _write_points(ps, out, with_weights=args.variant == "sym")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -200,12 +195,8 @@ def cmd_converge(args) -> int:
     records = []
     for variant in variants:
         records.extend(converge_study(f, variant, Ns, cbc_alpha=args.alpha, cbc_gammas=gammas))
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(records_to_csv(records))
-    finally:
-        if close:
-            out.close()
     return 0
 
 

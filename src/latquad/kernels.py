@@ -252,8 +252,10 @@ def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
     """Omega[m] = omega(m / N) for m in Z_N, and a bound on its error.
 
     omega(x) = 2 sum_{k >= 1} k^(-2 alpha) cos(2 pi k x), the korobov_omega
-    sum.  Integer alpha in {1,2,3} returns korobov_omega(alpha, m / N) and
-    bound 0.0.  Other alpha group k by residue: with
+    sum.  omega is even, so only m = 0..N // 2 is computed, and the rest
+    is its mirror Omega[N - m] = Omega[m], exactly at every alpha.  Integer
+    alpha in {1,2,3} computes korobov_omega(alpha, m / N), bound 0.0.
+    Other alpha group k by residue: with
         c_r = sum_{k >= 1, k = r mod N} k^(-2 alpha)
             = N^(-2 alpha) zeta(2 alpha, r / N)   (Hurwitz; r = 0: zeta(2 alpha)),
     Omega = 2 Re(DFT(c)), one real FFT of length N with nothing truncated.
@@ -273,21 +275,21 @@ def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
     if not 1 <= N <= _TABLE_CAP:
         raise ValueError(f"omega table capped at 1 <= N <= {_TABLE_CAP}, got N={N}")
     if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
-        return korobov_omega(int(alpha), np.arange(N) / N), 0.0
-    x = 2.0 * alpha
-    r = np.arange(N, dtype=np.float64)
-    r[0] = N  # residue 0 starts at k = N
-    head = np.zeros(N)
-    for j in range(_HURWITZ_TERMS - 1, -1, -1):  # smallest terms first
-        head += (r + j * N) ** -x
-    c, rem = _hurwitz_sum(x, head, r + _HURWITZ_TERMS * N, N)
-    half = 2.0 * np.fft.rfft(c).real
-    table = np.concatenate((half, half[1:(N + 1) // 2][::-1]))
-    terms = _HURWITZ_TERMS + 2 + len(_B2K)
-    eta = _FFT_ETA * _U * math.log2(max(N, 2))
-    bound = 2.0 * (float(np.sum(rem)) + 4.0 * terms * _U * float(c.sum())
-                   + eta * math.sqrt(N) * math.sqrt(float(c @ c)))
-    return table, bound
+        half, bound = korobov_omega(int(alpha), np.arange(N // 2 + 1) / N), 0.0
+    else:
+        x = 2.0 * alpha
+        r = np.arange(N, dtype=np.float64)
+        r[0] = N  # residue 0 starts at k = N
+        head = np.zeros(N)
+        for j in range(_HURWITZ_TERMS - 1, -1, -1):  # smallest terms first
+            head += (r + j * N) ** -x
+        c, rem = _hurwitz_sum(x, head, r + _HURWITZ_TERMS * N, N)
+        half = 2.0 * np.fft.rfft(c).real
+        terms = _HURWITZ_TERMS + 2 + len(_B2K)
+        eta = _FFT_ETA * _U * math.log2(max(N, 2))
+        bound = 2.0 * (float(np.sum(rem)) + 4.0 * terms * _U * float(c.sum())
+                       + eta * math.sqrt(N) * math.sqrt(float(c @ c)))
+    return np.concatenate((half, half[1:(N + 1) // 2][::-1])), bound
 
 
 def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
@@ -451,21 +453,20 @@ def _coeff_quadrature(f: Callable, axis_weight: Callable, s: int, panels: int, t
     return v2
 
 
-def cosine_coeff(f: Callable, k, s: int | None = None, target: float = 1e-10) -> float:
+def cosine_coeff(f: Callable, k, target: float = 1e-10) -> float:
     """Coefficient of f against the orthonormal cosine basis indexed by k >= 0.
 
     The basis factor per axis is 1 for k_j = 0 and sqrt(2) cos(pi k_j x_j)
-    otherwise.  f must accept an (M, s) array of points and return M values.
+    otherwise; s = len(k), and a scalar k means s = 1.  f must accept an
+    (M, s) array of points and return M values.
     Composite 16-point Gauss-Legendre with max(8, 5*max(k)) panels per axis
     (at least five panels per half oscillation); the result is accepted only
     if doubling the panel count moves it by at most ``target``.
     """
     kvec = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if s is None:
-        s = kvec.size
-    if kvec.shape != (s,):
-        raise ValueError(f"k must have {s} components")
-    if kvec.size and kvec.min() < 0:
+    if kvec.ndim != 1:
+        raise ValueError("k must be a scalar or a 1-d sequence")
+    if kvec.min(initial=0) < 0:
         raise ValueError("cosine indices must be nonnegative")
 
     def axis_weight(j, xs):
@@ -474,10 +475,10 @@ def cosine_coeff(f: Callable, k, s: int | None = None, target: float = 1e-10) ->
         return math.sqrt(2.0) * np.cos(math.pi * int(kvec[j]) * xs)
 
     panels = max(8, 5 * int(kvec.max(initial=0)))
-    return float(_coeff_quadrature(f, axis_weight, s, panels, target))
+    return float(_coeff_quadrature(f, axis_weight, kvec.size, panels, target))
 
 
-def fourier_coeff(f: Callable, h, s: int | None = None, target: float = 1e-10) -> complex:
+def fourier_coeff(f: Callable, h, target: float = 1e-10) -> complex:
     """Fourier coefficient integral of f(x) e^(-2 pi i h . x); complex result.
 
     Same quadrature and panel-doubling check as cosine_coeff, with panel count
@@ -485,13 +486,11 @@ def fourier_coeff(f: Callable, h, s: int | None = None, target: float = 1e-10) -
     panels per half oscillation.
     """
     hvec = np.atleast_1d(np.asarray(h, dtype=np.int64))
-    if s is None:
-        s = hvec.size
-    if hvec.shape != (s,):
-        raise ValueError(f"h must have {s} components")
+    if hvec.ndim != 1:
+        raise ValueError("h must be a scalar or a 1-d sequence")
 
     def axis_weight(j, xs):
         return np.exp(-2j * math.pi * int(hvec[j]) * xs)
 
     panels = max(8, 10 * int(np.abs(hvec).max(initial=0)))
-    return complex(_coeff_quadrature(f, axis_weight, s, panels, target))
+    return complex(_coeff_quadrature(f, axis_weight, hvec.size, panels, target))

@@ -8,7 +8,6 @@ the reflection of 0 under symmetrization.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -33,7 +33,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,10 +48,8 @@ from .kernels import (
     kernel_factor,
     zeta,
 )
-# The routes here read omega from _omega_table and enumerate no dual lattice;
-# korobov_omega and dual_lattice stay module attributes because the benchmark
-# tracer (perfbench/tracing.py TARGETS) wraps latquad.wce.korobov_omega and
-# latquad.wce.dual_lattice and fails without them.
+# Not called here: the benchmark tracer (perfbench/tracing.py TARGETS) wraps
+# latquad.wce.korobov_omega and latquad.wce.dual_lattice.
 from .kernels import korobov_omega  # noqa: F401
 from .points import LatticeRule, WeightedPointSet
 from .points import dual_lattice  # noqa: F401
@@ -181,30 +179,44 @@ def wce_korobov_lattice(
 ) -> WceResult:
     """Korobov-space e^2 of a rank-1 lattice, by the single sum over nodes
 
-        e^2 = -1 + (1/N) sum_n prod_j (1 + gamma_j Omega(n g_j mod N)),
+        e^2 = -1 + (1/N) sum_n prod_j F_j[n],  F_j = _factor_row(Omega, g_j, gamma_j),
 
     with Omega from ``_omega_table``.  Integer alpha in 1..3: the closed
     form, tail 0, method closed-form-single-sum.  Other alpha: the aliased
-    table, off by at most its bound b per entry, so factor j is off by at
-    most gamma_j b and the tail is _product_tail with the magnitude caps
-    1 + gamma_j (max|Omega| + b); method aliased-single-sum.  O(s N) time
-    and O(N) memory at every alpha; ValueError before any work for N above
-    the table's cap.  ``policy`` is kept for callers that pass it and is not
-    used: the table truncates no series.
+    table, off by at most its bound b per entry, with ``_rule_tail``; method
+    aliased-single-sum.  O(s N) time and O(N) memory at every alpha;
+    ValueError before any work for N above the table's cap.  ``policy`` is
+    kept for callers that pass it and is not used: the table truncates no
+    series.
     """
-    N, s = rule.N, rule.s
-    gammas = _check_gammas(gammas, s)
-    om, bound = _omega_table(alpha, N)
-    n = np.arange(N, dtype=np.int64)
-    prod = np.ones(N)
-    for g_j, gamma_j in zip(rule.g, gammas):
-        prod *= 1.0 + gamma_j * om[(n * g_j) % N]
+    gammas = _check_gammas(gammas, rule.s)
+    om, bound = _omega_table(alpha, rule.N)
+    prod = np.ones(rule.N)
+    maxv = []
+    for g_j, gamma in zip(rule.g, gammas):
+        F = _factor_row(om, g_j, gamma)
+        if bound:
+            maxv.append(float(np.abs(F).max()))
+        prod *= F
     e2 = _single_sum_e2(prod)
     if not bound:
         return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
-    top = float(np.abs(om).max()) + bound
-    tail = _product_tail([g * bound for g in gammas], [1.0 + g * top for g in gammas])
-    return WceResult(e2, WceMethod.ALIASED_SINGLE_SUM, tail)
+    return WceResult(e2, WceMethod.ALIASED_SINGLE_SUM, _rule_tail(maxv, gammas, bound))
+
+
+def _factor_row(om: np.ndarray, g_j: int, gamma: float) -> np.ndarray:
+    """F[n] = 1 + gamma Omega[n g_j mod N] for n in Z_N: one coordinate's
+    Korobov factor on the nodes of a lattice, for this module and CBC."""
+    N = len(om)
+    return 1.0 + gamma * om[np.arange(N, dtype=np.int64) * g_j % N]
+
+
+def _rule_tail(maxv, gammas, bound: float) -> float:
+    """Tail of a product of factor rows F_j built from a table off by at most
+    b per entry: factor j is off by at most gamma_j b, and its magnitude is
+    capped by maxv[j] + gamma_j b, with maxv[j] = max|F_j|."""
+    bnds = np.multiply(gammas, bound)
+    return _product_tail(bnds, np.add(maxv, bnds))
 
 
 def _single_sum_e2(prod: np.ndarray) -> float:
@@ -216,31 +228,33 @@ def _fold_average_e2(
     rule: LatticeRule,
     alpha: float,
     gammas: Sequence[float],
+    scale: Callable[[float], float],
 ) -> WceResult:
     """e^2 = -1 + N^-2 sum_{n,n'} prod_j kbar_j(n, n') over the base lattice.
 
-    kbar_j = A_j[n - n'] + A_j[n + n'], A_j[m] = (1 + gamma_j Omega[m g_j mod N]) / 2,
-    with Omega and its bound b from ``_omega_table`` (b = 0 at alpha in
-    1..3).  With P_S = sum_m prod_{j in S} A_j[m] over the subsets S of the
-    coordinates, the pair sum is sum_S P_S P_{S^c} for odd N, where (n, n')
-    -> (n - n', n + n') permutes Z_N^2, and 2 sum_S (P_S^even
-    P_{S^c}^even + P_S^odd P_{S^c}^odd) for even N, where it covers the
-    equal-parity pairs (m even, m odd) twice; g need not be a unit.  A
-    depth-first walk keeps one running product per depth; math.fsum reduces
-    each leaf, then the 2^s leaf products, so calls are bit-identical.
-    O(2^s N) time, O(s N) memory; ValueError before any work when 2^s N
-    exceeds _FOLD_WORK_CAP.  The tail bound is ``wce_double_sum``'s: factor
-    j is off by at most gamma_j b, and max over pairs |kbar_j| =
-    2 max|A_j| (n' = 0).
+    The weights are gamma_j scale(alpha), after both are checked.
+    kbar_j = A_j[n - n'] + A_j[n + n'], A_j = F_j / 2 with F_j =
+    _factor_row(Omega, g_j, gamma_j), and Omega and its bound b from
+    ``_omega_table`` (b = 0 at alpha in 1..3).  With P_S = sum_m
+    prod_{j in S} A_j[m] over the subsets S of the coordinates, the pair sum
+    is sum_S P_S P_{S^c} for odd N, where (n, n') -> (n - n', n + n')
+    permutes Z_N^2, and 2 sum_S (P_S^even P_{S^c}^even + P_S^odd
+    P_{S^c}^odd) for even N, where it covers the equal-parity pairs (m even,
+    m odd) twice; g need not be a unit.  A depth-first walk keeps one running
+    product per depth; math.fsum reduces each leaf, then the 2^s leaf
+    products, so calls are bit-identical.  O(2^s N) time, O(s N) memory;
+    ValueError before any work when 2^s N exceeds _FOLD_WORK_CAP.  The tail
+    is ``_rule_tail``, as max over pairs |kbar_j| = max|F_j| (n' = 0).
     """
     N, s = rule.N, rule.s
+    gammas = _check_gammas(gammas, s)
+    alpha = _check_alpha(alpha)
+    gammas = [g * scale(alpha) for g in gammas]
     if N << s > _FOLD_WORK_CAP:
         raise ValueError(f"fold-average sum capped at 2^s N = {_FOLD_WORK_CAP}, got {N << s}")
     om, bound = _omega_table(alpha, N)
-    m = np.arange(N, dtype=np.int64)
-    rows = [0.5 * (1.0 + gamma * om[m * g_j % N]) for g_j, gamma in zip(rule.g, gammas)]
-    bnds = np.array([gamma * bound for gamma in gammas])
-    maxv = np.array([2.0 * float(np.abs(A).max()) for A in rows])
+    rows = [0.5 * _factor_row(om, g_j, gamma) for g_j, gamma in zip(rule.g, gammas)]
+    maxv = [2.0 * float(np.abs(A).max()) for A in rows]
     parts = 2 - N % 2
     P = np.empty((1 << s, parts))  # P[S] for the subset S with bit j for coordinate j
     stack = [(0, 0, np.ones(N))]  # (depth j, subset S so far, its running product)
@@ -252,7 +266,7 @@ def _fold_average_e2(
             stack += [(j + 1, S, prod), (j + 1, S | 1 << j, prod * rows[j])]
     # S^c = (2^s - 1) - S, so P reversed lists the complements
     e2 = parts * math.fsum(memoryview((P * P[::-1]).ravel())) / (N * N) - 1.0
-    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
+    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _rule_tail(maxv, gammas, bound))
 
 
 def wce_cosine_tent(
@@ -272,9 +286,7 @@ def wce_cosine_tent(
     strictly smaller.  ``policy`` is kept for callers that pass it and is
     not used: the omega table truncates no series.
     """
-    gammas = _check_gammas(gammas, rule.s)
-    alpha = _check_alpha(alpha)
-    return _fold_average_e2(rule, alpha, gammas)
+    return _fold_average_e2(rule, alpha, gammas, lambda a: 1.0)
 
 
 def wce_korcos_sym(
@@ -293,10 +305,7 @@ def wce_korcos_sym(
     omega table's bound otherwise.  ``policy`` is kept for callers that pass
     it and is not used.
     """
-    gammas = _check_gammas(gammas, rule.s)
-    alpha = _check_alpha(alpha)
-    scale = 0.5 * (1.0 + 4.0 ** -alpha)
-    return _fold_average_e2(rule, alpha, [g * scale for g in gammas])
+    return _fold_average_e2(rule, alpha, gammas, lambda a: 0.5 * (1.0 + 4.0 ** -a))
 
 
 def wce_cosine_sym(
@@ -316,10 +325,7 @@ def wce_cosine_sym(
     is strictly smaller.  ``policy`` is kept for callers that pass it and is
     not used.
     """
-    gammas = _check_gammas(gammas, rule.s)
-    alpha = _check_alpha(alpha)
-    scale = 4.0 ** -alpha
-    return _fold_average_e2(rule, alpha, [g * scale for g in gammas])
+    return _fold_average_e2(rule, alpha, gammas, lambda a: 4.0 ** -a)
 
 
 def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) -> float:

@@ -1,4 +1,5 @@
 """The package namespace is exactly the union of its modules' public names."""
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -30,3 +31,30 @@ def test_benchmark_tracer_targets_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, _layer in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_src_imports_are_used():
+    """Every top-level import of a package module is used in it, listed in its
+    __all__, or wrapped there by the benchmark tracer."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = {(module, attr) for module, attr, _layer in tracing.TARGETS}
+    unused = []
+    for path in sorted((ROOT / "src" / "latquad").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = f"latquad.{path.stem}"
+        public = set(getattr(importlib.import_module(module), "__all__", ()))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used | public and (module, name) not in wrapped:
+                        unused.append(f"{path.name}: {name}")
+    assert unused == []

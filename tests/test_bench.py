@@ -156,6 +156,12 @@ def test_converge_study_validation():
         converge_study(f, "spiral", [32, 64])
     with pytest.raises(ValueError, match="nonempty"):
         converge_study(f, "tent", [])
+    # N is never truncated or parsed: each entry must be an integer >= 2
+    for bad, Ns in [(2.5, [2.5, 4.9]), (4.0, [4.0, 8]), ("'8'", ["8"]), (1, [1, 4]),
+                    (0, [0]), (-4, [-4, 8]), (0.5, [0.5, 1, 2])]:
+        with pytest.raises(ValueError, match=f"integers >= 2, got {bad}$"):
+            converge_study(f, "plain", Ns)
+    assert [r.N for r in converge_study(f, "plain", [np.int64(4), 8])] == [4, 8]
     # no dimension or node-count cap on symmetrized studies: nothing is materialised
     f11 = Integrand("g", 11, 0.9)
     gammas = tuple(0.9**j for j in range(1, 12))

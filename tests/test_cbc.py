@@ -19,6 +19,14 @@ from latquad.wce import (
 )
 
 
+@pytest.mark.parametrize("base,N", [(3, 7), (5, 1 << 20), (2, 4093), (3, 4194301)])
+@pytest.mark.parametrize("count", [0, 1, 3, 255, 256, 257, 1025])
+def test_powers_are_modular_powers(base, N, count):
+    got = cbc._powers(base, count, N)
+    assert got.dtype == np.int64
+    assert got.tolist() == [pow(base, k, N) for k in range(count)]
+
+
 def test_candidate_sets():
     assert candidate_set(2) == [1]
     assert candidate_set(5) == [1, 2, 3, 4]

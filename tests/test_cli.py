@@ -271,6 +271,23 @@ def test_points_file_with_nan_exits_one(tmp_path, capsys, text):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.1 0.2 0.3 0.4\n", "line 1: expected 2 or 3 columns, got 4"),
+    ("0.1 0.2\n0.3 0.4 0.5\n", "points file mixes weighted and unweighted lines"),
+    ("\n  \n\t\n", "points file is empty"),
+    ("0.1 0.2\n0.3 x\n", "could not convert string to float: 'x'"),
+])
+def test_points_file_errors_exit_one(tmp_path, capsys, text, message):
+    pts = tmp_path / "nodes.txt"
+    pts.write_text(text)
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov",
+        "--points-file", str(pts), "--s", "2")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: {message}\n"
+
+
 _ALPHA_ROUTES = {
     space: ("wce", "--space", space, "--n", "5", "--g", "1,2")
     for space in ("korobov", "cosine-tent", "korcos-sym", "cosine-sym")
@@ -300,6 +317,16 @@ def test_converge_empty_exponent_range_exits_one(capsys):
     assert code == 1
     assert stdout == ""
     assert "N_list must be nonempty" in err
+
+
+@pytest.mark.parametrize("nmin,bad", [("-1", "0.5"), ("0", "1")])
+def test_converge_exponent_below_one_exits_one(capsys, nmin, bad):
+    code, stdout, err = run_cli(
+        capsys, "converge", "--family", "g", "--s", "2", "--w", "0.9",
+        "--nmin", nmin, "--nmax", "3")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: N_list entries must be integers >= 2, got {bad}\n"
 
 
 def test_fold_average_cap_exits_one(capsys):

@@ -81,7 +81,16 @@ def test_korobov_omega_matches_its_cosine_series(alpha, kmax):
 def test_omega_table_is_korobov_omega_at_integer_alpha(alpha, N):
     table, bound = _omega_table(alpha, N)
     assert type(bound) is float and bound == 0.0
-    assert np.array_equal(table, korobov_omega(int(alpha), np.arange(N) / N))
+    m = np.arange(N)
+    assert np.array_equal(table, korobov_omega(int(alpha), np.minimum(m, N - m) / N))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 0.75, 1.5])
+@pytest.mark.parametrize("N", [1, 2, 7, 61, 4093, 4096])
+def test_omega_table_is_exactly_even(alpha, N):
+    table, _ = _omega_table(alpha, N)
+    assert len(table) == N
+    assert np.array_equal(table[1:], table[:0:-1])
 
 
 def _omega_series(alpha, N, K):
@@ -375,8 +384,14 @@ def test_product_coefficient_indices():
     assert cosine_coeff(f, (1, 1)) == pytest.approx(want, abs=1e-11)
     with pytest.raises(ValueError):
         cosine_coeff(f, (1, -1))
-    with pytest.raises(ValueError):
-        cosine_coeff(f, (1,), s=2)
+
+
+def test_coefficient_indices_are_one_dimensional():
+    f = lambda p: p[:, 0] * p[:, 1]
+    with pytest.raises(ValueError, match="1-d"):
+        cosine_coeff(f, [[1, 1]])
+    with pytest.raises(ValueError, match="1-d"):
+        fourier_coeff(f, [[1], [1]])
 
 
 def test_coefficient_quadrature_rejects_nonconvergence():
