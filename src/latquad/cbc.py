@@ -1,20 +1,23 @@
 """Component-by-component construction of generating vectors.
 
 Greedy per-coordinate minimization of the Korobov-space squared worst-case
-error.  The node products prod of the fixed coordinates are updated
+error.  The node products prod of the chosen coordinates are updated
 incrementally; unit z for the next coordinate, of weight gamma > 0, has
 e2(z) = (sum_n prod[n] + gamma prod[0] Omega[0] + gamma D(z)) / N - 1 with
 
     D(z) = sum_{n >= 1} prod[n] Omega[n z mod N],
 
 so the units are ranked by D alone, summed directly in O(N) per unit, and
-the reported errors come from ``wce``'s single sum.  For prime N and N = 2^m
-the unit group is cyclic, or {+-5^a} on each 2-adic level of n, so D of all
-units is one cyclic correlation that an FFT evaluates in O(N log N) (Nuyens
-& Cools, Math. Comp. 75, 2006, for prime N; J. Complexity 22, 2006, for
-non-prime N).  That screen only rules units out: the few it cannot are
-summed directly, so the result equals the full direct scan bit for bit and
-the search costs O(s N log N).  Other moduli take the full scan, O(s N phi(N)).
+the reported errors come from ``wce``'s single sum.  Omega is exactly even,
+so D(N - z) equals D(z) bit for bit and the search covers the classes
+{z, -z} through their members z <= N/2.  For prime N and N = 2^m those
+classes form a cyclic group, generated by a primitive root, or by 5 on each
+2-adic level of n, so D of all units is one cyclic correlation of half
+length that an FFT evaluates in O(N log N) (Nuyens & Cools, Math. Comp. 75,
+2006, for prime N; J. Complexity 22, 2006, for non-prime N).  That screen
+only rules units out: the few it cannot are summed directly, so the result
+equals the full direct scan bit for bit and the search costs O(s N log N).
+Other moduli take the scan of the units <= N/2, O(s N phi(N) / 2).
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table
 # Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega.
 from .kernels import korobov_omega  # noqa: F401
-from .points import LatticeRule
+from .points import LatticeRule, _integer
 from .wce import _factor_row, _single_sum_e2, cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
@@ -51,7 +54,8 @@ class CbcResult:
 
 
 def candidate_set(N: int) -> list[int]:
-    """Units mod N in ascending order: the CBC search space per coordinate."""
+    """Units mod N in ascending order.  Each CBC coordinate searches those
+    <= N/2, one per class {z, -z}, since D(N - z) == D(z)."""
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     return [z for z in range(1, N) if math.gcd(z, N) == 1]
@@ -69,21 +73,23 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     whose directly summed D(z) lies within TIE_RTOL * sum_{n >= 1} |prod[n]|
     max_{m != 0} |Omega[m]|, the size of D's terms, of the minimum over all
     units; the weight does not enter, so rounding noise never picks the
-    component.  Prime and power-of-two moduli are screened by FFT and return
-    the same result as the full scan, bit for bit.  ``per_dim_e2[d]`` is
+    component.  D(N - z) == D(z) bit for bit, so that unit is at most N/2 and
+    only those units are searched.  Prime and power-of-two moduli are
+    screened by FFT and return the same result as the full scan of every
+    unit, bit for bit.  ``per_dim_e2[d]`` is
     ``wce_korobov_lattice`` of the first d + 1 coordinates, bit for bit.
     """
     return _construct(N, s, alpha, gammas, fast=True)
 
 
 def _reference_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
-    """``cbc_construct`` by the full direct scan of every unit: the test oracle."""
+    """``cbc_construct`` by the direct scan of every unit, z > N/2 included:
+    the test oracle."""
     return _construct(N, s, alpha, gammas, fast=False)
 
 
 def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
-    N = int(N)
-    s = int(s)
+    N, s = _integer("modulus", N), _integer("dimension", s)
     if s < 1:
         raise ValueError("dimension must be at least 1")
     alpha = _check_alpha(alpha)
@@ -91,6 +97,8 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
 
     om, _ = _omega_table(alpha, N)
     zs = np.array(candidate_set(N), dtype=np.int64)
+    if fast:
+        zs = zs[2 * zs <= N]
     om_max = float(np.abs(om[1:]).max())
     n = np.arange(N, dtype=np.int64)
     screen = _UnitScreen(N, om, zs) if fast and s > 1 and _has_fft_screen(N) else None
@@ -149,70 +157,61 @@ class _UnitScreen:
     """Screened D of every unit z for one coordinate, by FFT correlation.
 
     T(z) = sum_{n >= 1} prod[n] omega[n z mod N] splits over the nodes n.
-    Nodes with a few fixed residues n z mod N for all units (the 2-adic
-    levels of modulus below 8) are summed directly.  Every other node set is
-    an orbit of the unit group acting by multiplication, indexed by cyclic
-    groups: the powers r^j of a primitive root r for odd prime N (shape
-    1 x (N - 1)), and 2^v (-1)^b 5^a mod N on the level of nodes with 2-adic
-    valuation v for N = 2^m (shape 2 x 2^(m-v-2)).  There T is the cyclic
-    correlation of prod with omega over that group, one rfft2 and one
-    irfft2 per level.  Node 0, the same for every unit, is left out.
+    omega is even, so T(z) = T(-z) and T depends on z through its class
+    {z, -z} only.  Nodes in a 2-adic level of modulus below 8 (N/4, N/2,
+    3N/4 for N = 2^m) have n z = +-n mod N for every unit, so their terms
+    are one constant.  Every other node set is a level of the classes
+    {n, -n}, a cyclic group of order L acted on by multiplication: r^i for
+    a primitive root r of odd prime N (L = (N - 1)/2), and 2^v 5^i mod N on
+    the nodes of 2-adic valuation v for N = 2^m and M = N >> v >= 8
+    (L = M/4).  There T is the cyclic correlation of the folded
+    a[i] = prod[n_i] + prod[N - n_i] with omega[n_i], one rfft and one irfft
+    of length L per level.  Node 0, the same for every unit, is left out.
     """
 
     def __init__(self, N: int, om: np.ndarray, zs: np.ndarray):
         self.N, self.zs = N, zs
         self.om_max = float(np.abs(om[1:]).max())
-        fixed = []
-        groups = []  # (node grid, flat correlation index of each unit)
-        if N & (N - 1):
-            root = _powers(_primitive_root(N), N - 1, N)
-            log = np.empty(N, dtype=np.int64)
-            log[root] = np.arange(N - 1)
-            groups.append((root[None, :], log[zs]))
+        if N & (N - 1):  # odd prime: one level, every nonzero node
+            gen, order, const = _primitive_root(N), (N - 1) // 2, []
+            levels = [(0, order)]
         else:
-            m = N.bit_length() - 1
-            if m >= 3:
-                full = _powers(5, N // 4, N)
-                sign, log = np.empty(N, dtype=np.int64), np.empty(N, dtype=np.int64)
-                sign[full], sign[N - full] = 0, 1
-                log[full] = log[N - full] = np.arange(N // 4)
-            for v in range(m):
-                M = N >> v
-                if M < 8:
-                    fixed.extend(u << v for u in range(1, M, 2))
-                    continue
-                pw = full[:M // 4] % M  # 5^k mod M, as M divides N
-                grid = np.stack([pw, M - pw]) << v
-                groups.append((grid, sign[zs] * (M // 4) + log[zs] % (M // 4)))
-        self.fixed = [(k, om[(k * zs) % N]) for k in fixed]
+            gen, order, const = 5, N // 4, sorted({N // 4, N // 2, 3 * N // 4} - {0})
+            levels = [(v, (N >> v) // 4) for v in range(N.bit_length() - 1) if N >> v >= 8]
+        pw = _powers(gen, order, N)
+        log = np.zeros(N, dtype=np.int64)
+        log[pw] = log[N - pw] = np.arange(order)
+        self.const = (const, om[const])
         self.levels = []
-        for grid, pos in groups:
-            b = om[grid]
-            eta = _FFT_ETA * _U * math.log2(max(grid.size, 2))
-            self.levels.append((grid, pos, np.fft.rfft2(b), float(np.abs(b).sum()),
-                                float(np.sqrt((b * b).sum())), 2.0 * eta + 3.0 * _U))
+        for v, L in levels:
+            nodes = (pw[:L] % (N >> v)) << v  # gen^i mod M = N >> v, times 2^v
+            b = om[nodes]
+            eta = _FFT_ETA * _U * math.log2(max(L, 2))
+            self.levels.append((nodes, log[zs] % L, np.fft.rfft(b), float(np.abs(b).sum()),
+                                float(np.sqrt(b @ b)), 2.0 * eta + 3.0 * _U))
 
     def screen(self, prod: np.ndarray) -> tuple[np.ndarray, float]:
         """Screened T of every unit, ascending, and a bound B on |T - D| for
         the exact D of each unit.
 
-        Each level's FFT correlation c of a = prod and b = omega on its node
-        grid of size L is taken to satisfy |c - exact| <= (2 eta + 3u)
-        (|a|_1 |b|_2 + |a|_2 |b|_1) with eta = _FFT_ETA u log2 L.  The directly
-        summed terms and the additions across levels add 2u
-        sum_{n >= 1} |prod[n]| max_{m != 0} |omega[m]| each.  B is the sum of
-        these.
+        With P = sum_{n >= 1} |prod[n]| and W = max_{m != 0} |omega[m]|:
+        each level's FFT correlation c of the folded a and b = omega on its
+        L nodes is taken to satisfy |c - exact| <= (2 eta + 3u)
+        (|a|_1 |b|_2 + |a|_2 |b|_1) with eta = _FFT_ETA u log2 L.  Folding
+        rounds each a[i] by u |a[i]|, which moves D by at most u P W; the
+        constant, at most 3 products, is off by 3u P W to first order; and
+        adding the levels' terms, each at most P W, to it adds at most
+        (number of levels) u P W.  B is the FFT terms plus
+        2 (levels + 3) u P W, which covers these with room for the
+        second-order terms.
         """
-        T = np.zeros(len(self.zs))
-        for k, w in self.fixed:
-            T += prod[k] * w
-        p1 = float(np.abs(prod[1:]).sum())
-        err = 2.0 * (len(self.fixed) + len(self.levels)) * _U * p1 * self.om_max
-        for grid, pos, fb, b1, b2, scale in self.levels:
-            a = prod[grid]
-            c = np.fft.irfft2(np.conj(np.fft.rfft2(a)) * fb, s=a.shape)
-            T += c.ravel()[pos]
-            err += scale * (float(np.abs(a).sum()) * b2 + float(np.sqrt((a * a).sum())) * b1)
+        k, w = self.const
+        T = np.full(len(self.zs), float(prod[k] @ w))
+        err = 2.0 * (len(self.levels) + 3) * _U * float(np.abs(prod[1:]).sum()) * self.om_max
+        for nodes, pos, fb, b1, b2, scale in self.levels:
+            a = prod[nodes] + prod[self.N - nodes]
+            T += np.fft.irfft(np.conj(np.fft.rfft(a)) * fb, n=len(a))[pos]
+            err += scale * (float(np.abs(a).sum()) * b2 + float(np.sqrt(a @ a)) * b1)
         return T, err
 
     def candidates(self, prod: np.ndarray, scale: float) -> np.ndarray:

@@ -98,7 +98,10 @@ def _read_points_file(path: str, s: int) -> WeightedPointSet:
         for ln, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            vals = [float(t) for t in line.split()]
+            try:
+                vals = [float(t) for t in line.split()]
+            except ValueError as exc:
+                raise ValueError(f"line {ln}: {exc}") from None
             if len(vals) not in (s, s + 1):
                 raise ValueError(f"line {ln}: expected {s} or {s + 1} columns, got {len(vals)}")
             rows.append(vals)

@@ -8,6 +8,7 @@ the reflection of 0 under symmetrization.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class LatticeRule:
     g: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        N = int(self.N)
-        g = tuple(int(v) for v in self.g)
+        N = _integer("modulus", self.N)
+        g = tuple(_integer("generating vector component", v) for v in self.g)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "g", g)
         if N < 2:
@@ -63,6 +64,15 @@ class LatticeRule:
     @property
     def s(self) -> int:
         return len(self.g)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int by operator.index; ValueError naming it otherwise, so
+    5.7 is refused, not truncated to 5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""The package namespace is exactly the union of its modules' public names."""
+"""The package namespace is exactly the union of its modules' public names,
+and the benchmark's calls into the package still work."""
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import latquad
@@ -31,6 +33,27 @@ def test_benchmark_tracer_targets_resolve():
     spec.loader.exec_module(tracing)
     for module, attr, _layer in tracing.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path, monkeypatch):
+    """Every benchmark workload, at its tiny size, runs each op through the
+    package and passes its own check, and its corrupted result fails one."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while the file executes
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        wl = workloads.build(name, 7, True, str(tmp_path / name))
+        try:
+            wl.begin_pass()
+            results = [op.run() for op in wl.ops]
+            assert all(wl.check(results)), name
+            wl.corrupt(results)
+            assert wl.check(results).count(False) == 1, name
+        finally:
+            wl.close()
 
 
 def test_src_imports_are_used():

@@ -101,12 +101,25 @@ def test_input_validation():
         cbc_construct(8, 2, 1, (1.0, 0.0))
 
 
+@pytest.mark.parametrize("N,s,bad", [(64.9, 2, "64.9"), (64, 2.7, "2.7"), (64.0, 2, "64.0")])
+def test_non_integer_sizes_are_refused_instead_of_truncated(N, s, bad):
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+        cbc_construct(N, s, 1, (1.0, 0.5))
+
+
+def test_numpy_integer_sizes_are_accepted():
+    res = cbc_construct(np.int64(64), np.int64(2), 1, (1.0, 0.5))
+    assert res == cbc_construct(64, 2, 1, (1.0, 0.5))
+    assert type(res.rule.N) is int
+
+
 _WEIGHTS = {"j^-2": tuple(1.0 / j**2 for j in range(1, 7)),
             "0.9^j": tuple(0.9**j for j in range(1, 7))}
-# all screened moduli up to 64, then each prime and power of two near 2^k;
+# all screened moduli up to 64, among them 2, 3, 4 and 8, whose levels hold
+# at most two classes, then each prime and power of two near 2^k;
 # 1019, 2039 and 4079 are 2 times a prime, so their FFT length has a large
 # prime factor
-_SCREENED = [N for N in range(5, 65) if cbc._has_fft_screen(N)] + [
+_SCREENED = [N for N in range(2, 65) if cbc._has_fft_screen(N)] + [
     127, 128, 257, 256, 509, 512, 1019, 1021, 1024, 2039, 2048, 4079, 4093, 4096]
 
 
@@ -221,3 +234,40 @@ def test_reported_errors_are_the_korobov_single_sum(N, alpha):
     for d in range(6):
         prefix = LatticeRule(N, res.rule.g[: d + 1])
         assert res.per_dim_e2[d] == wce_korobov_lattice(prefix, alpha, gammas[: d + 1]).e2
+
+
+_EVEN_MODULI = [2, 3, 4, 8, 12, 61, 64, 100, 1021, 1024]
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 0.75, 1.5])
+@pytest.mark.parametrize("N", _EVEN_MODULI)
+def test_direct_correlation_is_even_in_the_unit(N, alpha):
+    """The identity the halved search rests on: the directly summed D(z)
+    equals D(N - z) bit for bit at every coordinate, so the smallest unit in
+    the tie window is at most N/2, and so is every component."""
+    gammas = _WEIGHTS["0.9^j"][:4]
+    g = cbc_construct(N, 4, alpha, gammas).rule.g
+    assert all(2 * z <= N for z in g)
+    om, _ = _omega_table(alpha, N)
+    n = np.arange(N)
+    prod = np.ones(N)
+    for z, gamma in zip(g, gammas):
+        for u in candidate_set(N):
+            assert float(np.sum(prod[1:] * om[n[1:] * u % N])) == float(
+                np.sum(prod[1:] * om[n[1:] * (N - u) % N])), u
+        prod *= 1.0 + gamma * om[(n * z) % N]
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 8, 16])
+def test_degenerate_levels_screen_within_their_bound(N):
+    # N = 2 and 4 hold only the nodes N/4, N/2 and 3N/4, summed as one
+    # constant; N = 3 has one class, N = 8 one level of two classes and the
+    # constant, N = 16 two levels and the constant.  prod is not
+    # even in n here, so each fold adds two different node values.
+    zs = np.array(candidate_set(N))
+    om, _ = _omega_table(2, N)
+    n = np.arange(N)
+    prod = np.random.default_rng(N).uniform(0.5, 2.0, N)
+    T, bound = _UnitScreen(N, om, zs).screen(prod)
+    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
+    assert np.abs(T - direct).max() <= bound

@@ -275,7 +275,7 @@ def test_points_file_with_nan_exits_one(tmp_path, capsys, text):
     ("0.1 0.2 0.3 0.4\n", "line 1: expected 2 or 3 columns, got 4"),
     ("0.1 0.2\n0.3 0.4 0.5\n", "points file mixes weighted and unweighted lines"),
     ("\n  \n\t\n", "points file is empty"),
-    ("0.1 0.2\n0.3 x\n", "could not convert string to float: 'x'"),
+    ("0.1 0.2\n0.3 x\n", "line 2: could not convert string to float: 'x'"),
 ])
 def test_points_file_errors_exit_one(tmp_path, capsys, text, message):
     pts = tmp_path / "nodes.txt"

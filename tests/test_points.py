@@ -39,6 +39,19 @@ def test_rule_validation():
         LatticeRule(4, (1, 4))
 
 
+@pytest.mark.parametrize("N,g,bad", [(5.7, (1, 2), "5.7"), (5, (1.2, 2.9), "1.2"),
+                                      (5, (1, 2.0), "2.0"), ("5", (1,), "'5'")])
+def test_rule_refuses_non_integers_instead_of_truncating(N, g, bad):
+    with pytest.raises(ValueError, match=f"must be an integer, got {bad}"):
+        LatticeRule(N, g)
+
+
+def test_rule_accepts_numpy_integers():
+    rule = LatticeRule(np.int64(7), (np.int64(2), np.int32(3)))
+    assert rule == LatticeRule(7, (2, 3))
+    assert type(rule.N) is int and all(type(v) is int for v in rule.g)
+
+
 def test_point_set_validation():
     with pytest.raises(ValueError):
         WeightedPointSet(np.array([[0.5], [1.5]]), np.array([0.5, 0.5]))
