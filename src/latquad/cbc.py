@@ -56,9 +56,16 @@ class CbcResult:
 def candidate_set(N: int) -> list[int]:
     """Units mod N in ascending order.  Each CBC coordinate searches those
     <= N/2, one per class {z, -z}, since D(N - z) == D(z)."""
+    return _units(N).tolist()
+
+
+def _units(N: int) -> np.ndarray:
+    """candidate_set(N) as an int64 array."""
     if N < 2:
+        # gcd(0, 1) == 1, so the mask alone would keep 0 at N = 1
         raise ValueError(f"modulus must be >= 2, got {N}")
-    return [z for z in range(1, N) if math.gcd(z, N) == 1]
+    n = np.arange(N, dtype=np.int64)
+    return n[np.gcd(n, N) == 1]
 
 
 def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
@@ -96,7 +103,7 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
     gammas = _check_gammas(gammas, s)
 
     om, _ = _omega_table(alpha, N)
-    zs = np.array(candidate_set(N), dtype=np.int64)
+    zs = _units(N)
     if fast:
         zs = zs[2 * zs <= N]
     om_max = float(np.abs(om[1:]).max())

@@ -48,7 +48,13 @@ from .wce import (
 
 __all__ = ["main", "parse_gammas"]
 
-_SPACES = ("korobov", "cosine-tent", "korcos-sym", "cosine-sym", "double-sum")
+# the --space routes that take a lattice rule; "double-sum" takes any node set
+_RULE_ROUTES = {
+    "korobov": wce_korobov_lattice,
+    "cosine-tent": wce_cosine_tent,
+    "korcos-sym": wce_korcos_sym,
+    "cosine-sym": wce_cosine_sym,
+}
 
 
 def _fmt(x: float) -> str:
@@ -71,25 +77,13 @@ def parse_gammas(text: str, s: int) -> tuple[float, ...]:
     return (float(text),) * s
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; the contract wants 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _rule_from_args(args) -> LatticeRule:
-    if getattr(args, "vector_file", None):
+    if args.vector_file:
         return read_vector_file(args.vector_file)
-    if getattr(args, "n", None) is not None and getattr(args, "g", None):
+    if args.n is not None and args.g:
         g = tuple(int(v) for v in args.g.split(","))
         return LatticeRule(args.n, g)
     raise ValueError("a rule is required: --vector-file, or --n with --g")
-
-
-def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
 
 
 def _read_points_file(path: str, s: int) -> WeightedPointSet:
@@ -153,7 +147,8 @@ def cmd_points(args) -> int:
 
 
 def cmd_wce(args) -> int:
-    policy = _policy_from_args(args)
+    # built on every space, so a bad --tol or --max-terms exits 1 everywhere
+    policy = TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
     if args.space == "double-sum":
         if not args.family:
             raise ValueError("--family is required for --space double-sum")
@@ -169,13 +164,7 @@ def cmd_wce(args) -> int:
     else:
         rule = _rule_from_args(args)
         gammas = parse_gammas(args.gamma, rule.s)
-        fn = {
-            "korobov": wce_korobov_lattice,
-            "cosine-tent": wce_cosine_tent,
-            "korcos-sym": wce_korcos_sym,
-            "cosine-sym": wce_cosine_sym,
-        }[args.space]
-        res = fn(rule, args.alpha, gammas, policy)
+        res = _RULE_ROUTES[args.space](rule, args.alpha, gammas)
     print(f"e2={_fmt(res.e2)} tail={_fmt(res.tail_bound)} method={res.method.value}")
     return 0
 
@@ -216,18 +205,11 @@ def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", help="comma-separated generating vector components")
 
 
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="per-factor truncation tolerance of the double-sum series")
-    p.add_argument("--max-terms", type=int, default=2_000_000,
-                   help="term cap of the double-sum series")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="latquad", description=__doc__)
+    top = argparse.ArgumentParser(prog="latquad", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("cbc", help="construct a generating vector", parents=[])
+    p = sub.add_parser("cbc", help="construct a generating vector")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -245,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wce", help="squared worst-case error")
     _add_rule_flags(p)
-    p.add_argument("--space", choices=_SPACES, required=True)
+    p.add_argument("--space", choices=(*_RULE_ROUTES, "double-sum"), required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--gamma", default="1")
     p.add_argument("--family", choices=FAMILIES, help="kernel for --space double-sum")
@@ -255,7 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="node variant when double-sum reads a vector file")
     p.add_argument("--threads", type=int, default=os.cpu_count(),
                    help="worker threads for the double sum (result is identical)")
-    _add_policy_flags(p)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="per-factor truncation tolerance of the double-sum series")
+    p.add_argument("--max-terms", type=int, default=2_000_000,
+                   help="term cap of the double-sum series")
     p.set_defaults(func=cmd_wce)
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")
@@ -288,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit code.  argparse exits with 2
+    on a usage error and with 0 after --help; main maps them to 1 and 0."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

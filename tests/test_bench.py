@@ -63,6 +63,11 @@ def test_test_function_validation():
         Integrand("g", 0, 0.5)
     with pytest.raises(ValueError):
         Integrand("g", 2, 0.0)
+    # a non-integer dimension is refused here, not when the integrand is called
+    for s in (2.5, 2.0):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Integrand("g", s, 0.9)
+    assert type(Integrand("g", np.int64(3), 0.9).s) is int
 
 
 def test_constants_are_exact_for_every_variant():

@@ -32,8 +32,12 @@ def test_candidate_sets():
     assert candidate_set(5) == [1, 2, 3, 4]
     assert candidate_set(6) == [1, 5]
     assert candidate_set(12) == [1, 5, 7, 11]
+    for N in [*range(2, 5001), 1 << 18]:  # 4093 and 4096 inside the sweep
+        assert candidate_set(N) == [z for z in range(1, N) if math.gcd(z, N) == 1], N
     with pytest.raises(ValueError):
         candidate_set(1)
+    with pytest.raises(ValueError):
+        cbc_construct(1, 2, 1.0, (1.0, 1.0))
 
 
 @pytest.mark.parametrize("N", [4, 1021, 4093, 16384])

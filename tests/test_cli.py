@@ -229,6 +229,10 @@ def test_bound_output_line(capsys):
 def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "wce", "--space", "bogus", "--n", "4", "--g", "1")
     assert code == 1
+    # the usage lines above it wrap with the terminal width
+    assert err.splitlines()[-1] == (
+        "latquad wce: error: argument --space: invalid choice: 'bogus' (choose from "
+        "'korobov', 'cosine-tent', 'korcos-sym', 'cosine-sym', 'double-sum')")
     code, _, err = run_cli(
         capsys, "wce", "--space", "korobov", "--n", "4", "--g", "1,3", "--gamma", "1,2,3")
     assert code == 1
@@ -236,6 +240,16 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "wce", "--space", "korobov")
     assert code == 1
     assert "rule is required" in err
+
+
+@pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "nan"), ("--max-terms", "0")])
+@pytest.mark.parametrize("space", ["korobov", "cosine-tent", "korcos-sym", "cosine-sym"])
+def test_bad_truncation_policy_exits_one_on_rule_spaces(capsys, space, flag):
+    # the rule routes sum no series, yet --tol and --max-terms are checked
+    code, stdout, err = run_cli(capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", *flag)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("latquad: ") and "Traceback" not in err
 
 
 _WEIGHT_ROUTES = {
