@@ -63,6 +63,8 @@ def _fmt(x: float) -> str:
 
 def parse_gammas(text: str, s: int) -> tuple[float, ...]:
     """Weight grammar: a constant, 'c/j^p' for decaying weights, or a comma list."""
+    if s < 1:
+        raise ValueError("dimension must be at least 1")
     text = text.strip()
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
@@ -87,6 +89,8 @@ def _rule_from_args(args) -> LatticeRule:
 
 
 def _read_points_file(path: str, s: int) -> WeightedPointSet:
+    if s < 1:
+        raise ValueError("dimension must be at least 1")
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for ln, line in enumerate(fh, start=1):

@@ -142,21 +142,20 @@ def symmetrized_node_count(N: int, s: int) -> int:
     return (1 << (s - 1)) * N + 1
 
 
-def _gray_flip_order(s: int):
-    """Coordinate flipped at each Gray-code step, visiting all 2^s sign masks."""
-    for m in range(1, 1 << s):
-        yield (m & -m).bit_length() - 1
-
-
 def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     """All coordinate reflections x_j -> 1 - x_j of the lattice nodes.
 
+    Reflection m = 0..2^s-1 flips the coordinates whose bits are set in its
+    Gray code m ^ (m >> 1).  One (2^s, s) flip mask, broadcast against the
+    node numerators, lays out every reflection of every expanded node,
+    node-major with reflections in Gray-code order; both modes share it.
+
     With ``dedupe=False`` the full multiset of 2^s * N terms is returned, each
-    with weight 1/(2^s N), ordered node-major with reflections in Gray-code
-    order.  With ``dedupe=True`` duplicate nodes are merged (weights summed) and
-    only shifts 0 <= k <= N/2 are expanded: the node sets generated by k and
-    N - k coincide, so the upper half contributes a multiplicity factor of 2.
-    Deduplicated nodes come out sorted lexicographically.
+    with weight 1/(2^s N), in that order.  With ``dedupe=True`` duplicate nodes
+    are merged (weights summed) and only shifts 0 <= k <= N/2 are expanded:
+    the node sets generated by k and N - k coincide, so the upper half
+    contributes a multiplicity factor of 2.  Deduplicated nodes come out
+    sorted lexicographically.
     """
     N, s = rule.N, rule.s
     count = N // 2 + 1 if dedupe else N
@@ -164,29 +163,19 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     if rows > _SYM_ROW_CAP:
         raise ValueError(f"symmetrization would materialize {rows} rows (cap {_SYM_ROW_CAP})")
 
-    cur = _numerators(rule, count)
-    blocks = [cur.copy()]
-    for j in _gray_flip_order(s):
-        cur[:, j] = N - cur[:, j]
-        blocks.append(cur.copy())
-
+    m = np.arange(1 << s)
+    flip = ((m ^ (m >> 1))[:, None] >> np.arange(s) & 1).astype(bool)
+    base = _numerators(rule, count)[:, None, :]
+    nums = np.where(flip, N - base, base).reshape(rows, s)
     if not dedupe:
-        nums = np.stack(blocks, axis=1).reshape(-1, s)
-        pts = nums / float(N)
-        w = np.full(len(nums), 1.0 / (N << s))
-        return WeightedPointSet(pts, w)
+        return WeightedPointSet(nums / float(N), np.full(rows, 1.0 / (N << s)))
 
     # shifts k and N-k generate identical reflection orbits
-    mult = np.full(count, 2.0)
-    mult[0] = 1.0
-    if N % 2 == 0:
-        mult[-1] = 1.0
-    nums = np.vstack(blocks)
-    mult = np.tile(mult, 1 << s)
-
+    k = np.arange(count)
+    mult = np.where((k == 0) | (2 * k == N), 1.0, 2.0).repeat(1 << s)
     order = np.lexsort(nums.T[::-1])
     nums = nums[order]
-    first = np.empty(len(nums), dtype=bool)
+    first = np.empty(rows, dtype=bool)
     first[0] = True
     np.any(nums[1:] != nums[:-1], axis=1, out=first[1:])
     starts = np.flatnonzero(first)

@@ -97,9 +97,10 @@ def wce_double_sum(
 ) -> WceResult:
     """e^2 by the full weighted double sum of kernel values.
 
-    Capped at MAX_DOUBLE_SUM_NODES nodes.  Processed in fixed row blocks with
-    a fixed-order compensated reduction, so the result is identical whether or
-    not a thread pool is used.  The reported tail bound sums, per coordinate,
+    Capped at MAX_DOUBLE_SUM_NODES nodes.  ``threads`` is None (serial) or at
+    least 1.  Processed in fixed row blocks with a fixed-order compensated
+    reduction, so the result is identical whether or not a thread pool is
+    used.  The reported tail bound sums, per coordinate,
     the factor truncation bound times the largest magnitudes of the remaining
     factors over all node pairs.
 
@@ -126,6 +127,8 @@ def wce_double_sum(
         raise ValueError(f"point set dimension {s} does not match spec dimension {spec.s}")
     if M > MAX_DOUBLE_SUM_NODES:
         raise ValueError(f"double sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {M}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
     blocks = [(i, min(i + _ROW_BLOCK, M)) for i in range(0, M, _ROW_BLOCK)]
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]

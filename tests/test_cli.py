@@ -302,6 +302,34 @@ def test_points_file_errors_exit_one(tmp_path, capsys, text, message):
     assert err == f"latquad: {message}\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_thread_count_below_one_exits_one(capsys, threads):
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov",
+        "--n", "5", "--g", "1,2", "--threads", threads)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: threads must be at least 1, got {threads}\n"
+
+
+@pytest.mark.parametrize("s", ["0", "-1"])
+@pytest.mark.parametrize("route", ["bound", "points-file", "cbc", "converge"])
+def test_dimension_below_one_exits_one(tmp_path, capsys, route, s):
+    pts = tmp_path / "nodes.txt"
+    pts.write_text("0.1 0.2\n")
+    argv = {
+        "bound": ("bound", "--alpha", "1"),
+        "points-file": ("wce", "--space", "double-sum", "--family", "korobov",
+                        "--points-file", str(pts)),
+        "cbc": ("cbc", "--n", "5"),
+        "converge": ("converge", "--family", "g", "--w", "0.9", "--nmin", "3", "--nmax", "4"),
+    }[route]
+    code, stdout, err = run_cli(capsys, *argv, "--s", s)
+    assert code == 1
+    assert stdout == ""
+    assert err == "latquad: dimension must be at least 1\n"
+
+
 _ALPHA_ROUTES = {
     space: ("wce", "--space", space, "--n", "5", "--g", "1,2")
     for space in ("korobov", "cosine-tent", "korcos-sym", "cosine-sym")

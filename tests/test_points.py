@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from latquad import points
 from latquad.points import (
     LatticeRule,
     WeightedPointSet,
@@ -108,7 +109,8 @@ def _reflection_multiset(rule):
 
 
 @pytest.mark.parametrize(
-    "N,g", [(2, (1,)), (5, (1, 2)), (6, (1, 5)), (7, (2, 3, 6)), (8, (1, 3, 5)), (4, (1, 2))]
+    "N,g", [(2, (1,)), (5, (1, 2)), (6, (1, 5)), (7, (2, 3, 6)), (8, (1, 3, 5)), (4, (1, 2)),
+            (10, (5, 4)), (12, (2, 3, 8)), (9, (3, 6, 1)), (16, (4, 8, 12, 1))]
 )
 def test_symmetrize_matches_reflection_multiset(N, g):
     rule = LatticeRule(N, g)
@@ -120,15 +122,48 @@ def test_symmetrize_matches_reflection_multiset(N, g):
     total = N << rule.s
     for row, w in zip(nums, ps.weights):
         assert acc[tuple(row)] / total == pytest.approx(w, abs=1e-15)
+    # the deduped set is the full multiset's distinct rows, sorted, to the bit
+    rows, counts = np.unique(symmetrize(rule, dedupe=False).points, axis=0, return_counts=True)
+    assert ps.points.tobytes() == rows.tobytes()
+    assert ps.weights.tobytes() == (counts / float(total)).tobytes()
+
+
+def _gray_walk(rule):
+    """Numerator rows node by node, each node's reflections visited by a Gray
+    walk that flips one coordinate per step, starting from the node itself."""
+    out = []
+    for n in range(rule.N):
+        cur = [(n * gj) % rule.N for gj in rule.g]
+        out.append(list(cur))
+        for m in range(1, 1 << rule.s):
+            j = (m & -m).bit_length() - 1
+            cur[j] = rule.N - cur[j]
+            out.append(list(cur))
+    return out
 
 
 def test_symmetrize_no_dedupe_is_the_full_multiset():
-    rule = LatticeRule(5, (1, 2))
-    ps = symmetrize(rule, dedupe=False)
-    assert len(ps) == 5 * 4
-    assert np.allclose(ps.weights, 1 / 20)
-    seen = Counter(tuple(row) for row in np.rint(ps.points * 5).astype(int))
-    assert seen == _reflection_multiset(rule)
+    for rule in (LatticeRule(5, (1, 2)), LatticeRule(6, (2, 3, 4)),
+                 LatticeRule(7, (1, 3, 2, 6)), LatticeRule(2, (1,))):
+        N = rule.N
+        ps = symmetrize(rule, dedupe=False)
+        assert len(ps) == N << rule.s
+        assert np.all(ps.weights == 1 / (N << rule.s))
+        nums = np.rint(ps.points * N).astype(int)
+        assert np.array_equal(ps.points, nums / float(N))
+        assert Counter(map(tuple, nums.tolist())) == _reflection_multiset(rule)
+        # node-major, reflections in Gray-code order
+        assert nums.tolist() == _gray_walk(rule), N
+
+
+@pytest.mark.parametrize("N,dedupe", [(2**21, True), (2**20 + 1, False)])
+def test_symmetrize_refuses_the_first_size_above_the_row_cap(monkeypatch, N, dedupe):
+    def no_work(*args):
+        raise AssertionError("numerators built before the cap check")
+
+    monkeypatch.setattr(points, "_numerators", no_work)
+    with pytest.raises(ValueError, match=r"materialize 33554464 rows \(cap 33554432\)"):
+        symmetrize(LatticeRule(N, (1,) * 5), dedupe=dedupe)
 
 
 def _coprime_vector(N, s):

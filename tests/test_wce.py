@@ -560,6 +560,10 @@ def test_double_sum_is_thread_count_invariant():
         b = wce_double_sum(spec, ps, POL, threads=4)
         assert a.e2 == b.e2, len(ps)
         assert a.tail_bound == b.tail_bound, len(ps)
+        assert wce_double_sum(spec, ps, POL, threads=None) == a
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                wce_double_sum(spec, ps, POL, threads=bad)
 
 
 def _direct_double_sum(spec, ps, policy):
