@@ -174,7 +174,13 @@ def bernoulli_poly(tau: int, x):
         coeffs = _BERNOULLI_COEFFS[int(tau)]
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"degree must be an integer in 1..6, got {tau}") from None
-    return np.polyval(coeffs, x)
+    # Horner in place, in np.polyval's order, so the values keep its bits
+    x = np.asarray(x, dtype=np.float64)
+    y = np.full(x.shape, coeffs[0])
+    for c in coeffs[1:]:
+        y *= x
+        y += c
+    return y[()]
 
 
 # B_2, B_4, ..., B_16 for the Euler-Maclaurin correction terms.
@@ -245,7 +251,9 @@ def korobov_omega(alpha: int, x):
     """
     a = _require_closed_alpha(alpha)
     scale = (-1.0) ** (a + 1) * (2.0 * math.pi) ** (2 * a) / math.factorial(2 * a)
-    return scale * bernoulli_poly(2 * a, x)
+    val = bernoulli_poly(2 * a, x)
+    val *= scale
+    return val
 
 
 def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
@@ -336,11 +344,18 @@ def _cos_partial_sum(theta, alpha: float, kmax: int):
 def _sobolev_factor(alpha: float, gamma: float, x, y):
     a = _require_closed_alpha(alpha)
     val = np.ones(np.broadcast(x, y).shape)
+    tmp = np.empty(val.shape)
     for t in range(1, a + 1):
         # B_t(x) B_t(y) first, so the value is symmetric in x and y to the bit
-        val = val + gamma * (bernoulli_poly(t, x) * bernoulli_poly(t, y)) / math.factorial(t) ** 2
-    val = val - (-1.0) ** a * gamma * bernoulli_poly(2 * a, np.abs(x - y)) / math.factorial(2 * a)
-    return val
+        np.multiply(bernoulli_poly(t, x), bernoulli_poly(t, y), out=tmp)
+        tmp *= gamma
+        tmp /= math.factorial(t) ** 2
+        val += tmp
+    term = bernoulli_poly(2 * a, np.abs(np.subtract(x, y, out=tmp), out=tmp))
+    term *= (-1.0) ** a * gamma
+    term /= math.factorial(2 * a)
+    val -= term
+    return val[()]
 
 
 def kernel_factor(
@@ -376,8 +391,13 @@ def kernel_factor(
 
         def c(theta):
             # omega is even, so this is exact and c(-theta) has c(theta)'s bits
-            t = np.mod(0.5 * np.abs(theta), 1.0)
-            return 0.5 * korobov_omega(a, np.minimum(t, 1.0 - t))
+            np.abs(theta, out=theta)
+            theta *= 0.5
+            theta %= 1.0
+            np.minimum(theta, 1.0 - theta, out=theta)
+            val = korobov_omega(a, theta)
+            val *= 0.5
+            return val
 
         tail = 0.0
     else:
@@ -389,12 +409,39 @@ def kernel_factor(
         # every family weighs its c terms by 2 gamma in total
         tail = 2.0 * series_tail_bound(alpha, gamma, kmax)
 
+    shape = np.broadcast(x, y).shape
+
+    def kor_part():
+        """c(2 (x - y))."""
+        theta = np.subtract(x, y, out=np.empty(shape))
+        theta *= 2.0
+        return c(theta)
+
+    def cos_part():
+        """c(x - y) + c(x + y)."""
+        val = c(np.subtract(x, y, out=np.empty(shape)))
+        val += c(np.add(x, y, out=np.empty(shape)))
+        return val
+
+    # In place, in the order of the module docstring's expressions, so every
+    # value keeps their bits; c may overwrite its fresh argument.  A closed-
+    # form call holds at most three tables; korcos builds its cosine part
+    # first to stay there.
     if family == "korobov":
-        return 1.0 + 2.0 * gamma * c(2.0 * (x - y)), tail
-    cos = c(x - y) + c(x + y)
-    if family == "cosine":
-        return 1.0 + gamma * cos, tail
-    return 1.0 + gamma * c(2.0 * (x - y)) + 0.5 * gamma * cos, tail
+        val = kor_part()
+        val *= 2.0 * gamma
+    elif family == "cosine":
+        val = cos_part()
+        val *= gamma
+    else:
+        cos = cos_part()
+        cos *= 0.5 * gamma
+        val = kor_part()
+        val *= gamma
+    val += 1.0
+    if family == "korcos":
+        val += cos
+    return val[()], tail
 
 
 def _product_tail(bounds, mags) -> float:

@@ -98,9 +98,12 @@ def wce_double_sum(
     """e^2 by the full weighted double sum of kernel values.
 
     Capped at MAX_DOUBLE_SUM_NODES nodes.  ``threads`` is None (serial) or at
-    least 1.  Processed in fixed row blocks with a fixed-order compensated
-    reduction, so the result is identical whether or not a thread pool is
-    used.  The reported tail bound sums, per coordinate,
+    least 1.  Each row of the product is reduced on its own, r_i = sum_k
+    prod[i, k] w_k by numpy's einsum (no BLAS), whose result for one row does
+    not depend on how many rows are reduced together; math.fsum then sums
+    the M values w_i r_i, correctly rounded.  So e2 has the same bits for any
+    row block, tile, thread count or BLAS library.  The reported tail bound
+    sums, per coordinate,
     the factor truncation bound times the largest magnitudes of the remaining
     factors over all node pairs.
 
@@ -137,11 +140,10 @@ def wce_double_sum(
         i0, i1 = block
         maxv = np.empty(s)
         bnds = np.empty(s)
-        # prod stays C-contiguous, as the direct evaluation was: a Fortran-
-        # ordered block sends prod @ w down another BLAS path and moves the
-        # last bits of e2.  The matvec stays per block, not per tile, because
-        # BLAS row results depend on the row count.
+        # prod stays C-contiguous, as the direct evaluation is, so each row
+        # reaches einsum's contiguous inner loop in both
         prod = np.empty((i1 - i0, M))
+        rows = np.empty(i1 - i0)
         t = max(1, _TILE // M)
         work = np.empty((min(t, i1 - i0), M))
         for j, (cu, cinv) in enumerate(cols):
@@ -159,8 +161,11 @@ def wce_double_sum(
                 np.take(table[rinv[r0:r0 + t]], cinv, axis=1, out=v, mode="clip")
                 if j:
                     np.multiply(p, v, out=p)
+                if j == s - 1:
+                    # the tile's products are final: reduce them while cached
+                    np.einsum("ij,j->i", p, w, out=rows[r0:r0 + t])
             del table  # one table alive at a time
-        return float(w[i0:i1] @ (prod @ w)), maxv, bnds
+        return w[i0:i1] * rows, maxv, bnds
 
     if threads is not None and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -168,7 +173,7 @@ def wce_double_sum(
     else:
         results = [run_block(b) for b in blocks]
 
-    e2 = math.fsum(q for q, _, _ in results) - 1.0
+    e2 = math.fsum(memoryview(np.concatenate([r for r, _, _ in results]))) - 1.0
     maxv = np.max(np.stack([mv for _, mv, _ in results]), axis=0)
     bnds = results[0][2]
     return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))

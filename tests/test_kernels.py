@@ -4,6 +4,7 @@ The truncated cosine-series oracles are built here from plain numpy, apart
 from the library's kernel code.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ def test_bernoulli_spot_values():
     assert bernoulli_poly(4, 0.0) == pytest.approx(-1.0 / 30.0, rel=1e-15)
     assert bernoulli_poly(4, 0.5) == pytest.approx(7.0 / 240.0, rel=1e-14)
     assert bernoulli_poly(6, 0.0) == pytest.approx(1.0 / 42.0, rel=1e-15)
+
+
+def test_bernoulli_poly_keeps_polyval_bits():
+    # the in-place Horner steps are np.polyval's, in its order
+    xs = (0.3, 1, np.linspace(0.0, 1.0, 257), np.random.default_rng(4).random((6, 7)))
+    for tau, coeffs in _BERNOULLI_COEFFS.items():
+        for x in xs:
+            got, want = bernoulli_poly(tau, x), np.polyval(coeffs, x)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want), (tau, x)
 
 
 def test_bernoulli_zero_mean():
@@ -319,6 +330,31 @@ def test_kernel_factor_is_symmetric_to_the_bit(fam, alpha):
     grid = np.linspace(0.0, 1.0, 203)
     v, _ = kernel_factor(fam, alpha, 0.7, grid[:, None], grid[None, :])
     assert np.array_equal(v, v.T)
+
+
+@pytest.mark.parametrize("fam,alpha", [("sobolev", 1), ("sobolev", 3), ("korobov", 1),
+                                       ("korobov", 2), ("cosine", 2), ("korcos", 3)])
+def test_kernel_factor_peak_memory_is_three_tables(fam, alpha):
+    """Traced peak of one closed-form 512 x 2040 call over distinct values.
+
+    The steps run in place, so a call holds at most three tables of
+    512 * 2040 * 8 bytes: the value being built, the fresh argument that c
+    overwrites, and one more (1 - theta or the Horner result inside c, the
+    sobolev scratch table, or the cosine part while korcos builds its
+    korobov part).  Slack 64 KiB: the sobolev Bernoulli column and row,
+    512 + 2040 words, and small arrays.  An expression chain that keeps its
+    temporaries, as np.polyval and `1.0 + gamma * c(...)` do, holds 4 to 6.
+    """
+    rng = np.random.default_rng(6)
+    x, y = rng.random(512)[:, None], rng.random(2040)[None, :]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel_factor(fam, alpha, 0.7, x, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 512 * 2040 * 8 + (64 << 10), peak / (512 * 2040 * 8)
 
 
 def test_kernel_factor_symmetry_and_validation():

@@ -10,11 +10,13 @@ strictly below the closed form.
 """
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from latquad import wce
+from latquad.cbc import cbc_construct
 from latquad.kernels import (
     _TABLE_CAP,
     SpaceSpec,
@@ -566,23 +568,28 @@ def test_double_sum_is_thread_count_invariant():
                 wce_double_sum(spec, ps, POL, threads=bad)
 
 
-def _direct_double_sum(spec, ps, policy):
-    """Every kernel factor evaluated at every node pair, in wce_double_sum's
-    row blocks, product order and reductions: (e2, tail_bound)."""
-    X, w = ps.points, ps.weights
+def _direct_products(spec, ps, policy):
+    """Every kernel factor evaluated at every node pair, multiplied in
+    coordinate order: (the M x M products, maxv, bnds)."""
+    X = ps.points
     M, s = X.shape
-    row_sums, maxv, bnds = [], np.zeros(s), np.empty(s)
-    for i0 in range(0, M, _ROW_BLOCK):
-        prod = None
-        for j in range(s):
-            vals, bnds[j] = kernel_factor(
-                spec.family, spec.alpha, spec.gammas[j],
-                X[i0:i0 + _ROW_BLOCK, j][:, None], X[None, :, j], policy,
-            )
-            maxv[j] = max(maxv[j], float(np.abs(vals).max()))
-            prod = vals if prod is None else prod * vals
-        row_sums.append(float(w[i0:i0 + _ROW_BLOCK] @ (prod @ w)))
-    return math.fsum(row_sums) - 1.0, _product_tail(bnds, maxv + bnds)
+    prod, maxv, bnds = 1.0, np.empty(s), np.empty(s)
+    for j in range(s):
+        vals, bnds[j] = kernel_factor(
+            spec.family, spec.alpha, spec.gammas[j], X[:, j][:, None], X[None, :, j], policy,
+        )
+        maxv[j] = float(np.abs(vals).max())
+        prod = prod * vals
+    return prod, maxv, bnds
+
+
+def _direct_double_sum(spec, ps, policy):
+    """The full product reduced as wce_double_sum reduces it, one einsum per
+    row and one fsum over the weighted rows: (e2, tail_bound)."""
+    prod, maxv, bnds = _direct_products(spec, ps, policy)
+    w = ps.weights
+    rows = w * np.einsum("ij,j->i", prod, w)
+    return math.fsum(rows) - 1.0, _product_tail(bnds, maxv + bnds)
 
 
 def _oracle_point_sets():
@@ -621,6 +628,68 @@ def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
         assert got.tail_bound == tail, len(ps)
 
 
+def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
+    # (100, 2^12) splits rows into blocks that a BLAS matvec reduced with
+    # other bits; (7, 97) and (4096, 1) reduce one row per tile.  A series
+    # family, so the tail bound is nonzero; a coarse policy keeps it cheap.
+    pol = TruncationPolicy(tol=1e-2)
+    rule = cbc_construct(127, 4, 2, (1.0, 1 / 4, 1 / 9, 1 / 16)).rule
+    sets = _oracle_point_sets() + [symmetrize(rule)]
+    specs = [SpaceSpec("korcos", 1.5, (1.0, 0.7, 0.4, 0.3)[:ps.s]) for ps in sets]
+    refs = [wce_double_sum(spec, ps, pol) for spec, ps in zip(specs, sets)]
+    for block, tile in ((100, 1 << 12), (7, 97), (4096, 1)):
+        monkeypatch.setattr(wce, "_ROW_BLOCK", block)
+        monkeypatch.setattr(wce, "_TILE", tile)
+        for threads in (None, 1, 2, 3):
+            for spec, ps, ref in zip(specs, sets, refs):
+                got = wce_double_sum(spec, ps, pol, threads=threads)
+                assert got.e2 == ref.e2, (block, tile, threads, len(ps))
+                assert got.tail_bound == ref.tail_bound, (block, tile, threads, len(ps))
+
+
+@pytest.mark.parametrize("family,alpha", [("korobov", 2), ("korcos", 1.5), ("sobolev", 1)])
+def test_double_sum_reduction_error_is_within_its_derived_bound(family, alpha):
+    """1 + e2 against S = sum_{i,k} w_i P_ik w_k, summed exactly over the
+    same float products P_ik.
+
+    With u = 2^-53, gamma_M = M u / (1 - M u), a_i = sum_k |P_ik| w_k and
+    A = sum_i w_i a_i:
+    - einsum's row sum r^_i of r_i = sum_k P_ik w_k: whatever order or fused
+      multiply-adds it takes, each term meets at most one multiplication and
+      M - 1 additions, so |r^_i - r_i| <= gamma_M a_i, and |r^_i| <=
+      (1 + gamma_M) a_i;
+    - q_i = fl(w_i r^_i) adds one rounding, u w_i |r^_i|; with the above,
+      |sum_i q_i - S| <= E A, E = gamma_M + u (1 + gamma_M);
+    - math.fsum rounds sum_i q_i correctly: at most u |sum_i q_i| <=
+      u (|S| + E A);
+    - e2 = fl(F - 1) for the sum F: at most u |F - 1| <= u |e2| / (1 - u).
+    So |e2 + 1 - S| <= E A + u (|S| + E A) + u |e2| / (1 - u).
+    """
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 1.5, size=80)
+    sets = [
+        lattice_points(LatticeRule(61, (1, 17, 23))),
+        tent_transform(lattice_points(LatticeRule(64, (1, 27, 15)))),
+        WeightedPointSet(rng.random((80, 3)), w / math.fsum(w)),
+    ]
+    u = Fraction(1, 1 << 53)
+    for ps in sets:
+        spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4))
+        e2 = wce_double_sum(spec, ps, POL).e2
+        prod, _, _ = _direct_products(spec, ps, POL)
+        M = len(ps)
+        wf = [Fraction(x) for x in ps.weights]
+        S = A = Fraction(0)
+        for i in range(M):
+            terms = [Fraction(p) * wk for p, wk in zip(prod[i].tolist(), wf)]
+            S += wf[i] * sum(terms)
+            A += wf[i] * sum(abs(t) for t in terms)
+        gamma_M = M * u / (1 - M * u)
+        E = gamma_M + u * (1 + gamma_M)
+        bound = E * A + u * (abs(S) + E * A) + u * abs(Fraction(e2)) / (1 - u)
+        assert abs(Fraction(e2) + 1 - S) <= bound, (M, float(bound))
+
+
 def _traced_peak(fn):
     """Traced peak of fn() in bytes above what was traced when it started."""
     was_tracing = tracemalloc.is_tracing()
@@ -652,8 +721,9 @@ def test_double_sum_peak_memory_is_one_block_buffer_one_table_and_two_tiles(node
         max(traced peak of the kernel_factor call building the table,
             2 * table bytes)        the table and its absolute values,
       + 1 MiB slack                 np.unique values and inverses of the set
-                                    and of one block, 2 s (M + 512) words =
-                                    0.12 MiB, and small arrays.
+                                    and of one block, 2 s (M + 512) words,
+                                    the row sums, 2 (M + 512) words, 0.16 MiB
+                                    together, and small arrays.
     The symmetrized set (N = 509) has at most 510 distinct values per
     coordinate; the random set has 2040, so each of its tables is
     block-by-M.  Keeping every coordinate's table alive, or allocating a
