@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -115,11 +116,15 @@ def _read_points_file(path: str, s: int) -> WeightedPointSet:
 
 
 def _write_points(ps: WeightedPointSet, dest, with_weights: bool) -> None:
-    # One "%.17g" template per row over Python floats writes the bytes _fmt
-    # writes per value, without formatting each np.float64 on its own.
+    # A lattice, tent or sym set of an N-point rule draws every coordinate
+    # from about N + 1 values, so format each distinct value once and gather
+    # the text.  Keying on the bits keeps -0.0 and 0.0 apart; "%.17g" of a
+    # Python float writes the bytes _fmt writes.
     rows = np.column_stack((ps.points, ps.weights)) if with_weights else ps.points
-    row_fmt = " ".join(["%.17g"] * rows.shape[1])
-    dest.write("\n".join([row_fmt % tuple(r) for r in rows.tolist()]) + "\n")
+    keys, inv = np.unique(rows.view(np.uint64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
+    tokens = text[inv.reshape(rows.shape)]
+    dest.write("\n".join(map(" ".join, tokens.tolist())) + "\n")
 
 
 @contextlib.contextmanager
@@ -203,13 +208,29 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _usable_cores() -> int | None:
+    """Cores this process may run on: its affinity set where the platform
+    has one, else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vector-file", help="two-line generating-vector file")
     p.add_argument("--n", type=int, help="modulus (alternative to --vector-file)")
     p.add_argument("--g", help="comma-separated generating vector components")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared by every later one.
+
+    Building it costs more than most subcommands (argparse makes a help
+    formatter per argument); parsing leaves it unchanged and returns a fresh
+    namespace, and help text reads the terminal width when it is printed.
+    Callers parse with it and never modify it.
+    """
     top = argparse.ArgumentParser(prog="latquad", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -239,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="dimension of the points file")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="node variant when double-sum reads a vector file")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
+    p.add_argument("--threads", type=int, default=_usable_cores(),
                    help="worker threads for the double sum (result is identical)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="per-factor truncation tolerance of the double-sum series")

@@ -1,16 +1,20 @@
 """End-to-end command-line checks, run in process through ``main``."""
 import math
+import os
 
 import numpy as np
 import pytest
 
 from latquad.bench import TestFunction as Integrand
 from latquad.bench import converge_study, integrate, records_to_csv
-from latquad.cli import main, parse_gammas
+from latquad.cbc import cbc_construct
+from latquad.cli import _fmt, _read_points_file, _write_points, build_parser, main, parse_gammas
 from latquad.kernels import SpaceSpec, TruncationPolicy
 from latquad.points import (
     LatticeRule,
+    WeightedPointSet,
     lattice_points,
+    node_set,
     read_vector_file,
     symmetrize,
     write_vector_file,
@@ -122,6 +126,103 @@ def test_points_no_dedupe_row_count(capsys):
     assert weights == pytest.approx([1.0 / 12.0] * 12)
 
 
+def _reference_text(ps, with_weights):
+    # _fmt on every value, one row per line
+    rows = np.column_stack((ps.points, ps.weights)) if with_weights else ps.points
+    return "".join(" ".join(_fmt(v) for v in row) + "\n" for row in rows.tolist())
+
+
+def _assert_same_bits(read, ps):
+    np.testing.assert_array_equal(read.points.view(np.uint64), ps.points.view(np.uint64))
+    np.testing.assert_array_equal(read.weights.view(np.uint64), ps.weights.view(np.uint64))
+
+
+_WRITER_RULES = [(4093, 3, ("plain",)), (127, 4, ("plain", "tent", "sym")),
+                 (64, 3, ("plain", "tent", "sym")), (61, 5, ("tent", "sym")), (5, 1, ("sym",))]
+
+
+@pytest.mark.parametrize("N,s,variants", _WRITER_RULES)
+def test_points_bytes_are_fmt_per_value_and_read_back_bit_for_bit(tmp_path, capsys, N, s, variants):
+    gammas = tuple(1.0 / j**2 for j in range(1, s + 1))
+    rule = cbc_construct(N, s, 1.0, gammas).rule
+    g = ",".join(map(str, rule.g))
+    for variant in variants:
+        for dedupe in (True, False) if variant == "sym" else (True,):
+            path = tmp_path / f"{variant}-{dedupe}.txt"
+            argv = ["points", "--n", str(N), "--g", g, "--variant", variant, "-o", str(path)]
+            code, _, _ = run_cli(capsys, *argv, *([] if dedupe else ["--no-dedupe"]))
+            assert code == 0
+            ps = node_set(rule, variant, dedupe=dedupe)
+            assert path.read_text() == _reference_text(ps, with_weights=variant == "sym")
+            _assert_same_bits(_read_points_file(str(path), s), ps)
+
+
+def test_write_points_keeps_signed_zero_subnormal_and_last_ulp(tmp_path):
+    tiny, top = 5e-324, 1.0 - 2.0**-53
+    ps = WeightedPointSet(
+        np.array([[0.0, -0.0], [tiny, top], [-0.0, 0.0], [top, tiny], [0.0, 0.0]]),
+        np.array([0.5, 0.125, 0.125, 0.125, 0.125]))
+    path = tmp_path / "nodes.txt"
+    with open(path, "w", encoding="ascii") as fh:
+        _write_points(ps, fh, with_weights=True)
+    text = path.read_text()
+    assert text == _reference_text(ps, with_weights=True)
+    assert text.splitlines()[:3] == [
+        "0 -0 0.5", "4.9406564584124654e-324 0.99999999999999989 0.125", "-0 0 0.125"]
+    _assert_same_bits(_read_points_file(str(path), 2), ps)
+
+
+def test_threads_default_is_the_usable_core_count():
+    args = build_parser().parse_args(["wce", "--space", "double-sum", "--n", "5", "--g", "1,2"])
+    if hasattr(os, "sched_getaffinity"):
+        assert args.threads == len(os.sched_getaffinity(0))
+    else:
+        assert args.threads == os.cpu_count()
+
+
+def _alone(capsys, argv):
+    # the call on a freshly built parser, as the first call of a process
+    build_parser.cache_clear()
+    return run_cli(capsys, *argv)
+
+
+def test_parser_is_built_once_per_process():
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    pts = tmp_path / "nodes.txt"
+    pts.write_text("0 0\n0.5 0.25\n0.25 0.75\n")
+    sequences = [
+        [("points", "--n", "5", "--g", "1,2", "--variant", "sym", "--no-dedupe"),
+         ("points", "--n", "5", "--g", "1,2", "--variant", "sym")],
+        [("wce", "--space", "double-sum", "--family", "korobov", "--points-file", str(pts),
+          "--s", "2"),
+         ("wce", "--space", "korobov", "--n", "5", "--g", "1,2")],
+        [("wce", "--space", "bogus", "--n", "4", "--g", "1"),
+         ("bound", "--alpha", "1", "--s", "2")],
+    ]
+    for seq in sequences:
+        alone = [_alone(capsys, argv) for argv in seq]
+        build_parser.cache_clear()
+        together = [run_cli(capsys, *argv) for argv in seq]
+        assert together == alone, seq
+    assert alone[0][0] == 1 and "invalid choice" in alone[0][2]
+
+
+def test_help_is_stable_and_follows_the_terminal_width(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "60")
+    first = _alone(capsys, ["--help"])
+    assert first[0] == 0 and first[1].startswith("usage: latquad")
+    assert run_cli(capsys, "--help") == first
+    monkeypatch.setenv("COLUMNS", "140")
+    wide = run_cli(capsys, "--help")
+    assert wide != first
+    assert wide == _alone(capsys, ["--help"])
+    assert max(map(len, first[1].splitlines())) <= 60 < max(map(len, wide[1].splitlines()))
+
+
 def test_wce_korobov_output_line(capsys):
     code, stdout, _ = run_cli(
         capsys, "wce", "--space", "korobov", "--n", "2", "--g", "1",
@@ -154,10 +255,13 @@ def test_wce_double_sum_points_file_round_trip(tmp_path, capsys):
         capsys, "wce", "--space", "double-sum", "--family", "korobov",
         "--points-file", str(pts), "--s", "2", "--alpha", "1", "--gamma", "1")
     assert code == 0
-    e2 = float(stdout.split()[0].split("=")[1])
-    spec = SpaceSpec("korobov", 1.0, (1.0, 1.0))
-    ref = wce_double_sum(spec, symmetrize(LatticeRule(4, (1, 3))), TruncationPolicy())
-    assert e2 == pytest.approx(ref.e2, rel=1e-12)
+    # the file holds the node set to the bit, so the sum over it is the
+    # sum over the set built from the rule, digit for digit
+    code, direct, _ = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov",
+        "--n", "4", "--g", "1,3", "--variant", "sym", "--alpha", "1", "--gamma", "1")
+    assert code == 0
+    assert stdout == direct and stdout.startswith("e2=")
 
 
 def test_wce_double_sum_variant_from_rule(capsys):
