@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import re
 import sys
@@ -208,29 +207,13 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _usable_cores() -> int | None:
-    """Cores this process may run on: its affinity set where the platform
-    has one, else every CPU of the host."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def _add_rule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vector-file", help="two-line generating-vector file")
     p.add_argument("--n", type=int, help="modulus (alternative to --vector-file)")
     p.add_argument("--g", help="comma-separated generating vector components")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on the first call and shared by every later one.
-
-    Building it costs more than most subcommands (argparse makes a help
-    formatter per argument); parsing leaves it unchanged and returns a fresh
-    namespace, and help text reads the terminal width when it is printed.
-    Callers parse with it and never modify it.
-    """
     top = argparse.ArgumentParser(prog="latquad", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -260,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="dimension of the points file")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="node variant when double-sum reads a vector file")
-    p.add_argument("--threads", type=int, default=_usable_cores(),
+    # the cores this process may run on, not every CPU of the host
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    p.add_argument("--threads", type=int, default=cores,
                    help="worker threads for the double sum (result is identical)")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="per-factor truncation tolerance of the double-sum series")
