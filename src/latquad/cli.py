@@ -19,6 +19,7 @@ import numpy as np
 from .bench import TestFunction, converge_study, integrate, records_to_csv
 from .cbc import cbc_construct
 from .kernels import (
+    DEFAULT_POLICY,
     FAMILIES,
     SpaceSpec,
     TruncationBudgetError,
@@ -81,7 +82,8 @@ def parse_gammas(text: str, s: int) -> tuple[float, ...]:
 
 def _rule_from_args(args) -> LatticeRule:
     if args.vector_file:
-        return read_vector_file(args.vector_file)
+        with open(args.vector_file, "r", encoding="ascii") as fh:
+            return read_vector_file(fh)
     if args.n is not None and args.g:
         g = tuple(int(v) for v in args.g.split(","))
         return LatticeRule(args.n, g)
@@ -247,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--threads", type=int, default=cores,
                    help="worker threads for the double sum (result is identical)")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol,
                    help="per-factor truncation tolerance of the double-sum series")
-    p.add_argument("--max-terms", type=int, default=2_000_000,
+    p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
                    help="term cap of the double-sum series")
     p.set_defaults(func=cmd_wce)
 

@@ -36,6 +36,7 @@ in magnitude).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -169,10 +170,10 @@ _BERNOULLI_COEFFS = {
 
 
 def bernoulli_poly(tau: int, x):
-    """Bernoulli polynomial B_tau on [0,1], tau in 1..6; vectorized in x."""
+    """Bernoulli polynomial B_tau on [0,1], tau in 1..6 by operator.index; vectorized in x."""
     try:
-        coeffs = _BERNOULLI_COEFFS[int(tau)]
-    except (KeyError, TypeError, ValueError):
+        coeffs = _BERNOULLI_COEFFS[operator.index(tau)]
+    except (KeyError, TypeError):
         raise ValueError(f"degree must be an integer in 1..6, got {tau}") from None
     # Horner in place, in np.polyval's order, so the values keep its bits
     x = np.asarray(x, dtype=np.float64)
@@ -303,6 +304,7 @@ def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
 def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
     """Smallest K with gamma * K^(1-2 alpha)/(2 alpha - 1) <= policy.tol."""
     alpha = _check_alpha(alpha)
+    (gamma,) = _check_gammas((gamma,))
     try:
         need = (gamma / (policy.tol * (2.0 * alpha - 1.0))) ** (1.0 / (2.0 * alpha - 1.0))
         k = max(1, math.ceil(need * (1.0 - 1e-12)))
@@ -317,6 +319,10 @@ def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
 
 def series_tail_bound(alpha: float, gamma: float, kmax: int) -> float:
     """Integral estimate gamma * K^(1-2 alpha)/(2 alpha - 1) for the dropped tail."""
+    alpha = _check_alpha(alpha)
+    (gamma,) = _check_gammas((gamma,))
+    if not kmax >= 1:
+        raise ValueError(f"kmax must be at least 1, got {kmax}")
     return gamma * float(kmax) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
 
 
@@ -444,17 +450,17 @@ def kernel_factor(
     return val[()], tail
 
 
-def _product_tail(bounds, mags) -> float:
+def _product_tail(bounds, maxima) -> float:
     """Error bound for a product of factors, factor j off by at most bounds[j].
 
-    Sums bounds[j] times the product of the other factors' magnitude caps
-    mags, each a bound on the exact factor's magnitude.  Returns a Python
-    float whether the inputs are sequences or arrays.
+    Sums bounds[j] times the other factors' magnitude caps, each computed
+    maximum maxima[j] plus bounds[j]; maxima is read only under a nonzero
+    bound.  Returns a Python float whether the inputs are sequences or arrays.
     """
     tail = 0.0
-    for j in range(len(bounds)):
-        if bounds[j]:
-            tail += bounds[j] * float(np.prod(np.delete(mags, j)))
+    for j, b in enumerate(bounds):
+        if b:
+            tail += b * float(np.prod(np.delete(np.add(maxima, bounds), j)))
     return float(tail)
 
 

@@ -136,7 +136,14 @@ def tent_transform(ps: WeightedPointSet) -> WeightedPointSet:
 
 
 def symmetrized_node_count(N: int, s: int) -> int:
-    """Distinct node count of the fully symmetrized rank-1 rule."""
+    """Distinct node count of the fully symmetrized rank-1 rule of modulus N in
+    s dimensions whose every g_j is a unit mod N.  Other components can merge
+    reflection orbits: N = 4, g = (1, 2) has 8 nodes, not 9."""
+    N, s = _integer("modulus", N), _integer("dimension", s)
+    if N < 2:
+        raise ValueError(f"modulus must be >= 2, got {N}")
+    if s < 1:
+        raise ValueError("dimension must be at least 1")
     if N % 2:
         return (1 << (s - 1)) * (N + 1)
     return (1 << (s - 1)) * N + 1
@@ -224,23 +231,13 @@ def dual_lattice(rule: LatticeRule, H: int) -> np.ndarray:
 
 
 def write_vector_file(rule: LatticeRule, dest) -> None:
-    """Write 'N s' then the generating vector, whitespace separated."""
-    text = f"{rule.N} {rule.s}\n" + " ".join(str(v) for v in rule.g) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="ascii") as fh:
-            fh.write(text)
+    """Write 'N s' then the generating vector to the text stream dest."""
+    dest.write(f"{rule.N} {rule.s}\n" + " ".join(str(v) for v in rule.g) + "\n")
 
 
 def read_vector_file(src) -> LatticeRule:
-    """Parse the two-line generating-vector format written by write_vector_file."""
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        with open(src, "r", encoding="ascii") as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse the two-line format of write_vector_file from the text stream src."""
+    lines = [ln for ln in src.read().splitlines() if ln.strip()]
     if len(lines) != 2:
         raise ValueError("vector file must have a header line and a vector line")
     head = lines[0].split()

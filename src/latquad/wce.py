@@ -103,9 +103,8 @@ def wce_double_sum(
     not depend on how many rows are reduced together; math.fsum then sums
     the M values w_i r_i, correctly rounded.  So e2 has the same bits for any
     row block, tile, thread count or BLAS library.  The reported tail bound
-    sums, per coordinate,
-    the factor truncation bound times the largest magnitudes of the remaining
-    factors over all node pairs.
+    is ``_product_tail`` of the factor truncation bounds and each factor's
+    largest magnitude over all node pairs.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values: per row block and coordinate, a table over the block's distinct
@@ -175,8 +174,7 @@ def wce_double_sum(
 
     e2 = math.fsum(memoryview(np.concatenate([r for r, _, _ in results]))) - 1.0
     maxv = np.max(np.stack([mv for _, mv, _ in results]), axis=0)
-    bnds = results[0][2]
-    return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(bnds, maxv + bnds))
+    return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(results[0][2], maxv))
 
 
 def wce_korobov_lattice(
@@ -191,11 +189,11 @@ def wce_korobov_lattice(
 
     with Omega from ``_omega_table``.  Integer alpha in 1..3: the closed
     form, tail 0, method closed-form-single-sum.  Other alpha: the aliased
-    table, off by at most its bound b per entry, with ``_rule_tail``; method
-    aliased-single-sum.  O(s N) time and O(N) memory at every alpha;
-    ValueError before any work for N above the table's cap.  ``policy`` is
-    kept for callers that pass it and is not used: the table truncates no
-    series.
+    table, off by at most b per entry, so factor j by gamma_j b, tail from
+    ``_product_tail``; method aliased-single-sum.  O(s N) time and O(N)
+    memory at every alpha; ValueError before any work for N above the
+    table's cap.  ``policy`` is kept for callers that pass it and is not
+    used: the table truncates no series.
     """
     gammas = _check_gammas(gammas, rule.s)
     om, bound = _omega_table(alpha, rule.N)
@@ -203,13 +201,12 @@ def wce_korobov_lattice(
     maxv = []
     for g_j, gamma in zip(rule.g, gammas):
         F = _factor_row(om, g_j, gamma)
-        if bound:
+        if bound:  # the tail reads maxima only under a nonzero bound
             maxv.append(float(np.abs(F).max()))
         prod *= F
-    e2 = _single_sum_e2(prod)
-    if not bound:
-        return WceResult(e2, WceMethod.CLOSED_FORM_SINGLE_SUM, 0.0)
-    return WceResult(e2, WceMethod.ALIASED_SINGLE_SUM, _rule_tail(maxv, gammas, bound))
+    tail = _product_tail(np.multiply(gammas, bound), maxv)
+    method = WceMethod.ALIASED_SINGLE_SUM if bound else WceMethod.CLOSED_FORM_SINGLE_SUM
+    return WceResult(_single_sum_e2(prod), method, tail)
 
 
 def _factor_row(om: np.ndarray, g_j: int, gamma: float) -> np.ndarray:
@@ -217,14 +214,6 @@ def _factor_row(om: np.ndarray, g_j: int, gamma: float) -> np.ndarray:
     Korobov factor on the nodes of a lattice, for this module and CBC."""
     N = len(om)
     return 1.0 + gamma * om[np.arange(N, dtype=np.int64) * g_j % N]
-
-
-def _rule_tail(maxv, gammas, bound: float) -> float:
-    """Tail of a product of factor rows F_j built from a table off by at most
-    b per entry: factor j is off by at most gamma_j b, and its magnitude is
-    capped by maxv[j] + gamma_j b, with maxv[j] = max|F_j|."""
-    bnds = np.multiply(gammas, bound)
-    return _product_tail(bnds, np.add(maxv, bnds))
 
 
 def _single_sum_e2(prod: np.ndarray) -> float:
@@ -252,7 +241,7 @@ def _fold_average_e2(
     product per depth; math.fsum reduces each leaf, then the 2^s leaf
     products, so calls are bit-identical.  O(2^s N) time, O(s N) memory;
     ValueError before any work when 2^s N exceeds _FOLD_WORK_CAP.  The tail
-    is ``_rule_tail``, as max over pairs |kbar_j| = max|F_j| (n' = 0).
+    is ``_product_tail``'s, as max over pairs |kbar_j| = max|F_j| (n' = 0).
     """
     N, s = rule.N, rule.s
     gammas = _check_gammas(gammas, s)
@@ -274,7 +263,8 @@ def _fold_average_e2(
             stack += [(j + 1, S, prod), (j + 1, S | 1 << j, prod * rows[j])]
     # S^c = (2^s - 1) - S, so P reversed lists the complements
     e2 = parts * math.fsum(memoryview((P * P[::-1]).ravel())) / (N * N) - 1.0
-    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, _rule_tail(maxv, gammas, bound))
+    tail = _product_tail(np.multiply(gammas, bound), maxv)
+    return WceResult(e2, WceMethod.FOLD_AVERAGE_DOUBLE_SUM, tail)
 
 
 def wce_cosine_tent(

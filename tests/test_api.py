@@ -81,3 +81,19 @@ def test_src_imports_are_used():
                     if name not in used | public and (module, name) not in wrapped:
                         unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def test_only_the_cli_opens_files():
+    """cli turns file arguments into text streams; every other package module
+    reads and writes only the streams it is given."""
+    opens = []
+    for path in sorted((ROOT / "src" / "latquad").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open":
+                    opens.append(f"{path.name}:{node.lineno}")
+    assert opens == []

@@ -53,7 +53,8 @@ def test_cbc_writes_vector_file(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     assert out.read_text() == "8 3\n1 3 1\n"
-    rule = read_vector_file(str(out))
+    with open(out, "r", encoding="ascii") as fh:
+        rule = read_vector_file(fh)
     assert rule.N == 8 and rule.g == (1, 3, 1)
     report = stderr.strip().splitlines()
     assert report == [

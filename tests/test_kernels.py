@@ -12,6 +12,7 @@ import pytest
 from latquad.kernels import (
     _BERNOULLI_COEFFS,
     _TABLE_CAP,
+    DEFAULT_POLICY,
     QuadratureAccuracyError,
     TruncationBudgetError,
     TruncationPolicy,
@@ -50,6 +51,13 @@ def test_bernoulli_poly_keeps_polyval_bits():
             got, want = bernoulli_poly(tau, x), np.polyval(coeffs, x)
             assert type(got) is type(want)
             assert np.array_equal(got, want), (tau, x)
+
+
+@pytest.mark.parametrize("tau", [2.5, 2.0, "2", None, 0, 7])
+def test_bernoulli_poly_refuses_non_integer_degrees(tau):
+    # 2.5 was truncated to 2, returning B_2(0.3) = -0.0433...
+    with pytest.raises(ValueError, match=f"degree must be an integer in 1..6, got {tau}"):
+        bernoulli_poly(tau, 0.3)
 
 
 def test_bernoulli_zero_mean():
@@ -180,6 +188,31 @@ def test_series_truncation_budget():
     assert series_tail_bound(2, 1.0, k2) <= 1e-6 < series_tail_bound(2, 1.0, k2 - 1)
     with pytest.raises(TruncationBudgetError):
         series_kmax(1, 1.0, TruncationPolicy(tol=1e-9, max_terms=1_000))
+
+
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, math.inf, math.nan])
+def test_series_functions_refuse_bad_weights(gamma):
+    # a negative weight made series_kmax raise TypeError from a complex power
+    # and series_tail_bound return a negative bound; inf raised the budget error
+    with pytest.raises(ValueError, match="finite and positive"):
+        series_kmax(1.5, gamma, DEFAULT_POLICY)
+    with pytest.raises(ValueError, match="finite and positive"):
+        series_tail_bound(1.5, gamma, 10)
+
+
+@pytest.mark.parametrize("alpha", [0.5, math.inf, math.nan])
+def test_series_functions_refuse_bad_smoothness(alpha):
+    # alpha = 1/2 divided by zero in series_tail_bound
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        series_kmax(alpha, 1.0, DEFAULT_POLICY)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        series_tail_bound(alpha, 1.0, 10)
+
+
+@pytest.mark.parametrize("kmax", [0, -3, math.nan])
+def test_series_tail_bound_needs_a_term(kmax):
+    with pytest.raises(ValueError, match="kmax must be at least 1"):
+        series_tail_bound(1.5, 1.0, kmax)
 
 
 def test_sobolev_factor_spot_values():

@@ -179,6 +179,21 @@ def test_node_count_formula_with_coprime_vectors():
                 assert len(symmetrize(LatticeRule(N, g))) == want, (N, s, g)
 
 
+@pytest.mark.parametrize(
+    "N,s,msg",
+    [
+        (4.5, 2, "modulus must be an integer, got 4.5"),
+        (5, 2.0, "dimension must be an integer, got 2.0"),
+        (1, 2, "modulus must be >= 2, got 1"),
+        (5, 0, "dimension must be at least 1"),
+    ],
+)
+def test_node_count_formula_refuses_bad_arguments(N, s, msg):
+    # (4.5, 2) returned 11.0; (5, 0) failed with a bare "negative shift count"
+    with pytest.raises(ValueError, match=msg):
+        symmetrized_node_count(N, s)
+
+
 def test_node_count_formula_needs_coprime_components():
     # component 2 shares a factor with N=4: two orbits collide, 8 nodes not 9
     assert len(symmetrize(LatticeRule(4, (1, 2)))) == 8
@@ -224,8 +239,10 @@ def test_dual_lattice_empty_box_and_cap():
 def test_vector_file_roundtrip(tmp_path):
     rule = LatticeRule(97, (1, 33, 71))
     path = tmp_path / "g.txt"
-    write_vector_file(rule, path)
-    assert read_vector_file(path) == rule
+    with open(path, "w", encoding="ascii") as fh:
+        write_vector_file(rule, fh)
+    with open(path, "r", encoding="ascii") as fh:
+        assert read_vector_file(fh) == rule
     buf = io.StringIO()
     write_vector_file(rule, buf)
     assert read_vector_file(io.StringIO(buf.getvalue())) == rule

@@ -374,7 +374,7 @@ def _fold_average_by_pairs(rule, alpha, gammas):
         maxv.append(float(np.abs(A[lo] + A[hi]).max()))
         bnds.append(bnd)
     e2 = math.fsum(terms.ravel().tolist()) / (N * N) - 1.0
-    return e2, float(mags.sum()) / (N * N), _product_tail(np.array(bnds), np.array(maxv) + bnds)
+    return e2, float(mags.sum()) / (N * N), _product_tail(bnds, maxv)
 
 
 def _gamma_k(k):
@@ -589,7 +589,7 @@ def _direct_double_sum(spec, ps, policy):
     prod, maxv, bnds = _direct_products(spec, ps, policy)
     w = ps.weights
     rows = w * np.einsum("ij,j->i", prod, w)
-    return math.fsum(rows) - 1.0, _product_tail(bnds, maxv + bnds)
+    return math.fsum(rows) - 1.0, _product_tail(bnds, maxv)
 
 
 def _oracle_point_sets():
