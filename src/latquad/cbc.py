@@ -12,11 +12,13 @@ the reported errors come from ``wce``'s single sum.  Omega is exactly even,
 so D(N - z) equals D(z) bit for bit and the search covers the classes
 {z, -z} through their members z <= N/2.  For prime N and N = 2^m those
 classes form a cyclic group, generated by a primitive root, or by 5 on each
-2-adic level of n, so D of all units is one cyclic correlation of half
-length that an FFT evaluates in O(N log N) (Nuyens & Cools, Math. Comp. 75,
-2006, for prime N; J. Complexity 22, 2006, for non-prime N).  That screen
-only rules units out: the few it cannot are summed directly, so the result
-equals the full direct scan bit for bit and the search costs O(s N log N).
+2-adic level of n, so D of all units is a cyclic correlation of half
+length, one per level, that FFTs evaluate in O(N log N) (Nuyens & Cools,
+Math. Comp. 75, 2006, for prime N; J. Complexity 22, 2006, for non-prime
+N); the levels' spectra are summed into one, so each coordinate takes one
+inverse transform.  That screen only rules units out: the few it cannot are
+summed directly, so the result equals the full direct scan bit for bit and
+the search costs O(s N log N).
 Other moduli take the scan of the units <= N/2, O(s N phi(N) / 2).
 """
 from __future__ import annotations
@@ -117,8 +119,9 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
         if d == 0:
             best_z = 1
         else:
-            scale = float(np.abs(prod[1:]).sum()) * om_max
-            cands = (zs if screen is None else screen.candidates(prod, scale)).tolist()
+            P = float(np.abs(prod[1:]).sum())
+            scale = P * om_max
+            cands = (zs if screen is None else screen.candidates(prod, P)).tolist()
             D = [float(np.sum(prod[1:] * om[n[1:] * z % N])) for z in cands]
             top = min(D) + TIE_RTOL * scale
             best_z = next(z for z, v in zip(cands, D) if v <= top)
@@ -172,8 +175,17 @@ class _UnitScreen:
     a primitive root r of odd prime N (L = (N - 1)/2), and 2^v 5^i mod N on
     the nodes of 2-adic valuation v for N = 2^m and M = N >> v >= 8
     (L = M/4).  There T is the cyclic correlation of the folded
-    a[i] = prod[n_i] + prod[N - n_i] with omega[n_i], one rfft and one irfft
-    of length L per level.  Node 0, the same for every unit, is left out.
+    a[i] = prod[n_i] + prod[N - n_i] with b[i] = omega[n_i], read at the
+    discrete log of z mod L.  Node 0, the same for every unit, is left out.
+
+    Every L divides the longest level's L0 by a power of two r = L0 / L.  A
+    level's correlation has period L, so its extension to length L0 has a
+    spectrum on the bins r j only, where it is r times the level's own.
+    Each level takes one rfft of length L, whose product with the stored
+    spectrum of b, scaled by r, is added into every r-th bin of one
+    length-L0 half-spectrum; one irfft of length L0 then sums all levels.
+    Prime N is the one level with r = 1.  The stored spectrum is conj(B),
+    that of b reversed, so the irfft gives the correlation at -log z.
     """
 
     def __init__(self, N: int, om: np.ndarray, zs: np.ndarray):
@@ -189,48 +201,75 @@ class _UnitScreen:
         log = np.zeros(N, dtype=np.int64)
         log[pw] = log[N - pw] = np.arange(order)
         self.const = (const, om[const])
-        self.levels = []
-        for v, L in levels:
-            nodes = (pw[:L] % (N >> v)) << v  # gen^i mod M = N >> v, times 2^v
-            b = om[nodes]
-            eta = _FFT_ETA * _U * math.log2(max(L, 2))
-            self.levels.append((nodes, log[zs] % L, np.fft.rfft(b), float(np.abs(b).sum()),
-                                float(np.sqrt(b @ b)), 2.0 * eta + 3.0 * _U))
+        Ls = np.array([L for _, L in levels], dtype=np.int64)
+        # N = 2 and 4 have no level: their T is the constant, and the
+        # spectrum one zero bin
+        self.L0 = L0 = int(Ls.max(initial=1))
+        rs = L0 // Ls
+        self.pos = -log[zs] % L0
+        # gen^i mod M = N >> v, times 2^v, level after level
+        self.nodes = np.concatenate([np.zeros(0, dtype=np.int64)]
+                                    + [(pw[:L] % (N >> v)) << v for v, L in levels])
+        self.mirror = N - self.nodes
+        self.starts = np.cumsum(Ls) - Ls
+        b = om[self.nodes]
+        self.levels = [(lo, lo + L, r, r * np.conj(np.fft.rfft(b[lo:lo + L])))
+                       for lo, L, r in zip(self.starts.tolist(), Ls.tolist(), rs.tolist())]
+        # the weights of each level's |a|_2 and |a|_1 in the bound B
+        b2 = np.sqrt(np.add.reduceat(b * b, self.starts))
+        eta = _FFT_ETA * _U * np.log2(np.maximum(Ls, 2))
+        self.w2 = (2.0 * eta + (len(Ls) + 3) * _U) * b2
+        self.w1 = _FFT_ETA * _U * math.log2(max(L0, 2)) * np.sqrt(rs) * b2
 
-    def screen(self, prod: np.ndarray) -> tuple[np.ndarray, float]:
+    def screen(self, prod: np.ndarray, P: float | None = None) -> tuple[np.ndarray, float]:
         """Screened T of every unit, ascending, and a bound B on |T - D| for
         the exact D of each unit.
 
-        With P = sum_{n >= 1} |prod[n]| and W = max_{m != 0} |omega[m]|:
-        each level's FFT correlation c of the folded a and b = omega on its
-        L nodes is taken to satisfy |c - exact| <= (2 eta + 3u)
-        (|a|_1 |b|_2 + |a|_2 |b|_1) with eta = _FFT_ETA u log2 L.  Folding
-        rounds each a[i] by u |a[i]|, which moves D by at most u P W; the
-        constant, at most 3 products, is off by 3u P W to first order; and
-        adding the levels' terms, each at most P W, to it adds at most
-        (number of levels) u P W.  B is the FFT terms plus
-        2 (levels + 3) u P W, which covers these with room for the
-        second-order terms.
+        P = sum_{n >= 1} |prod[n]|, computed when not given, and
+        W = max_{m != 0} |omega[m]|.  An FFT of length L is taken to be off
+        by at most eta_L = _FFT_ETA u log2 L times its result in 2-norm.  The
+        spectra of a level's a and b have 2-norms sqrt(L) |a|_2 and
+        sqrt(L) |b|_2, so by Cauchy-Schwarz the error of each, the stored
+        one of b included, moves the level's correlation by at most
+        eta_L |a|_2 |b|_2 per entry.  The spectral product (3u), the
+        levels - 1 additions into the shared bins, and the 1/L0 scaling of
+        the inverse add at most (levels + 3) u |a|_2 |b|_2.  The inverse of length L0 is off by
+        eta_L0 times the 2-norm of its result, the sum of the levels'
+        extended correlations, each of 2-norm at most sqrt(r) |a|_1 |b|_2 by
+        Young's inequality.  Folding rounds each a[i] by u |a[i]|, which
+        moves D by at most u P W; the constant, at most 3 products, is off
+        by 3u P W to first order, and adding it to the levels' sum, which is
+        at most P W, by u P W.  B is the sum over levels of
+        (2 eta_L + (levels + 3) u) |a|_2 |b|_2 + eta_L0 sqrt(r) |a|_1 |b|_2,
+        plus 10 u P W, which covers the direct terms twice over and leaves
+        room for the second-order terms.
         """
+        if P is None:
+            P = float(np.abs(prod[1:]).sum())
+        a = prod[self.nodes] + prod[self.mirror]
+        spec = np.zeros(self.L0 // 2 + 1, dtype=complex)
+        for lo, hi, r, fb in self.levels:
+            spec[::r] += np.fft.rfft(a[lo:hi]) * fb
         k, w = self.const
-        T = np.full(len(self.zs), float(prod[k] @ w))
-        err = 2.0 * (len(self.levels) + 3) * _U * float(np.abs(prod[1:]).sum()) * self.om_max
-        for nodes, pos, fb, b1, b2, scale in self.levels:
-            a = prod[nodes] + prod[self.N - nodes]
-            T += np.fft.irfft(np.conj(np.fft.rfft(a)) * fb, n=len(a))[pos]
-            err += scale * (float(np.abs(a).sum()) * b2 + float(np.sqrt(a @ a)) * b1)
+        T = np.fft.irfft(spec, n=self.L0)[self.pos]
+        T += float(prod[k] @ w)
+        err = (float(self.w2 @ np.sqrt(np.add.reduceat(a * a, self.starts)))
+               + float(self.w1 @ np.add.reduceat(np.abs(a), self.starts))
+               + 10.0 * _U * P * self.om_max)
         return T, err
 
-    def candidates(self, prod: np.ndarray, scale: float) -> np.ndarray:
+    def candidates(self, prod: np.ndarray, P: float) -> np.ndarray:
         """Units, ascending, that may win by the tie rule; all others cannot.
 
-        With scale = sum_{n >= 1} |prod[n]| max_{m != 0} |omega[m]|, the
-        direct D of each unit is within (N + 4) u scale of the exact D, and T
-        within B, so |T - direct D| <= E = B + (N + 4) u scale.  The direct
-        minimum then lies within E of the screened minimum lo, and every unit
-        whose direct D is within the tie window TIE_RTOL scale of the direct
-        minimum has T <= lo + 2E + TIE_RTOL scale.
+        With P = sum_{n >= 1} |prod[n]| and scale = P max_{m != 0}
+        |omega[m]|, the direct D of each unit is within (N + 4) u scale of
+        the exact D, and T within B, so |T - direct D| <= E =
+        B + (N + 4) u scale.  The direct minimum then lies within E of the
+        screened minimum lo, and every unit whose direct D is within the tie
+        window TIE_RTOL scale of the direct minimum has
+        T <= lo + 2E + TIE_RTOL scale.
         """
-        T, B = self.screen(prod)
+        scale = P * self.om_max
+        T, B = self.screen(prod, P)
         top = float(T.min()) + 2.0 * (B + (self.N + 4) * _U * scale) + TIE_RTOL * scale
         return self.zs[T <= top]

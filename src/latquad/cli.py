@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import re
 import sys
@@ -93,25 +94,35 @@ def _rule_from_args(args) -> LatticeRule:
 def _read_points_file(path: str, s: int) -> WeightedPointSet:
     if s < 1:
         raise ValueError("dimension must be at least 1")
-    rows = []
     with open(path, "r", encoding="ascii") as fh:
-        for ln, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                vals = [float(t) for t in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"line {ln}: {exc}") from None
-            if len(vals) not in (s, s + 1):
-                raise ValueError(f"line {ln}: expected {s} or {s + 1} columns, got {len(vals)}")
-            rows.append(vals)
-    if not rows:
+        # "\n", not splitlines, which also breaks at \v, \f and others:
+        # the messages number the lines of the file
+        rows = [line.split() for line in fh.read().split("\n")]
+    # A lattice, tent or sym set draws every coordinate from about N + 1
+    # values, so parse each distinct token once, as _write_points formats
+    # each value once.
+    flat = list(itertools.chain.from_iterable(rows))
+    values, bad = {}, {}
+    for tok in dict.fromkeys(flat):
+        try:
+            values[tok] = float(tok)
+        except ValueError as exc:
+            bad[tok] = exc
+    widths = set(map(len, rows)) - {0}
+    if bad or not widths <= {s, s + 1}:  # report the first bad line
+        for ln, toks in enumerate(rows, start=1):
+            if not bad.keys().isdisjoint(toks):
+                raise ValueError(f"line {ln}: {bad[next(t for t in toks if t in bad)]}")
+            if toks and len(toks) not in (s, s + 1):
+                raise ValueError(f"line {ln}: expected {s} or {s + 1} columns, got {len(toks)}")
+    if not widths:
         raise ValueError("points file is empty")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError("points file mixes weighted and unweighted lines")
-    arr = np.asarray(rows, dtype=np.float64)
-    if widths == {s + 1}:
+    (width,) = widths
+    arr = np.fromiter(map(values.__getitem__, flat), dtype=np.float64, count=len(flat))
+    arr = arr.reshape(-1, width)
+    if width == s + 1:
         return WeightedPointSet(arr[:, :s], arr[:, s])
     return WeightedPointSet(arr, np.full(len(arr), 1.0 / len(arr)))
 

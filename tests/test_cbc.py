@@ -275,3 +275,44 @@ def test_degenerate_levels_screen_within_their_bound(N):
     T, bound = _UnitScreen(N, om, zs).screen(prod)
     direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
     assert np.abs(T - direct).max() <= bound
+
+
+@pytest.mark.parametrize("alpha", [1, 1.5, 3])
+@pytest.mark.parametrize("N", [8192, 16384])
+def test_merged_levels_screen_within_their_bound(N, alpha):
+    # 11 and 12 levels share one inverse transform; prod of both signs
+    # spanning six decades weights the levels unevenly, and the bound must
+    # still hold while staying far below the terms' scale
+    zs = cbc._units(N)
+    zs = zs[2 * zs <= N]
+    om, _ = _omega_table(alpha, N)
+    n = np.arange(N)
+    rng = np.random.default_rng(N + int(2 * alpha))
+    prod = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-4.0, 2.0, N)
+    T, bound = _UnitScreen(N, om, zs).screen(prod)
+    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
+    scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+    assert np.abs(T - direct).max() <= bound
+    assert bound <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_fft_screen_matches_the_reference_scan_past_the_sweep(alpha):
+    # one size past the sweep's 4096, where the longest level grows again
+    gammas = _WEIGHTS["0.9^j"][:3]
+    assert cbc_construct(8192, 3, alpha, gammas) == _reference_construct(8192, 3, alpha, gammas)
+
+
+def test_screen_takes_one_inverse_transform_per_coordinate(monkeypatch):
+    # every 2-adic level of 2048 is summed in one spectrum: one irfft per
+    # screened coordinate, none for the first
+    calls = []
+    irfft = np.fft.irfft
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("n"))
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    cbc_construct(2048, 6, 1, _WEIGHTS["j^-2"])
+    assert calls == [2048 // 4] * 5

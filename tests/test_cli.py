@@ -355,6 +355,13 @@ def test_points_file_with_nan_exits_one(tmp_path, capsys, text):
     ("0.1 0.2\n0.3 0.4 0.5\n", "points file mixes weighted and unweighted lines"),
     ("\n  \n\t\n", "points file is empty"),
     ("0.1 0.2\n0.3 x\n", "line 2: could not convert string to float: 'x'"),
+    # \v and \f separate tokens but end no line, \r\n and \r end one; the
+    # first bad line is named, and a bad token before its column count
+    ("0.1\v0.2\n0.3 x\n", "line 2: could not convert string to float: 'x'"),
+    ("0.1 0.2\r\n0.3 x\r\n", "line 2: could not convert string to float: 'x'"),
+    ("0.1 0.2\r0.3 x\r", "line 2: could not convert string to float: 'x'"),
+    ("0.1 0.2\f\n0.3 0.4 0.5 0.6\n0.7 x\n", "line 2: expected 2 or 3 columns, got 4"),
+    ("0.1 0.2\n0.3 0.4 0.5 x\n", "line 2: could not convert string to float: 'x'"),
 ])
 def test_points_file_errors_exit_one(tmp_path, capsys, text, message):
     pts = tmp_path / "nodes.txt"
