@@ -28,10 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table
+from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table, _refuse_overflow
 # Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega.
 from .kernels import korobov_omega  # noqa: F401
-from .points import LatticeRule, _integer
+from .points import LatticeRule, _integer, _modulus
 from .wce import _factor_row, _single_sum_e2, cbc_bound_constant
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
@@ -63,9 +63,7 @@ def candidate_set(N: int) -> list[int]:
 
 def _units(N: int) -> np.ndarray:
     """candidate_set(N) as an int64 array."""
-    if N < 2:
-        # gcd(0, 1) == 1, so the mask alone would keep 0 at N = 1
-        raise ValueError(f"modulus must be >= 2, got {N}")
+    N = _modulus(N)  # gcd(0, 1) == 1, so the mask alone would keep 0 at N = 1
     n = np.arange(N, dtype=np.int64)
     return n[np.gcd(n, N) == 1]
 
@@ -74,8 +72,8 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     """Greedy generating vector for the Korobov space, any finite alpha > 1/2.
 
     omega comes from ``kernels._omega_table``: the closed form at integer
-    alpha in 1..3, the aliased Hurwitz-zeta table otherwise; the table is
-    built first, so N above its cap is refused before any work.
+    alpha in 1..3, the aliased Hurwitz-zeta table otherwise.  N < 2 is
+    refused first, then N above the table's cap, both before any work.
 
     Tie rule: g_1 = 1, since every unit gives the same error in one
     dimension.  In each later coordinate the winner is the smallest unit z
@@ -84,8 +82,11 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     units; the weight does not enter, so rounding noise never picks the
     component.  D(N - z) == D(z) bit for bit, so that unit is at most N/2 and
     only those units are searched.  Prime and power-of-two moduli are
-    screened by FFT and return the same result as the full scan of every
-    unit, bit for bit.  ``per_dim_e2[d]`` is
+    screened by FFT: the screen returns each unit's screened D and a bound
+    on its error, and ``_construct`` alone computes the scale and the tie
+    window, keeps the units the bound cannot rule out, sums their D
+    directly and picks the winner, so the result equals the full scan of
+    every unit, bit for bit.  ``per_dim_e2[d]`` is
     ``wce_korobov_lattice`` of the first d + 1 coordinates, bit for bit.
     """
     return _construct(N, s, alpha, gammas, fast=True)
@@ -97,8 +98,9 @@ def _reference_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     return _construct(N, s, alpha, gammas, fast=False)
 
 
+@_refuse_overflow
 def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
-    N, s = _integer("modulus", N), _integer("dimension", s)
+    N, s = _modulus(N), _integer("dimension", s)
     if s < 1:
         raise ValueError("dimension must be at least 1")
     alpha = _check_alpha(alpha)
@@ -106,11 +108,13 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
 
     om, _ = _omega_table(alpha, N)
     zs = _units(N)
+    # prime N, whose every nonzero residue is a unit, and N = 2^m are screened
+    screened = fast and s > 1 and (len(zs) == N - 1 or N & (N - 1) == 0)
     if fast:
         zs = zs[2 * zs <= N]
     om_max = float(np.abs(om[1:]).max())
     n = np.arange(N, dtype=np.int64)
-    screen = _UnitScreen(N, om, zs) if fast and s > 1 and _has_fft_screen(N) else None
+    screen = _UnitScreen(N, om, zs) if screened else None
     prod = np.ones(N)
     g: list[int] = []
     per_dim_e2: list[float] = []
@@ -119,11 +123,20 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
         if d == 0:
             best_z = 1
         else:
-            P = float(np.abs(prod[1:]).sum())
-            scale = P * om_max
-            cands = (zs if screen is None else screen.candidates(prod, P)).tolist()
+            scale = float(np.abs(prod[1:]).sum()) * om_max
+            window = TIE_RTOL * scale
+            if screen is None:
+                cands = zs.tolist()
+            else:
+                # T is within B of the exact D and the direct D within
+                # (N + 4) u scale of it, so the direct minimum lies within
+                # E = B + (N + 4) u scale of min T, and a unit in the window
+                # of the direct minimum has T <= min T + 2E + window
+                T, B = screen.screen(prod, scale)
+                cut = float(T.min()) + 2.0 * (B + (N + 4) * _U * scale) + window
+                cands = zs[T <= cut].tolist()
             D = [float(np.sum(prod[1:] * om[n[1:] * z % N])) for z in cands]
-            top = min(D) + TIE_RTOL * scale
+            top = min(D) + window
             best_z = next(z for z, v in zip(cands, D) if v <= top)
         g.append(best_z)
         prod *= _factor_row(om, best_z, gammas[d])
@@ -131,11 +144,6 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
         c = cbc_bound_constant(alpha, gammas[: d + 1], tau=1.0)
         bound_ok.append(per_dim_e2[-1] <= c * c / (N - 1))
     return CbcResult(LatticeRule(N, tuple(g)), tuple(per_dim_e2), tuple(bound_ok))
-
-
-def _has_fft_screen(N: int) -> bool:
-    """True for prime N and for N = 2^m."""
-    return N & (N - 1) == 0 or all(N % q for q in range(2, math.isqrt(N) + 1))
 
 
 def _powers(base: int, count: int, N: int) -> np.ndarray:
@@ -165,6 +173,7 @@ def _primitive_root(p: int) -> int:
 
 class _UnitScreen:
     """Screened D of every unit z for one coordinate, by FFT correlation.
+    It only evaluates: ``_construct`` picks the survivors and the winner.
 
     T(z) = sum_{n >= 1} prod[n] omega[n z mod N] splits over the nodes n.
     omega is even, so T(z) = T(-z) and T depends on z through its class
@@ -189,8 +198,6 @@ class _UnitScreen:
     """
 
     def __init__(self, N: int, om: np.ndarray, zs: np.ndarray):
-        self.N, self.zs = N, zs
-        self.om_max = float(np.abs(om[1:]).max())
         if N & (N - 1):  # odd prime: one level, every nonzero node
             gen, order, const = _primitive_root(N), (N - 1) // 2, []
             levels = [(0, order)]
@@ -221,11 +228,11 @@ class _UnitScreen:
         self.w2 = (2.0 * eta + (len(Ls) + 3) * _U) * b2
         self.w1 = _FFT_ETA * _U * math.log2(max(L0, 2)) * np.sqrt(rs) * b2
 
-    def screen(self, prod: np.ndarray, P: float | None = None) -> tuple[np.ndarray, float]:
+    def screen(self, prod: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
         """Screened T of every unit, ascending, and a bound B on |T - D| for
         the exact D of each unit.
 
-        P = sum_{n >= 1} |prod[n]|, computed when not given, and
+        scale = P W, the caller's, with P = sum_{n >= 1} |prod[n]| and
         W = max_{m != 0} |omega[m]|.  An FFT of length L is taken to be off
         by at most eta_L = _FFT_ETA u log2 L times its result in 2-norm.  The
         spectra of a level's a and b have 2-norms sqrt(L) |a|_2 and
@@ -233,10 +240,10 @@ class _UnitScreen:
         one of b included, moves the level's correlation by at most
         eta_L |a|_2 |b|_2 per entry.  The spectral product (3u), the
         levels - 1 additions into the shared bins, and the 1/L0 scaling of
-        the inverse add at most (levels + 3) u |a|_2 |b|_2.  The inverse of length L0 is off by
-        eta_L0 times the 2-norm of its result, the sum of the levels'
-        extended correlations, each of 2-norm at most sqrt(r) |a|_1 |b|_2 by
-        Young's inequality.  Folding rounds each a[i] by u |a[i]|, which
+        the inverse add at most (levels + 3) u |a|_2 |b|_2.  The inverse of
+        length L0 is off by eta_L0 times the 2-norm of its result, the sum
+        of the levels' extended correlations, each of 2-norm at most
+        sqrt(r) |a|_1 |b|_2 by Young's inequality.  Folding rounds each a[i] by u |a[i]|, which
         moves D by at most u P W; the constant, at most 3 products, is off
         by 3u P W to first order, and adding it to the levels' sum, which is
         at most P W, by u P W.  B is the sum over levels of
@@ -244,8 +251,6 @@ class _UnitScreen:
         plus 10 u P W, which covers the direct terms twice over and leaves
         room for the second-order terms.
         """
-        if P is None:
-            P = float(np.abs(prod[1:]).sum())
         a = prod[self.nodes] + prod[self.mirror]
         spec = np.zeros(self.L0 // 2 + 1, dtype=complex)
         for lo, hi, r, fb in self.levels:
@@ -253,23 +258,9 @@ class _UnitScreen:
         k, w = self.const
         T = np.fft.irfft(spec, n=self.L0)[self.pos]
         T += float(prod[k] @ w)
-        err = (float(self.w2 @ np.sqrt(np.add.reduceat(a * a, self.starts)))
-               + float(self.w1 @ np.add.reduceat(np.abs(a), self.starts))
-               + 10.0 * _U * P * self.om_max)
+        # |a|_2 squares a: past 1e154 B is inf, which only keeps every unit
+        with np.errstate(over="ignore"):
+            err = (float(self.w2 @ np.sqrt(np.add.reduceat(a * a, self.starts)))
+                   + float(self.w1 @ np.add.reduceat(np.abs(a), self.starts))
+                   + 10.0 * _U * scale)
         return T, err
-
-    def candidates(self, prod: np.ndarray, P: float) -> np.ndarray:
-        """Units, ascending, that may win by the tie rule; all others cannot.
-
-        With P = sum_{n >= 1} |prod[n]| and scale = P max_{m != 0}
-        |omega[m]|, the direct D of each unit is within (N + 4) u scale of
-        the exact D, and T within B, so |T - direct D| <= E =
-        B + (N + 4) u scale.  The direct minimum then lies within E of the
-        screened minimum lo, and every unit whose direct D is within the tie
-        window TIE_RTOL scale of the direct minimum has
-        T <= lo + 2E + TIE_RTOL scale.
-        """
-        scale = P * self.om_max
-        T, B = self.screen(prod, P)
-        top = float(T.min()) + 2.0 * (B + (self.N + 4) * _U * scale) + TIE_RTOL * scale
-        return self.zs[T <= top]

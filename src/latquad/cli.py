@@ -2,7 +2,8 @@
 
 Subcommands: cbc, points, wce, integrate, converge, bound.  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success, 1 invalid input or
-usage, 2 computation failure (a series truncation budget).
+usage, 2 computation failure (a series truncation budget, or a float
+overflow).
 All reals are printed with 17 significant digits, so output is reproducible
 bit for bit.
 """
@@ -32,6 +33,7 @@ from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
     WeightedPointSet,
+    _components,
     lattice_points,
     node_set,
     read_vector_file,
@@ -40,6 +42,7 @@ from .points import (  # noqa: F401
     write_vector_file,
 )
 from .wce import (
+    _check_double_sum_nodes,
     cbc_bound_constant,
     wce_cosine_sym,
     wce_cosine_tent,
@@ -86,8 +89,7 @@ def _rule_from_args(args) -> LatticeRule:
         with open(args.vector_file, "r", encoding="ascii") as fh:
             return read_vector_file(fh)
     if args.n is not None and args.g:
-        g = tuple(int(v) for v in args.g.split(","))
-        return LatticeRule(args.n, g)
+        return LatticeRule(args.n, _components(args.g.split(",")))
     raise ValueError("a rule is required: --vector-file, or --n with --g")
 
 
@@ -178,7 +180,12 @@ def cmd_wce(args) -> int:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
         else:
-            ps = node_set(_rule_from_args(args), args.variant)
+            rule = _rule_from_args(args)
+            # plain and tent sets hold N nodes: refuse before building them;
+            # a deduplicated sym set can hold fewer, so it is checked built
+            if args.variant != "sym":
+                _check_double_sum_nodes(rule.N)
+            ps = node_set(rule, args.variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
         res = wce_double_sum(spec, ps, policy, threads=args.threads)
@@ -200,6 +207,9 @@ def cmd_integrate(args) -> int:
 
 def cmd_converge(args) -> int:
     f = TestFunction(args.family, args.s, args.w)
+    if args.nmin > args.nmax:
+        raise ValueError(
+            f"--nmin must not exceed --nmax, got --nmin {args.nmin} --nmax {args.nmax}")
     Ns = [2**m for m in range(args.nmin, args.nmax + 1)]
     gammas = parse_gammas(args.gamma, args.s) if args.gamma else None
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
@@ -304,7 +314,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except TruncationBudgetError as exc:
+    except (TruncationBudgetError, OverflowError) as exc:
         print(f"latquad: computation failed: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

@@ -35,6 +35,7 @@ in magnitude).
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -84,6 +85,27 @@ class TruncationBudgetError(ArithmeticError):
 
 class QuadratureAccuracyError(ArithmeticError):
     """Panel-doubling estimate failed the requested accuracy target."""
+
+
+def _refuse_overflow(fn: Callable) -> Callable:
+    """fn with any float overflow inside turned into one OverflowError.
+
+    numpy's overflow becomes an error instead of a warning and an inf, and
+    an OverflowError raised inside, by math.fsum or a float power, takes the
+    same message.  numpy's error state is per thread, so a function that a
+    worker thread runs needs its own decorator.
+    """
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return fn(*args, **kwargs)
+        except (FloatingPointError, OverflowError):
+            raise OverflowError(
+                "float overflow: the weights drive a kernel product past the float64 range"
+            ) from None
+
+    return run
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,10 @@ class LatticeRule:
     g: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        N = _integer("modulus", self.N)
+        N = _modulus(self.N)
         g = tuple(_integer("generating vector component", v) for v in self.g)
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "g", g)
-        if N < 2:
-            raise ValueError(f"modulus must be >= 2, got {N}")
         if not g:
             raise ValueError("generating vector must have at least one component")
         for v in g:
@@ -73,6 +71,14 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _modulus(N) -> int:
+    """N as an int >= 2, the modulus of a rule; ValueError otherwise."""
+    N = _integer("modulus", N)
+    if N < 2:
+        raise ValueError(f"modulus must be >= 2, got {N}")
+    return N
 
 
 @dataclass(frozen=True)
@@ -139,9 +145,7 @@ def symmetrized_node_count(N: int, s: int) -> int:
     """Distinct node count of the fully symmetrized rank-1 rule of modulus N in
     s dimensions whose every g_j is a unit mod N.  Other components can merge
     reflection orbits: N = 4, g = (1, 2) has 8 nodes, not 9."""
-    N, s = _integer("modulus", N), _integer("dimension", s)
-    if N < 2:
-        raise ValueError(f"modulus must be >= 2, got {N}")
+    N, s = _modulus(N), _integer("dimension", s)
     if s < 1:
         raise ValueError("dimension must be at least 1")
     if N % 2:
@@ -250,8 +254,13 @@ def read_vector_file(src) -> LatticeRule:
     comps = lines[1].split()
     if len(comps) != s:
         raise ValueError(f"expected {s} vector components, found {len(comps)}")
+    return LatticeRule(N, _components(comps))
+
+
+def _components(tokens) -> tuple[int, ...]:
+    """Generating-vector components from text tokens, for the vector file
+    and the CLI's --g; ValueError naming them otherwise."""
     try:
-        g = tuple(int(c) for c in comps)
+        return tuple(int(t) for t in tokens)
     except ValueError as exc:
         raise ValueError("vector components must be integers") from exc
-    return LatticeRule(N, g)

@@ -45,6 +45,7 @@ from .kernels import (
     _check_gammas,
     _omega_table,
     _product_tail,
+    _refuse_overflow,
     kernel_factor,
     zeta,
 )
@@ -89,6 +90,7 @@ class WceResult:
     tail_bound: float
 
 
+@_refuse_overflow
 def wce_double_sum(
     spec: SpaceSpec,
     ps: WeightedPointSet,
@@ -121,20 +123,21 @@ def wce_double_sum(
     (no larger than the block times M), one block-by-M buffer and two tiles:
     memory O(block M).  The factors are elementwise and multiplied in
     coordinate order, so every product, and hence e2 and the tail bound, has
-    the same bits as evaluating every node pair directly.
+    the same bits as evaluating every node pair directly.  A product,
+    sum or tail past the float64 range raises OverflowError.
     """
     X, w = ps.points, ps.weights
     M, s = X.shape
     if s != spec.s:
         raise ValueError(f"point set dimension {s} does not match spec dimension {spec.s}")
-    if M > MAX_DOUBLE_SUM_NODES:
-        raise ValueError(f"double sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {M}")
+    _check_double_sum_nodes(M)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     blocks = [(i, min(i + _ROW_BLOCK, M)) for i in range(0, M, _ROW_BLOCK)]
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
 
+    @_refuse_overflow  # the pool's threads start in numpy's default error state
     def run_block(block: tuple[int, int]):
         i0, i1 = block
         maxv = np.empty(s)
@@ -177,6 +180,14 @@ def wce_double_sum(
     return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(results[0][2], maxv))
 
 
+def _check_double_sum_nodes(M: int) -> None:
+    """ValueError for M nodes above MAX_DOUBLE_SUM_NODES, for this module and
+    the CLI, which checks a rule's N before building its nodes."""
+    if M > MAX_DOUBLE_SUM_NODES:
+        raise ValueError(f"double sum capped at {MAX_DOUBLE_SUM_NODES} nodes, got {M}")
+
+
+@_refuse_overflow
 def wce_korobov_lattice(
     rule: LatticeRule,
     alpha: float,
@@ -192,8 +203,9 @@ def wce_korobov_lattice(
     table, off by at most b per entry, so factor j by gamma_j b, tail from
     ``_product_tail``; method aliased-single-sum.  O(s N) time and O(N)
     memory at every alpha; ValueError before any work for N above the
-    table's cap.  ``policy`` is kept for callers that pass it and is not
-    used: the table truncates no series.
+    table's cap, OverflowError for a product or sum past the float64 range.
+    ``policy`` is kept for callers that pass it and is not used: the table
+    truncates no series.
     """
     gammas = _check_gammas(gammas, rule.s)
     om, bound = _omega_table(alpha, rule.N)
@@ -221,6 +233,7 @@ def _single_sum_e2(prod: np.ndarray) -> float:
     return math.fsum(memoryview(prod)) / len(prod) - 1.0
 
 
+@_refuse_overflow
 def _fold_average_e2(
     rule: LatticeRule,
     alpha: float,
@@ -240,7 +253,8 @@ def _fold_average_e2(
     m odd) twice; g need not be a unit.  A depth-first walk keeps one running
     product per depth; math.fsum reduces each leaf, then the 2^s leaf
     products, so calls are bit-identical.  O(2^s N) time, O(s N) memory;
-    ValueError before any work when 2^s N exceeds _FOLD_WORK_CAP.  The tail
+    ValueError before any work when 2^s N exceeds _FOLD_WORK_CAP, and
+    OverflowError for a product or sum past the float64 range.  The tail
     is ``_product_tail``'s, as max over pairs |kbar_j| = max|F_j| (n' = 0).
     """
     N, s = rule.N, rule.s
@@ -326,11 +340,13 @@ def wce_cosine_sym(
     return _fold_average_e2(rule, alpha, gammas, lambda a: 4.0 ** -a)
 
 
+@_refuse_overflow
 def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) -> float:
     """Constant C in the CBC guarantee e <= C * (N-1)^(-tau/2).
 
     C = (-1 + prod_j (1 + 2 zeta(2 alpha / tau) gamma_j^(1/tau)))^(tau/2),
-    valid for 1 <= tau < 2 alpha.
+    valid for 1 <= tau < 2 alpha; OverflowError when C is past the float64
+    range.
     """
     gammas = _check_gammas(gammas)
     alpha = _check_alpha(alpha)
@@ -341,4 +357,7 @@ def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) 
     prod = 1.0
     for g in gammas:
         prod *= 1.0 + 2.0 * z * g ** (1.0 / tau)
-    return (prod - 1.0) ** (tau / 2.0)
+    c = (prod - 1.0) ** (tau / 2.0)  # a float power raises OverflowError
+    if c == math.inf:  # an inf product does not
+        raise OverflowError
+    return c

@@ -103,6 +103,17 @@ def test_input_validation():
         cbc_construct(8, 2, 1, (1.0,))
     with pytest.raises(ValueError):
         cbc_construct(8, 2, 1, (1.0, 0.0))
+    with pytest.raises(ValueError, match="modulus must be >= 2, got 0"):
+        cbc_construct(0, 2, 1, (1.0, 1.0))
+
+
+def test_table_cap_refuses_before_the_units_are_built(monkeypatch):
+    def refuse(N):
+        raise AssertionError("units built for a modulus above the omega table's cap")
+
+    monkeypatch.setattr(cbc, "_units", refuse)
+    with pytest.raises(ValueError, match="omega table capped"):
+        cbc_construct((1 << 22) + 1, 2, 1, (1.0, 1.0))
 
 
 @pytest.mark.parametrize("N,s,bad", [(64.9, 2, "64.9"), (64, 2.7, "2.7"), (64.0, 2, "64.0")])
@@ -123,7 +134,7 @@ _WEIGHTS = {"j^-2": tuple(1.0 / j**2 for j in range(1, 7)),
 # at most two classes, then each prime and power of two near 2^k;
 # 1019, 2039 and 4079 are 2 times a prime, so their FFT length has a large
 # prime factor
-_SCREENED = [N for N in range(2, 65) if cbc._has_fft_screen(N)] + [
+_SCREENED = [N for N in range(2, 65) if N & (N - 1) == 0 or all(N % q for q in range(2, N))] + [
     127, 128, 257, 256, 509, 512, 1019, 1021, 1024, 2039, 2048, 4079, 4093, 4096]
 
 
@@ -189,9 +200,9 @@ def test_screened_errors_stay_within_their_bound(N, alpha):
     screen = _UnitScreen(N, om, zs)
     prod = np.ones(N)
     for z, gamma in zip(cbc_construct(N, 6, alpha, gammas).rule.g, gammas):
-        T, bound = screen.screen(prod)
-        direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
         scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+        T, bound = screen.screen(prod, scale)
+        direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
         assert np.abs(T - direct).max() <= bound
         assert bound <= 1e-10 * scale
         prod *= 1.0 + gamma * om[(n * z) % N]
@@ -272,7 +283,8 @@ def test_degenerate_levels_screen_within_their_bound(N):
     om, _ = _omega_table(2, N)
     n = np.arange(N)
     prod = np.random.default_rng(N).uniform(0.5, 2.0, N)
-    T, bound = _UnitScreen(N, om, zs).screen(prod)
+    scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+    T, bound = _UnitScreen(N, om, zs).screen(prod, scale)
     direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
     assert np.abs(T - direct).max() <= bound
 
@@ -289,9 +301,9 @@ def test_merged_levels_screen_within_their_bound(N, alpha):
     n = np.arange(N)
     rng = np.random.default_rng(N + int(2 * alpha))
     prod = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-4.0, 2.0, N)
-    T, bound = _UnitScreen(N, om, zs).screen(prod)
-    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
     scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+    T, bound = _UnitScreen(N, om, zs).screen(prod, scale)
+    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
     assert np.abs(T - direct).max() <= bound
     assert bound <= 1e-10 * scale
 
@@ -316,3 +328,72 @@ def test_screen_takes_one_inverse_transform_per_coordinate(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", counting)
     cbc_construct(2048, 6, 1, _WEIGHTS["j^-2"])
     assert calls == [2048 // 4] * 5
+
+
+@pytest.mark.parametrize("N,alpha", [(16, 2), (61, 1), (2048, 1), (4093, 3), (8192, 1.5)])
+def test_screen_bound_covers_its_modelled_fft_errors(N, alpha, monkeypatch):
+    """Push every transform off by the largest error the bound models, all of
+    it aimed at one class: each forward spectrum, a's and the stored b's, by
+    eta_L times its 2-norm along the direction that moves that class's
+    correlation most, and the inverse output by eta_L0 times its 2-norm on
+    that class's entry.  Its |T - D| must stay within B."""
+    zs = cbc._units(N)
+    zs = zs[2 * zs <= N]
+    om, _ = _omega_table(alpha, N)
+    n = np.arange(N)
+    rng = np.random.default_rng(N)
+    prod = rng.choice([-1.0, 1.0], N) * 10.0 ** rng.uniform(-4.0, 2.0, N)
+    scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
+    exact = _UnitScreen(N, om, zs)
+    i = len(zs) // 3
+    sign = 1.0 if exact.screen(prod, scale)[0][i] >= direct[i] else -1.0
+    p = int(exact.pos[i])
+    a = prod[exact.nodes] + prod[exact.mirror]
+    b = om[exact.nodes]
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def aimed(x, G):
+        # the error of x's spectrum, of 2-norm eta_L sqrt(L) |x|_2 over the
+        # full spectrum, that moves entry p of the correlation most: along
+        # conj(G), where G holds what multiplies each bin into entry p
+        L = len(x)
+        k = np.arange(L // 2 + 1)
+        norm = math.sqrt(np.where((k == 0) | (2 * k == L), 1.0, 2.0) @ np.abs(G) ** 2)
+        eta = cbc._FFT_ETA * cbc._U * math.log2(max(L, 2))
+        return sign * eta * math.sqrt(L) * np.linalg.norm(x) * np.conj(G) / norm
+
+    def phase(L):  # of entry p in each bin of a length-L level
+        return np.exp(2j * np.pi * np.arange(L // 2 + 1) * p / L)
+
+    levels = [(a[lo:hi], b[lo:hi]) for lo, hi, _, _ in exact.levels]
+    # b's spectra are taken in __init__, then a's in screen
+    errs = [aimed(bv, np.conj(rfft(av) * phase(len(av)))) for av, bv in levels]
+
+    def perturbed_rfft(x, *args, **kwargs):
+        return rfft(x, *args, **kwargs) + errs.pop(0)
+
+    def perturbed_irfft(X, *args, **kwargs):
+        y = irfft(X, *args, **kwargs)
+        y[p] += sign * cbc._FFT_ETA * cbc._U * math.log2(max(len(y), 2)) * np.linalg.norm(y)
+        return y
+
+    monkeypatch.setattr(np.fft, "rfft", perturbed_rfft)
+    monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
+    screen = _UnitScreen(N, om, zs)
+    assert errs == []
+    errs[:] = [aimed(av, np.conj(rfft(bv)) * phase(len(av))) for av, bv in levels]
+    T, bound = screen.screen(prod, scale)
+    assert errs == []
+    assert np.abs(T - direct).max() <= bound
+    # the aimed class takes a fair share of B, so a B short by that share fails
+    assert abs(T[i] - direct[i]) >= 0.05 * bound
+
+
+def test_screen_bound_past_the_float64_range_keeps_every_unit():
+    # a node product near 1e160 squares past the float64 range in B's
+    # |a|_2: B is inf, every unit is summed directly, and the build returns
+    gammas = (1e160, 1e-10)
+    res = cbc_construct(64, 2, 1, gammas)
+    assert res == _reference_construct(64, 2, 1, gammas)
+    assert 1e156 < res.per_dim_e2[-1] < math.inf

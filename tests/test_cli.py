@@ -1,10 +1,12 @@
 """End-to-end command-line checks, run in process through ``main``."""
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from latquad import cli
 from latquad.bench import TestFunction as Integrand
 from latquad.bench import converge_study, integrate, records_to_csv
 from latquad.cbc import cbc_construct
@@ -305,6 +307,13 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "wce", "--space", "korobov")
     assert code == 1
     assert "rule is required" in err
+    # --g reads like a vector file's components, and a modulus below 2 is
+    # refused before any omega table is built, whatever its value
+    code, _, err = run_cli(capsys, "wce", "--space", "korobov", "--n", "16", "--g", "1.5,3")
+    assert (code, err) == (1, "latquad: vector components must be integers\n")
+    for n in ("0", "1", "-3"):
+        code, _, err = run_cli(capsys, "cbc", "--n", n, "--s", "2")
+        assert (code, err) == (1, f"latquad: modulus must be >= 2, got {n}\n")
 
 
 @pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "nan"), ("--max-terms", "0")])
@@ -430,7 +439,7 @@ def test_converge_empty_exponent_range_exits_one(capsys):
         "--nmin", "5", "--nmax", "3")
     assert code == 1
     assert stdout == ""
-    assert "N_list must be nonempty" in err
+    assert err == "latquad: --nmin must not exceed --nmax, got --nmin 5 --nmax 3\n"
 
 
 @pytest.mark.parametrize("nmin,bad", [("-1", "0.5"), ("0", "1")])
@@ -503,6 +512,47 @@ def test_truncation_budget_exit_two(capsys):
         assert code == 0, space
         e2, tail = (float(f.split("=")[1]) for f in stdout.split()[:2])
         assert math.isfinite(e2) and 0.0 < tail < math.inf, space
+
+
+_OVERFLOW_ROUTES = {
+    "double-sum": ("wce", "--n", "16", "--g", "1,3", "--space", "double-sum",
+                   "--family", "korobov"),
+    # three row blocks on two threads, each with its own numpy error state
+    "double-sum-threads": ("wce", "--n", "1031", "--g", "1,3", "--space", "double-sum",
+                           "--family", "cosine", "--threads", "2"),
+    "korobov": ("wce", "--n", "16", "--g", "1,3", "--space", "korobov"),
+    "cosine-tent": ("wce", "--n", "16", "--g", "1,3", "--space", "cosine-tent"),
+    "cbc": ("cbc", "--n", "16", "--s", "3"),
+    "bound": ("bound", "--alpha", "1.5", "--s", "2"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_OVERFLOW_ROUTES))
+def test_overflow_exits_two_with_one_message(capsys, route):
+    # no nan or inf is printed, and no numpy warning names a source line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_cli(capsys, *_OVERFLOW_ROUTES[route], "--gamma", "1e300")
+    assert code == 2
+    assert stdout == ""
+    assert err == ("latquad: computation failed: float overflow: the weights drive "
+                   "a kernel product past the float64 range\n")
+    assert caught == []
+
+
+@pytest.mark.parametrize("variant,n", [("plain", "4000037"), ("tent", "4097")])
+def test_double_sum_cap_refuses_before_building_nodes(capsys, monkeypatch, variant, n):
+    # plain and tent sets hold N nodes, so N alone decides the cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("node_set called for a rule above the double-sum cap")
+
+    monkeypatch.setattr(cli, "node_set", refuse)
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "korobov", "--n", n,
+        "--g", "1,3,5", "--variant", variant)
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: double sum capped at 4096 nodes, got {n}\n"
 
 
 def test_help_exits_zero(capsys):
