@@ -15,10 +15,13 @@ classes form a cyclic group, generated by a primitive root, or by 5 on each
 2-adic level of n, so D of all units is a cyclic correlation of half
 length, one per level, that FFTs evaluate in O(N log N) (Nuyens & Cools,
 Math. Comp. 75, 2006, for prime N; J. Complexity 22, 2006, for non-prime
-N); the levels' spectra are summed into one, so each coordinate takes one
-inverse transform.  That screen only rules units out: the few it cannot are
-summed directly, so the result equals the full direct scan bit for bit and
-the search costs O(s N log N).
+N).  The levels' spectra are summed into one, so each coordinate takes one
+inverse transform; the levels of at most _TILE classes are tiled to one
+length and share one forward transform, and a prime length with a large
+prime factor is zero-padded to a power of two instead of going to
+Bluestein's algorithm.  That screen only rules units out: the few it cannot
+are summed directly, so the result equals the full direct scan bit for bit
+and the search costs O(s N log N).
 Other moduli take the scan of the units <= N/2, O(s N phi(N) / 2).
 """
 from __future__ import annotations
@@ -29,12 +32,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table, _refuse_overflow
-# Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega.
+# Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega and
+# latquad.cbc.cbc_bound_constant.
 from .kernels import korobov_omega  # noqa: F401
 from .points import LatticeRule, _integer, _modulus
-from .wce import _factor_row, _single_sum_e2, cbc_bound_constant
+from .wce import _bound_constants, _factor_row, _single_sum_e2
+from .wce import cbc_bound_constant  # noqa: F401
 
 __all__ = ["CbcResult", "candidate_set", "cbc_construct"]
+
+# Levels of a 2^m modulus at most this long are tiled to one length and share
+# one 2-D rfft: a short transform costs numpy's per-call overhead (about 5 us)
+# more than its work, while tiling adds work that grows with the tile length.
+# Of 64, 128, ..., 2048, 256 gave the fastest screen at N = 2^8 ... 2^18.
+_TILE = 256
+# The prime screen's length L is zero-padded to the power of two Q >= 2L when
+# L p > _PAD_COST Q log2 Q for L's largest prime factor p: pocketfft takes a
+# large prime factor by a generic O(L p) pass or by Bluestein, a padded
+# transform costs O(Q log Q).  In rfft + irfft timings over about 490 primes
+# up to 2^18, the padded pair was faster wherever 6 picks it, and within 5 %
+# of the best choice elsewhere; L = 2046 = 2 3 11 31 (N = 4093) keeps its
+# length.
+_PAD_COST = 6.0
 
 # Units whose D lies within TIE_RTOL * sum_{n >= 1} |prod[n]| max_{m != 0}
 # |Omega[m]|, the size of D's terms, of the minimum tie.
@@ -115,6 +134,7 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
     om_max = float(np.abs(om[1:]).max())
     n = np.arange(N, dtype=np.int64)
     screen = _UnitScreen(N, om, zs) if screened else None
+    cs = _bound_constants(alpha, gammas, tau=1.0)
     prod = np.ones(N)
     g: list[int] = []
     per_dim_e2: list[float] = []
@@ -141,8 +161,7 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
         g.append(best_z)
         prod *= _factor_row(om, best_z, gammas[d])
         per_dim_e2.append(_single_sum_e2(prod))
-        c = cbc_bound_constant(alpha, gammas[: d + 1], tau=1.0)
-        bound_ok.append(per_dim_e2[-1] <= c * c / (N - 1))
+        bound_ok.append(per_dim_e2[-1] <= cs[d] * cs[d] / (N - 1))
     return CbcResult(LatticeRule(N, tuple(g)), tuple(per_dim_e2), tuple(bound_ok))
 
 
@@ -158,17 +177,23 @@ def _powers(base: int, count: int, N: int) -> np.ndarray:
     return out
 
 
-def _primitive_root(p: int) -> int:
-    L, rest, qs, q = p - 1, p - 1, [], 2
-    while q * q <= rest:
-        if rest % q == 0:
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
+    qs, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
             qs.append(q)
-            while rest % q == 0:
-                rest //= q
+            while n % q == 0:
+                n //= q
         q += 1
-    if rest > 1:
-        qs.append(rest)
-    return next(r for r in range(2, p) if all(pow(r, L // q, p) != 1 for q in qs))
+    if n > 1:
+        qs.append(n)
+    return qs
+
+
+def _primitive_root(p: int, qs: list[int]) -> int:
+    """Smallest primitive root of the odd prime p; qs are the prime factors of p - 1."""
+    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
 
 
 class _UnitScreen:
@@ -187,20 +212,35 @@ class _UnitScreen:
     a[i] = prod[n_i] + prod[N - n_i] with b[i] = omega[n_i], read at the
     discrete log of z mod L.  Node 0, the same for every unit, is left out.
 
-    Every L divides the longest level's L0 by a power of two r = L0 / L.  A
-    level's correlation has period L, so its extension to length L0 has a
-    spectrum on the bins r j only, where it is r times the level's own.
-    Each level takes one rfft of length L, whose product with the stored
-    spectrum of b, scaled by r, is added into every r-th bin of one
-    length-L0 half-spectrum; one irfft of length L0 then sums all levels.
-    Prime N is the one level with r = 1.  The stored spectrum is conj(B),
-    that of b reversed, so the irfft gives the correlation at -log z.
+    For N = 2^m every L divides the longest level's L0 by a power of two
+    r = L0 / L.  A level's correlation has period L, so its extension to
+    length L0 has a spectrum on the bins r j only, where it is r times the
+    level's own; the levels' spectra are summed into one length-L0
+    half-spectrum, and one irfft of length L0 sums all levels.  A level
+    longer than G = min(L0, _TILE) takes one rfft of length L.  The shorter
+    ones are tiled t = G / L times to length G and take one 2-D rfft
+    together: a tile's spectrum is t times the level's on every t-th bin
+    and zero elsewhere, so the rows' products with the tiled b's spectra,
+    scaled by r / t^2, are summed and added into every (L0 / G)-th bin.
+    At N = 2048 a coordinate takes 2 forward transforms instead of 9.
+
+    Prime N is one level, r = 1.  When its length L has a large prime
+    factor (see _PAD_COST), a is zero-padded to the power of two Q >= 2L and
+    correlated with b_ext = [b, b]: for 0 <= k < L the length-Q circular
+    correlation at -k mod Q is sum_i a[i] b_ext[i + k], the cyclic one at
+    -k mod L, since no term wraps.  The stored spectra are conj(B), that of
+    b reversed, so the irfft gives the correlation at -log z.
     """
 
     def __init__(self, N: int, om: np.ndarray, zs: np.ndarray):
+        pad = False
         if N & (N - 1):  # odd prime: one level, every nonzero node
-            gen, order, const = _primitive_root(N), (N - 1) // 2, []
+            qs = _prime_factors(N - 1)
+            gen, order, const = _primitive_root(N, qs), (N - 1) // 2, []
             levels = [(0, order)]
+            Q = 1 << (2 * order - 1).bit_length()
+            # the largest prime factor of N - 1 is that of L = order, for L > 1
+            pad = order * qs[-1] > _PAD_COST * Q * math.log2(Q)
         else:
             gen, order, const = 5, N // 4, sorted({N // 4, N // 2, 3 * N // 4} - {0})
             levels = [(v, (N >> v) // 4) for v in range(N.bit_length() - 1) if N >> v >= 8]
@@ -211,52 +251,78 @@ class _UnitScreen:
         Ls = np.array([L for _, L in levels], dtype=np.int64)
         # N = 2 and 4 have no level: their T is the constant, and the
         # spectrum one zero bin
-        self.L0 = L0 = int(Ls.max(initial=1))
-        rs = L0 // Ls
-        self.pos = -log[zs] % L0
+        L0 = int(Ls.max(initial=1))
         # gen^i mod M = N >> v, times 2^v, level after level
         self.nodes = np.concatenate([np.zeros(0, dtype=np.int64)]
                                     + [(pw[:L] % (N >> v)) << v for v, L in levels])
         self.mirror = N - self.nodes
         self.starts = np.cumsum(Ls) - Ls
         b = om[self.nodes]
-        self.levels = [(lo, lo + L, r, r * np.conj(np.fft.rfft(b[lo:lo + L])))
-                       for lo, L, r in zip(self.starts.tolist(), Ls.tolist(), rs.tolist())]
-        # the weights of each level's |a|_2 and |a|_1 in the bound B
         b2 = np.sqrt(np.add.reduceat(b * b, self.starts))
-        eta = _FFT_ETA * _U * np.log2(np.maximum(Ls, 2))
+        if pad:
+            # one row of length Q: b_ext = [b, b] has 2-norm sqrt(2) |b|_2
+            self.n = Q
+            self.groups = [(slice(0, order), Q, 1, np.conj(np.fft.rfft(np.tile(b, 2), n=Q)))]
+            ns, rs, b2 = np.array([Q]), np.ones(1), math.sqrt(2.0) * b2
+        else:
+            self.n = L0
+            G = min(L0, _TILE)
+            tiled = Ls <= G
+            tiled &= tiled.sum() > 1  # a lone short level is its own row
+            self.groups = [
+                (slice(lo, lo + L), L, L0 // L, L0 // L * np.conj(np.fft.rfft(b[lo:lo + L])))
+                for lo, L, t in zip(self.starts.tolist(), Ls.tolist(), tiled) if not t]
+            if tiled.any():
+                # row l holds level l's entries lo + (i mod L) for i < G
+                short = Ls[tiled][:, None]
+                tiles = self.starts[tiled][:, None] + (np.arange(G) & (short - 1))
+                fb = np.conj(np.fft.rfft(b[tiles])) * (L0 * short / (G * G))
+                self.groups.append((tiles, G, L0 // G, fb))
+            ns, rs = np.where(tiled, G, Ls), L0 // Ls
+        self.pos = -log[zs] % self.n
+        # the weights of each level's |a|_2 and |a|_1 in the bound B
+        eta = _FFT_ETA * _U * np.log2(np.maximum(ns, 2))
         self.w2 = (2.0 * eta + (len(Ls) + 3) * _U) * b2
-        self.w1 = _FFT_ETA * _U * math.log2(max(L0, 2)) * np.sqrt(rs) * b2
+        self.w1 = _FFT_ETA * _U * math.log2(max(self.n, 2)) * np.sqrt(rs) * b2
 
     def screen(self, prod: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
         """Screened T of every unit, ascending, and a bound B on |T - D| for
         the exact D of each unit.
 
         scale = P W, the caller's, with P = sum_{n >= 1} |prod[n]| and
-        W = max_{m != 0} |omega[m]|.  An FFT of length L is taken to be off
-        by at most eta_L = _FFT_ETA u log2 L times its result in 2-norm.  The
-        spectra of a level's a and b have 2-norms sqrt(L) |a|_2 and
-        sqrt(L) |b|_2, so by Cauchy-Schwarz the error of each, the stored
-        one of b included, moves the level's correlation by at most
-        eta_L |a|_2 |b|_2 per entry.  The spectral product (3u), the
-        levels - 1 additions into the shared bins, and the 1/L0 scaling of
-        the inverse add at most (levels + 3) u |a|_2 |b|_2.  The inverse of
-        length L0 is off by eta_L0 times the 2-norm of its result, the sum
-        of the levels' extended correlations, each of 2-norm at most
-        sqrt(r) |a|_1 |b|_2 by Young's inequality.  Folding rounds each a[i] by u |a[i]|, which
-        moves D by at most u P W; the constant, at most 3 products, is off
-        by 3u P W to first order, and adding it to the levels' sum, which is
-        at most P W, by u P W.  B is the sum over levels of
-        (2 eta_L + (levels + 3) u) |a|_2 |b|_2 + eta_L0 sqrt(r) |a|_1 |b|_2,
-        plus 10 u P W, which covers the direct terms twice over and leaves
-        room for the second-order terms.
+        W = max_{m != 0} |omega[m]|.  An FFT of length n is taken to be off
+        by at most eta_n = _FFT_ETA u log2 n times its result in 2-norm.
+        Each level is one row x of a and y of b, transformed at length n:
+        the level itself (n = L, x = a, y = b); tiled t = G / L times
+        (n = G, |x|_2 = sqrt(t) |a|_2, |y|_2 = sqrt(t) |b|_2, and the
+        row's correlation, t times the level's, is scaled by 1/t); or a
+        zero-padded against b_ext (n = Q, x = a, |y|_2 = sqrt(2) |b|_2).
+        Write beta = |y|_2 / sqrt(t), that is |b|_2, or sqrt(2) |b|_2 when
+        padded.  The spectra of x and y have 2-norms sqrt(n) |x|_2 and
+        sqrt(n) |y|_2, so by Cauchy-Schwarz the error of each, the stored
+        one of y included, moves the level's correlation by at most
+        eta_n |x|_2 |y|_2 / t = eta_n |a|_2 beta per entry.  The spectral
+        product (3u), the levels - 1 additions into the shared bins, and
+        the 1/n0 scaling of the inverse add at most (levels + 3) u |a|_2
+        beta.  The inverse, of length n0 = L0 or Q, is off by eta_n0 times
+        the 2-norm of its result, the sum of the levels' extended
+        correlations, each of 2-norm at most sqrt(r) |a|_1 beta by Young's
+        inequality (r = L0 / L; r = 1 when padded, where the result is the
+        length-Q correlation of a with b_ext).  Folding rounds each a[i]
+        by u |a[i]|, which moves D by at most u P W; the constant, at most
+        3 products, is off by 3u P W to first order, and adding it to the
+        levels' sum, which is at most P W, by u P W.  B is the sum over
+        levels of (2 eta_n + (levels + 3) u) |a|_2 beta
+        + eta_n0 sqrt(r) |a|_1 beta, plus 10 u P W, which covers the direct
+        terms twice over and leaves room for the second-order terms.
         """
         a = prod[self.nodes] + prod[self.mirror]
-        spec = np.zeros(self.L0 // 2 + 1, dtype=complex)
-        for lo, hi, r, fb in self.levels:
-            spec[::r] += np.fft.rfft(a[lo:hi]) * fb
+        spec = np.zeros(self.n // 2 + 1, dtype=complex)
+        for rows, n, stride, fb in self.groups:
+            x = np.fft.rfft(a[rows], n=n) * fb
+            spec[::stride] += x.sum(axis=0) if x.ndim == 2 else x
         k, w = self.const
-        T = np.fft.irfft(spec, n=self.L0)[self.pos]
+        T = np.fft.irfft(spec, n=self.n)[self.pos]
         T += float(prod[k] @ w)
         # |a|_2 squares a: past 1e154 B is inf, which only keeps every unit
         with np.errstate(over="ignore"):

@@ -207,6 +207,8 @@ def cmd_integrate(args) -> int:
 
 def cmd_converge(args) -> int:
     f = TestFunction(args.family, args.s, args.w)
+    if args.nmin < 1:
+        raise ValueError(f"--nmin must be at least 1, got --nmin {args.nmin}")
     if args.nmin > args.nmax:
         raise ValueError(
             f"--nmin must not exceed --nmax, got --nmin {args.nmin} --nmax {args.nmax}")

@@ -348,16 +348,22 @@ def cbc_bound_constant(alpha: float, gammas: Sequence[float], tau: float = 1.0) 
     valid for 1 <= tau < 2 alpha; OverflowError when C is past the float64
     range.
     """
+    return _bound_constants(alpha, gammas, tau)[-1]
+
+
+def _bound_constants(alpha: float, gammas: Sequence[float], tau: float) -> list[float]:
+    """``cbc_bound_constant`` of every prefix gammas[:d + 1], bit for bit,
+    from one check of the arguments and one zeta value."""
     gammas = _check_gammas(gammas)
     alpha = _check_alpha(alpha)
     tau = float(tau)
     if not 1.0 <= tau < 2.0 * alpha:
         raise ValueError(f"tau must satisfy 1 <= tau < 2*alpha, got tau={tau}, alpha={alpha}")
     z = zeta(2.0 * alpha / tau)
-    prod = 1.0
+    prod, out = 1.0, []
     for g in gammas:
         prod *= 1.0 + 2.0 * z * g ** (1.0 / tau)
-    c = (prod - 1.0) ** (tau / 2.0)  # a float power raises OverflowError
-    if c == math.inf:  # an inf product does not
+        out.append((prod - 1.0) ** (tau / 2.0))  # a float power raises OverflowError
+    if out[-1] == math.inf:  # an inf product does not; the products only grow
         raise OverflowError
-    return c
+    return out

@@ -330,13 +330,53 @@ def test_screen_takes_one_inverse_transform_per_coordinate(monkeypatch):
     assert calls == [2048 // 4] * 5
 
 
-@pytest.mark.parametrize("N,alpha", [(16, 2), (61, 1), (2048, 1), (4093, 3), (8192, 1.5)])
+@pytest.mark.parametrize("N,forward,lengths", [(2048, 2, None), (4096, 3, None),
+                                               (2039, 1, {2048})])
+def test_screen_takes_few_forward_transforms_per_coordinate(N, forward, lengths, monkeypatch):
+    """The 2-adic levels of at most _TILE entries share one 2-D rfft and each
+    longer level takes its own; 2039's length 1019 is prime, so its one
+    level is zero-padded to 2048.  __init__ transforms b once per group as
+    well, so a build of 6 coordinates, 5 of them screened, takes 6 times
+    the count of one coordinate."""
+    calls = []
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+
+    def counting(transform):
+        def run(x, *args, **kwargs):
+            calls.append((transform, kwargs.get("n", np.shape(x)[-1])))
+            return transform(x, *args, **kwargs)
+        return run
+
+    monkeypatch.setattr(np.fft, "rfft", counting(rfft))
+    monkeypatch.setattr(np.fft, "irfft", counting(irfft))
+    cbc_construct(N, 6, 1, _WEIGHTS["j^-2"])
+    assert sum(f is rfft for f, _ in calls) == 6 * forward
+    assert sum(f is irfft for f, _ in calls) == 5
+    if lengths is not None:
+        assert {n for _, n in calls} == lengths
+
+
+def _aimed(x, n, G, sign):
+    """Per row of x, the error of x's length-n spectrum, of 2-norm
+    eta_n sqrt(n) |x|_2 over the full spectrum, that moves one entry of
+    the correlation most in the direction of sign: along sign conj(G),
+    where G holds what multiplies each bin into that entry."""
+    k = np.arange(n // 2 + 1)
+    w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    norm = np.sqrt((w * np.abs(G) ** 2).sum(axis=-1, keepdims=True))
+    eta = cbc._FFT_ETA * cbc._U * math.log2(max(n, 2))
+    return sign * eta * math.sqrt(n) * np.linalg.norm(x, axis=-1, keepdims=True) * np.conj(G) / norm
+
+
+@pytest.mark.parametrize("N,alpha", [(16, 2), (61, 1), (2048, 1), (4093, 3), (8192, 1.5),
+                                     (2027, 2)])
 def test_screen_bound_covers_its_modelled_fft_errors(N, alpha, monkeypatch):
     """Push every transform off by the largest error the bound models, all of
-    it aimed at one class: each forward spectrum, a's and the stored b's, by
-    eta_L times its 2-norm along the direction that moves that class's
-    correlation most, and the inverse output by eta_L0 times its 2-norm on
-    that class's entry.  Its |T - D| must stay within B."""
+    it aimed at one class: each row of each forward spectrum, a's and the
+    stored b's, whether a level's own, one of the tiled rows or 2027's
+    zero-padded one, by eta_n times its 2-norm along the direction that
+    moves that class's correlation most, and the inverse output by eta_n0
+    times its 2-norm on that class's entry.  Its |T - D| must stay within B."""
     zs = cbc._units(N)
     zs = zs[2 * zs <= N]
     om, _ = _omega_table(alpha, N)
@@ -350,28 +390,18 @@ def test_screen_bound_covers_its_modelled_fft_errors(N, alpha, monkeypatch):
     sign = 1.0 if exact.screen(prod, scale)[0][i] >= direct[i] else -1.0
     p = int(exact.pos[i])
     a = prod[exact.nodes] + prod[exact.mirror]
-    b = om[exact.nodes]
     rfft, irfft = np.fft.rfft, np.fft.irfft
-
-    def aimed(x, G):
-        # the error of x's spectrum, of 2-norm eta_L sqrt(L) |x|_2 over the
-        # full spectrum, that moves entry p of the correlation most: along
-        # conj(G), where G holds what multiplies each bin into entry p
-        L = len(x)
-        k = np.arange(L // 2 + 1)
-        norm = math.sqrt(np.where((k == 0) | (2 * k == L), 1.0, 2.0) @ np.abs(G) ** 2)
-        eta = cbc._FFT_ETA * cbc._U * math.log2(max(L, 2))
-        return sign * eta * math.sqrt(L) * np.linalg.norm(x) * np.conj(G) / norm
-
-    def phase(L):  # of entry p in each bin of a length-L level
-        return np.exp(2j * np.pi * np.arange(L // 2 + 1) * p / L)
-
-    levels = [(a[lo:hi], b[lo:hi]) for lo, hi, _, _ in exact.levels]
-    # b's spectra are taken in __init__, then a's in screen
-    errs = [aimed(bv, np.conj(rfft(av) * phase(len(av)))) for av, bv in levels]
+    # bin j of a group's length-n spectrum lands on bin j n0 / n of the
+    # inverse's, so its phase at entry p is that of bin j at length n
+    phases = [np.exp(2j * np.pi * np.arange(n // 2 + 1) * p / n) for _, n, _, _ in exact.groups]
+    # each group transforms its b once in __init__ and its rows of a once in
+    # screen, in group order; b's error enters through the stored conj(B)
+    spectra = [rfft(a[rows], n=n) for rows, n, _, _ in exact.groups]
+    errs = [lambda y, n=n, X=X, ph=ph: _aimed(y, n, np.conj(X * ph), sign)
+            for (_, n, _, _), X, ph in zip(exact.groups, spectra, phases)]
 
     def perturbed_rfft(x, *args, **kwargs):
-        return rfft(x, *args, **kwargs) + errs.pop(0)
+        return rfft(x, *args, **kwargs) + errs.pop(0)(x)
 
     def perturbed_irfft(X, *args, **kwargs):
         y = irfft(X, *args, **kwargs)
@@ -382,11 +412,41 @@ def test_screen_bound_covers_its_modelled_fft_errors(N, alpha, monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
     screen = _UnitScreen(N, om, zs)
     assert errs == []
-    errs[:] = [aimed(av, np.conj(rfft(bv)) * phase(len(av))) for av, bv in levels]
+    errs[:] = [lambda x, n=n, fb=fb, ph=ph: _aimed(x, n, fb * ph, sign)
+               for (_, n, _, fb), ph in zip(exact.groups, phases)]
     T, bound = screen.screen(prod, scale)
     assert errs == []
     assert np.abs(T - direct).max() <= bound
     # the aimed class takes a fair share of B, so a B short by that share fails
+    assert abs(T[i] - direct[i]) >= 0.05 * bound
+
+
+@pytest.mark.parametrize("N", [4, 8, 16, 2048, 4096])
+def test_screen_bound_covers_its_modelled_direct_errors(N):
+    """Move each folded a[i] by u |a[i]| and the constant by 3u P W, the
+    rounding that B's direct term models, all toward one class: its |T - D|
+    must stay within B.  The nodes of the constant (N/4, N/2, 3N/4) carry
+    nearly all of P here, so B's FFT terms are far below u P W and a B
+    without its direct term would not hold."""
+    zs = cbc._units(N)
+    zs = zs[2 * zs <= N]
+    om, _ = _omega_table(1, N)
+    n = np.arange(N)
+    screen = _UnitScreen(N, om, zs)
+    prod = np.random.default_rng(N).uniform(0.5, 2.0, N)
+    prod[screen.nodes] *= 1e-9
+    prod[screen.mirror] *= 1e-9
+    scale = float(np.abs(prod[1:]).sum()) * float(np.abs(om[1:]).max())
+    direct = np.array([float(np.sum(prod[1:] * om[n[1:] * c % N])) for c in zs])
+    i = len(zs) // 3
+    sign = 1.0 if screen.screen(prod, scale)[0][i] >= direct[i] else -1.0
+    moved = prod.copy()
+    a = prod[screen.nodes] + prod[screen.mirror]
+    # a[i] enters the class's T times omega[n_i z]
+    moved[screen.nodes] += sign * cbc._U * np.abs(a) * np.sign(om[screen.nodes * zs[i] % N])
+    moved[N // 2] += sign * 3.0 * cbc._U * scale / om[N // 2]
+    T, bound = screen.screen(moved, scale)
+    assert np.abs(T - direct).max() <= bound
     assert abs(T[i] - direct[i]) >= 0.05 * bound
 
 

@@ -442,14 +442,15 @@ def test_converge_empty_exponent_range_exits_one(capsys):
     assert err == "latquad: --nmin must not exceed --nmax, got --nmin 5 --nmax 3\n"
 
 
-@pytest.mark.parametrize("nmin,bad", [("-1", "0.5"), ("0", "1")])
-def test_converge_exponent_below_one_exits_one(capsys, nmin, bad):
+@pytest.mark.parametrize("nmin", ["-1", "0"])
+def test_converge_exponent_below_one_exits_one(capsys, nmin):
+    # refused by the CLI, naming the flag, before the library sees N = 2^nmin
     code, stdout, err = run_cli(
         capsys, "converge", "--family", "g", "--s", "2", "--w", "0.9",
         "--nmin", nmin, "--nmax", "3")
     assert code == 1
     assert stdout == ""
-    assert err == f"latquad: N_list entries must be integers >= 2, got {bad}\n"
+    assert err == f"latquad: --nmin must be at least 1, got --nmin {nmin}\n"
 
 
 def test_fold_average_cap_exits_one(capsys):

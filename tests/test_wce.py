@@ -39,6 +39,7 @@ from latquad.wce import (
     _FOLD_WORK_CAP,
     _ROW_BLOCK,
     WceMethod,
+    _bound_constants,
     cbc_bound_constant,
     wce_cosine_sym,
     wce_cosine_tent,
@@ -795,6 +796,15 @@ def test_bound_constant_values():
     assert cbc_bound_constant(1, (1.0,)) == pytest.approx(math.sqrt(PI**2 / 3.0), rel=1e-14)
     assert cbc_bound_constant(1, (1.0,)) == pytest.approx(1.813799364234218, rel=1e-14)
     assert cbc_bound_constant(1, (1.0, 1.0)) == pytest.approx(4.171686541976073, rel=1e-13)
+
+
+def test_bound_constants_of_every_prefix_in_one_pass():
+    # CBC reads every prefix's constant from one call: each equals the
+    # public constant of that prefix, bit for bit
+    gammas = (1.0, 0.5, 0.25, 1e-3, 2.0)
+    for alpha, tau in ((1, 1.0), (1.5, 1.0), (2, 1.5), (3, 2.0)):
+        assert _bound_constants(alpha, gammas, tau) == [
+            cbc_bound_constant(alpha, gammas[: d + 1], tau=tau) for d in range(len(gammas))]
 
 
 def test_bound_constant_subset_expansion():
