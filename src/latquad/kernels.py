@@ -352,20 +352,28 @@ def _cos_partial_sum(theta, alpha: float, kmax: int):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
     |theta| is reduced mod 2 (the sum is even).  Lattice-derived arguments
-    repeat heavily, so the sum is evaluated once per distinct value.
+    repeat heavily, so the sum is evaluated once per distinct value.  The
+    k-chunks depend on kmax alone, the distinct values are sliced so that a
+    cos block holds at most _SERIES_CHUNK values, and einsum (no BLAS) reduces
+    each value's terms on their own: a value has the same bits whatever other
+    arguments share the call.
     """
     th = np.mod(np.abs(np.asarray(theta, dtype=np.float64)), 2.0)
     shape = th.shape
     u, inv = np.unique(th.ravel(), return_inverse=True)
     acc = np.zeros(u.size)
-    if u.size:
-        chunk = max(1, min(kmax, _SERIES_CHUNK // u.size))
-        lo = 1
-        while lo <= kmax:
-            hi = min(kmax, lo + chunk - 1)
-            k = np.arange(lo, hi + 1, dtype=np.float64)
-            acc += np.cos(np.pi * u[:, None] * k) @ k ** (-2.0 * alpha)
-            lo = hi + 1
+    chunk = min(kmax, _SERIES_CHUNK)
+    rows = max(1, _SERIES_CHUNK // chunk)
+    pu = np.pi * u
+    buf = np.empty(min(rows, u.size) * chunk)
+    for lo in range(1, kmax + 1, chunk):
+        k = np.arange(lo, min(kmax, lo + chunk - 1) + 1, dtype=np.float64)
+        ck = k ** (-2.0 * alpha)
+        for r0 in range(0, u.size, rows):
+            c = buf[:min(rows, u.size - r0) * k.size].reshape(-1, k.size)
+            np.multiply(pu[r0:r0 + rows, None], k, out=c)
+            np.cos(c, out=c)
+            acc[r0:r0 + rows] += np.einsum("ij,j->i", c, ck)
     return acc[inv.ravel()].reshape(shape)
 
 

@@ -110,21 +110,26 @@ def wce_double_sum(
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values: per row block and coordinate, a table over the block's distinct
-    values times the set's distinct values, gathered into the block's rows and
-    columns.  Lattice, tent and symmetrized node sets of an N-point rule take
-    at most N + 1 distinct values per coordinate, so each block costs s
-    tables of at most (N + 1)^2 evaluations, and the whole sum s gathers and
-    s - 1 products of M^2 values, instead of s M^2 evaluations.  A block
-    builds one coordinate's table at a time and gathers it, one tile of
-    max(1, _TILE // M) rows at a time, into a block-by-M product buffer (the
-    first coordinate) or a tile-sized work buffer multiplied into it (the
-    others); both buffers serve every tile and coordinate, so nothing
-    block-sized is allocated per coordinate.  A block thus holds one table
-    (no larger than the block times M), one block-by-M buffer and two tiles:
-    memory O(block M).  The factors are elementwise and multiplied in
-    coordinate order, so every product, and hence e2 and the tail bound, has
-    the same bits as evaluating every node pair directly.  A product,
-    sum or tail past the float64 range raises OverflowError.
+    values times the set's U_j distinct values, gathered into the block's
+    rows and columns.  Lattice, tent and symmetrized node sets of an N-point
+    rule take at most N + 1 distinct values per coordinate, so each block
+    costs s tables of at most (N + 1)^2 evaluations, and the whole sum s
+    gathers and s - 1 products of M^2 values, instead of s M^2 evaluations.
+    A block first builds all s of its tables and keeps them.  Then, one row
+    tile of t = max(1, _TILE // M) rows at a time, it gathers coordinate 0
+    into a product tile, gathers every later coordinate into a work tile and
+    multiplies it in, in coordinate order, and reduces the finished tile by
+    einsum while it is still in cache; no block-by-M array is built.  A block
+    takes min(_ROW_BLOCK, _ROW_BLOCK M // sum_j U_j) rows, but at least t, so
+    its tables hold at most max(_ROW_BLOCK M, s _TILE) values: no more than
+    a _ROW_BLOCK-by-M array unless one tile of rows alone needs more.  Add
+    the transient of building one table and three arrays of at most _TILE
+    values (the two tiles and a gathered table slice) for a block's memory;
+    each of ``threads`` workers runs one block at a time.  The factors are
+    elementwise and multiplied in coordinate order, so every product, and
+    hence e2 and the tail bound, has the same bits as evaluating every node
+    pair directly.  A product, sum or tail past the float64 range raises
+    OverflowError.
     """
     X, w = ps.points, ps.weights
     M, s = X.shape
@@ -134,39 +139,43 @@ def wce_double_sum(
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
-    blocks = [(i, min(i + _ROW_BLOCK, M)) for i in range(0, M, _ROW_BLOCK)]
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
+    t = max(1, _TILE // M)
+    # rows whose s tables fit in a _ROW_BLOCK-by-M array, but at least a tile
+    rb = max(t, min(_ROW_BLOCK, _ROW_BLOCK * M // sum(cu.size for cu, _ in cols)))
+    blocks = [(i, min(i + rb, M)) for i in range(0, M, rb)]
 
     @_refuse_overflow  # the pool's threads start in numpy's default error state
     def run_block(block: tuple[int, int]):
         i0, i1 = block
         maxv = np.empty(s)
         bnds = np.empty(s)
-        # prod stays C-contiguous, as the direct evaluation is, so each row
-        # reaches einsum's contiguous inner loop in both
-        prod = np.empty((i1 - i0, M))
-        rows = np.empty(i1 - i0)
-        t = max(1, _TILE // M)
-        work = np.empty((min(t, i1 - i0), M))
+        tables = []
         for j, (cu, cinv) in enumerate(cols):
             ru, rinv = (cu, cinv) if i1 - i0 == M else np.unique(X[i0:i1, j], return_inverse=True)
             table, bnds[j] = kernel_factor(
                 spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy,
             )
-            # every table entry is some node pair's value, so the maxima match
-            maxv[j] = float(np.abs(table).max())
-            for r0 in range(0, i1 - i0, t):
-                p = prod[r0:r0 + t]
+            # every table entry is some node pair's value, so the maxima
+            # match; no |table| temporary while the other tables are alive
+            maxv[j] = max(table.max(), -table.min())
+            tables.append((table, rinv, cinv))
+        rows = np.empty(i1 - i0)
+        # prod stays C-contiguous, as the direct evaluation is, so each row
+        # reaches einsum's contiguous inner loop in both
+        prod = np.empty((min(t, i1 - i0), M))
+        work = np.empty_like(prod)
+        for r0 in range(0, i1 - i0, t):
+            p = prod[:min(t, i1 - i0 - r0)]
+            for j, (table, rinv, cinv) in enumerate(tables):
                 v = work[:len(p)] if j else p
                 # mode="clip" gathers straight into out; the default "raise"
                 # buffers a copy.  Inverse indices from np.unique are in range.
                 np.take(table[rinv[r0:r0 + t]], cinv, axis=1, out=v, mode="clip")
                 if j:
                     np.multiply(p, v, out=p)
-                if j == s - 1:
-                    # the tile's products are final: reduce them while cached
-                    np.einsum("ij,j->i", p, w, out=rows[r0:r0 + t])
-            del table  # one table alive at a time
+            # the tile's products are final: reduce them while cached
+            np.einsum("ij,j->i", p, w, out=rows[r0:r0 + t])
         return w[i0:i1] * rows, maxv, bnds
 
     if threads is not None and threads > 1 and len(blocks) > 1:

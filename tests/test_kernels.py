@@ -278,6 +278,27 @@ def test_korobov_closed_form_matches_truncated_series(alpha, tol):
     assert float(np.abs(closed - series).max()) <= 2.0 * series_tail_bound(alpha, 0.8, kmax)
 
 
+@pytest.mark.parametrize("chunk", [None, 97])
+def test_series_values_do_not_depend_on_the_other_arguments(chunk, monkeypatch):
+    # A subset call has the superset call's bits, so a double-sum row block's
+    # series table has the full table's bits in its rows.  chunk = 97 splits
+    # both the terms and the distinct arguments into several blocks.
+    if chunk is not None:
+        monkeypatch.setattr("latquad.kernels._SERIES_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    theta = rng.random(301) * 4.0 - 2.0
+    full = _cos_partial_sum(theta, 1.5, 500)
+    for size in (1, 7, 8, 9, 57, 300):
+        idx = rng.choice(theta.size, size, replace=False)
+        assert np.array_equal(_cos_partial_sum(theta[idx], 1.5, 500), full[idx]), size
+    pol = TruncationPolicy(tol=1e-4)
+    x = rng.random(40)
+    table, _ = kernel_factor("korcos", 2.5, 0.7, x[:, None], x[None, :], pol)
+    for i0, i1 in ((0, 1), (5, 12), (31, 40)):
+        block, _ = kernel_factor("korcos", 2.5, 0.7, x[i0:i1, None], x[None, :], pol)
+        assert np.array_equal(block, table[i0:i1]), (i0, i1)
+
+
 def _cos_series(theta, alpha, kmax):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), once per distinct theta."""
     k = np.arange(1, kmax + 1, dtype=np.float64)

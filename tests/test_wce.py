@@ -631,21 +631,27 @@ def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
 
 def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
     # (100, 2^12) splits rows into blocks that a BLAS matvec reduced with
-    # other bits; (7, 97) and (4096, 1) reduce one row per tile.  A series
-    # family, so the tail bound is nonzero; a coarse policy keeps it cheap.
+    # other bits; (7, 97) and (4096, 1) reduce one row per tile.  The 521
+    # plain lattice nodes, distinct in every coordinate, take blocks below
+    # _ROW_BLOCK rows, which keep their s tables within a _ROW_BLOCK-by-M
+    # block.  A series family, so the tail bound is nonzero, with a coarse
+    # policy to keep it cheap; and a closed form.
     pol = TruncationPolicy(tol=1e-2)
     rule = cbc_construct(127, 4, 2, (1.0, 1 / 4, 1 / 9, 1 / 16)).rule
-    sets = _oracle_point_sets() + [symmetrize(rule)]
-    specs = [SpaceSpec("korcos", 1.5, (1.0, 0.7, 0.4, 0.3)[:ps.s]) for ps in sets]
-    refs = [wce_double_sum(spec, ps, pol) for spec, ps in zip(specs, sets)]
+    distinct = lattice_points(LatticeRule(521, (1, 191, 260)))
+    sets = _oracle_point_sets() + [symmetrize(rule), distinct]
+    cases = [(SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3)[:ps.s]), ps)
+             for family, alpha in (("korcos", 1.5), ("cosine", 2)) for ps in sets]
+    refs = [wce_double_sum(spec, ps, pol) for spec, ps in cases]
     for block, tile in ((100, 1 << 12), (7, 97), (4096, 1)):
         monkeypatch.setattr(wce, "_ROW_BLOCK", block)
         monkeypatch.setattr(wce, "_TILE", tile)
         for threads in (None, 1, 2, 3):
-            for spec, ps, ref in zip(specs, sets, refs):
+            for (spec, ps), ref in zip(cases, refs):
                 got = wce_double_sum(spec, ps, pol, threads=threads)
-                assert got.e2 == ref.e2, (block, tile, threads, len(ps))
-                assert got.tail_bound == ref.tail_bound, (block, tile, threads, len(ps))
+                key = (spec.family, block, tile, threads, len(ps))
+                assert got.e2 == ref.e2, key
+                assert got.tail_bound == ref.tail_bound, key
 
 
 @pytest.mark.parametrize("family,alpha", [("korobov", 2), ("korcos", 1.5), ("sobolev", 1)])
@@ -706,29 +712,43 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
-@pytest.mark.parametrize("nodes", ["symmetrized", "distinct"])
-def test_double_sum_peak_memory_is_one_block_buffer_one_table_and_two_tiles(nodes):
-    """Traced peak of one threads=1 double sum over 2040 nodes, s = 3.
+def _double_sum_block_peak(spec, X, i0, i1, policy):
+    """Traced bytes one double-sum block may hold: its s tables, built one
+    after another and then all kept, plus three tiles."""
+    M, s = X.shape
+    tables, build = 0, 0
+    for j in range(s):
+        ru, cu = np.unique(X[i0:i1, j]), np.unique(X[:, j])
+        peak = _traced_peak(lambda: kernel_factor(
+            spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy))
+        build = max(build, tables + peak)
+        tables += ru.size * cu.size * 8
+    return max(build, tables + 3 * wce._TILE * 8)
 
-    A block allocates one block-by-M product buffer and one work tile of at
-    most _TILE values.  Then, one coordinate at a time, it builds that
-    coordinate's kernel table, takes its largest magnitude (a table-sized
-    temporary) and gathers it a tile at a time through a row-indexed table
-    slice of at most _TILE values; the table is dropped before the next one
-    is built, and blocks run one after another.  So the peak is at most
-      _ROW_BLOCK * M * 8 bytes      the product buffer,
-      + 2 * _TILE * 8 bytes         work tile and gathered slice,
-      + the largest, over blocks and coordinates, of
-        max(traced peak of the kernel_factor call building the table,
-            2 * table bytes)        the table and its absolute values,
-      + 1 MiB slack                 np.unique values and inverses of the set
-                                    and of one block, 2 s (M + 512) words,
-                                    the row sums, 2 (M + 512) words, 0.16 MiB
-                                    together, and small arrays.
-    The symmetrized set (N = 509) has at most 510 distinct values per
-    coordinate; the random set has 2040, so each of its tables is
-    block-by-M.  Keeping every coordinate's table alive, or allocating a
-    fresh block-by-M array per coordinate, does not fit.
+
+@pytest.mark.parametrize("nodes,threads", [("symmetrized", 1), ("distinct", 1),
+                                           ("symmetrized", 2), ("distinct", 2)])
+def test_double_sum_peak_memory_is_the_block_tables_and_three_tiles(nodes, threads):
+    """Traced peak of one double sum over 2040 nodes, s = 3.
+
+    A block builds its s kernel tables one after another, each over the
+    block's distinct values times the set's, and keeps them all; it takes
+    each table's largest magnitude with no table-sized temporary.  Then, a
+    tile at a time, it gathers the tables into a product tile and a work
+    tile through a row-indexed table slice, each of at most _TILE values.
+    So one block holds at most
+      max over j of (tables 0 .. j-1 + traced peak of building table j),
+      or all s tables + 3 * _TILE * 8 bytes, whichever is larger,
+    and the peak is at most ``threads`` such blocks (the largest), since each
+    worker runs one block at a time, + 1 MiB slack: np.unique values and
+    inverses of the set and of a block, 2 s (M + 512) words, the row sums,
+    2 (M + 512) words, 0.16 MiB together, and small arrays.  A block's rows
+    are min(_ROW_BLOCK, _ROW_BLOCK * M // sum_j U_j), U_j the set's distinct
+    values in coordinate j: the symmetrized set (N = 509) has at most 510 per
+    coordinate and keeps 512-row blocks; the random set has 2040, so its
+    blocks take 170 rows and its tables together hold no more than a
+    _ROW_BLOCK-by-M block.  A block-by-M product buffer, or all of a 512-row
+    block's tables over 2040 distinct values, does not fit.
     """
     if nodes == "symmetrized":
         ps = symmetrize(LatticeRule(509, (1, 191, 85)))
@@ -737,18 +757,14 @@ def test_double_sum_peak_memory_is_one_block_buffer_one_table_and_two_tiles(node
         ps = WeightedPointSet(x, np.full(2040, 1 / 2040))
     X = ps.points
     M, s = X.shape
-    tile = wce._TILE
-    assert M == 2040 and tile < M * _ROW_BLOCK
+    assert M == 2040 and wce._TILE < M * _ROW_BLOCK
+    rb = min(_ROW_BLOCK, _ROW_BLOCK * M // sum(np.unique(X[:, j]).size for j in range(s)))
+    assert rb == (512 if nodes == "symmetrized" else 170)
     spec = SpaceSpec("korobov", 1, (1.0, 0.5, 0.25))
-    table = 0
-    for i0 in range(0, M, _ROW_BLOCK):
-        for j in range(s):
-            ru, cu = np.unique(X[i0:i0 + _ROW_BLOCK, j]), np.unique(X[:, j])
-            built = _traced_peak(lambda: kernel_factor(
-                "korobov", 1, spec.gammas[j], ru[:, None], cu[None, :], POL))
-            table = max(table, built, 2 * ru.size * cu.size * 8)
-    bound = _ROW_BLOCK * M * 8 + 2 * tile * 8 + table + (1 << 20)
-    peak = _traced_peak(lambda: wce_double_sum(spec, ps, POL, threads=1))
+    block = max(_double_sum_block_peak(spec, X, i0, min(i0 + rb, M), POL)
+                for i0 in range(0, M, rb))
+    bound = threads * block + (1 << 20)
+    peak = _traced_peak(lambda: wce_double_sum(spec, ps, POL, threads=threads))
     assert peak <= bound, (peak / 2**20, bound / 2**20)
 
 
