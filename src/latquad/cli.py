@@ -271,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the cores this process may run on, not every CPU of the host
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--threads", type=int, default=cores,
-                   help="worker threads for the double sum (result is identical)")
+                   help="worker threads for the double sum (result is identical); "
+                        "a set whose tables fit one row block runs on one thread")
     p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol,
                    help="per-factor truncation tolerance of the double-sum series")
     p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,

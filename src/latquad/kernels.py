@@ -348,7 +348,7 @@ def series_tail_bound(alpha: float, gamma: float, kmax: int) -> float:
     return gamma * float(kmax) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
 
 
-def _cos_partial_sum(theta, alpha: float, kmax: int):
+def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
     |theta| is reduced mod 2 (the sum is even).  Lattice-derived arguments
@@ -356,11 +356,13 @@ def _cos_partial_sum(theta, alpha: float, kmax: int):
     k-chunks depend on kmax alone, the distinct values are sliced so that a
     cos block holds at most _SERIES_CHUNK values, and einsum (no BLAS) reduces
     each value's terms on their own: a value has the same bits whatever other
-    arguments share the call.
+    arguments share the call.  ``out``, a C-contiguous float64 array of
+    theta's shape, may be theta itself: the reduced arguments and then the
+    result are written there, so a call holds no table beyond np.unique's.
     """
-    th = np.mod(np.abs(np.asarray(theta, dtype=np.float64)), 2.0)
-    shape = th.shape
-    u, inv = np.unique(th.ravel(), return_inverse=True)
+    th = np.abs(theta, out=np.empty(np.shape(theta)) if out is None else out)
+    np.mod(th, 2.0, out=th)
+    u, inv = np.unique(th, return_inverse=True)
     acc = np.zeros(u.size)
     chunk = min(kmax, _SERIES_CHUNK)
     rows = max(1, _SERIES_CHUNK // chunk)
@@ -374,7 +376,8 @@ def _cos_partial_sum(theta, alpha: float, kmax: int):
             np.multiply(pu[r0:r0 + rows, None], k, out=c)
             np.cos(c, out=c)
             acc[r0:r0 + rows] += np.einsum("ij,j->i", c, ck)
-    return acc[inv.ravel()].reshape(shape)
+    # mode="clip" gathers straight into th; inverse indices are in range
+    return np.take(acc, inv.reshape(th.shape), out=th, mode="clip")
 
 
 def _sobolev_factor(alpha: float, gamma: float, x, y):
@@ -440,7 +443,7 @@ def kernel_factor(
         kmax = series_kmax(alpha, gamma, policy)
 
         def c(theta):
-            return _cos_partial_sum(theta, alpha, kmax)
+            return _cos_partial_sum(theta, alpha, kmax, out=theta)
 
         # every family weighs its c terms by 2 gamma in total
         tail = 2.0 * series_tail_bound(alpha, gamma, kmax)

@@ -71,6 +71,8 @@ MAX_DOUBLE_SUM_NODES = 4096
 _ROW_BLOCK = 512
 # float64 elements per row tile of the double-sum product (256 KiB)
 _TILE = 1 << 15
+# repeated values of a coordinate, in tiles of rows, that make folded order pay
+_FOLD_TILES = 4
 _FOLD_WORK_CAP = 1 << 24  # on 2^s N in the fold-average routes, checked before any work
 
 
@@ -113,23 +115,35 @@ def wce_double_sum(
     values times the set's U_j distinct values, gathered into the block's
     rows and columns.  Lattice, tent and symmetrized node sets of an N-point
     rule take at most N + 1 distinct values per coordinate, so each block
-    costs s tables of at most (N + 1)^2 evaluations, and the whole sum s
-    gathers and s - 1 products of M^2 values, instead of s M^2 evaluations.
+    costs s tables of at most (N + 1)^2 evaluations, and the whole sum at
+    most s gathers and s - 1 products of M^2 values, instead of s M^2
+    evaluations.  A set whose own tables, sum_j U_j^2 values, fit in a
+    _ROW_BLOCK-by-M array is one block, which runs on one thread.
+    Otherwise a block takes the whole tiles of t = max(1, _TILE // M) rows
+    that fit in _ROW_BLOCK M // sum_j U_j rows, but at least one tile.
+    Either way its tables hold at most max(_ROW_BLOCK M, s _TILE) values.
     A block first builds all s of its tables and keeps them.  Then, one row
-    tile of t = max(1, _TILE // M) rows at a time, it gathers coordinate 0
-    into a product tile, gathers every later coordinate into a work tile and
-    multiplies it in, in coordinate order, and reduces the finished tile by
-    einsum while it is still in cache; no block-by-M array is built.  A block
-    takes min(_ROW_BLOCK, _ROW_BLOCK M // sum_j U_j) rows, but at least t, so
-    its tables hold at most max(_ROW_BLOCK M, s _TILE) values: no more than
-    a _ROW_BLOCK-by-M array unless one tile of rows alone needs more.  Add
-    the transient of building one table and three arrays of at most _TILE
-    values (the two tiles and a gathered table slice) for a block's memory;
-    each of ``threads`` workers runs one block at a time.  The factors are
-    elementwise and multiplied in coordinate order, so every product, and
-    hence e2 and the tail bound, has the same bits as evaluating every node
-    pair directly.  A product, sum or tail past the float64 range raises
-    OverflowError.
+    tile at a time, it gathers coordinate 0 into a product tile, gathers
+    every later coordinate into a work tile and multiplies it in, in
+    coordinate order, and reduces the finished tile by einsum while it is
+    still in cache; no block-by-M array is built.
+
+    When a coordinate repeats at least _FOLD_TILES tiles of rows (M - U_j >=
+    _FOLD_TILES t), the rows are taken in folded order: lexsorted by each
+    coordinate's folded rank min(r, U_j - 1 - r), so a reflection orbit of
+    a symmetrized set, and coincident tent nodes n and N - n, share a tile.
+    For such a coordinate, a tile whose d distinct table rows satisfy 2 d <=
+    its rows gathers the columns of each distinct row once, into a d-by-M
+    slab, and copies whole slab rows into the tile; any other tile gathers
+    its rows directly.  Either way the gathered table rows, and the slab,
+    fit in one scratch tile, so a block's memory is its tables, the
+    transient of building one table, and three arrays of at most _TILE
+    values; each of ``threads`` workers runs one block at a time.  Row order
+    moves no bit: each row is reduced by the same einsum over its products
+    in column order, and the factors are elementwise and multiplied in
+    coordinate order, so every product, and hence e2 and the tail bound,
+    has the same bits as evaluating every node pair directly.  A product,
+    sum or tail past the float64 range raises OverflowError.
     """
     X, w = ps.points, ps.weights
     M, s = X.shape
@@ -141,42 +155,89 @@ def wce_double_sum(
 
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
     t = max(1, _TILE // M)
-    # rows whose s tables fit in a _ROW_BLOCK-by-M array, but at least a tile
-    rb = max(t, min(_ROW_BLOCK, _ROW_BLOCK * M // sum(cu.size for cu, _ in cols)))
+    # one block if the set's own tables fit in a _ROW_BLOCK-by-M array (a
+    # second worker on so small a sum loses more to the GIL than it gains);
+    # else whole tiles of rows whose s tables fit, but at least one tile
+    budget = _ROW_BLOCK * M
+    if sum(cu.size ** 2 for cu, _ in cols) <= budget:
+        rb = M
+    else:
+        rb = max(t, budget // sum(cu.size for cu, _ in cols) // t * t)
     blocks = [(i, min(i + rb, M)) for i in range(0, M, rb)]
+    # a coordinate whose repeated values fill _FOLD_TILES tiles of rows pays
+    # for the sorts that find each tile's distinct table rows
+    fold = [M - cu.size >= _FOLD_TILES * t for cu, _ in cols]
+    order = None
+    if any(fold):
+        # rows by folded rank, min(r, U_j - 1 - r) of each coordinate's rank
+        # r: x and 1 - x, a reflection orbit, fold together whenever the
+        # values are closed under x -> 1 - x, and so do equal rows
+        order = np.lexsort([np.minimum(inv, cu.size - 1 - inv) for cu, inv in reversed(cols)])
 
     @_refuse_overflow  # the pool's threads start in numpy's default error state
     def run_block(block: tuple[int, int]):
         i0, i1 = block
+        nb = i1 - i0
+        idx = slice(i0, i1) if order is None else order[i0:i1]
         maxv = np.empty(s)
         bnds = np.empty(s)
         tables = []
         for j, (cu, cinv) in enumerate(cols):
-            ru, rinv = (cu, cinv) if i1 - i0 == M else np.unique(X[i0:i1, j], return_inverse=True)
+            if nb == M:
+                ru, rinv = cu, cinv[idx]
+            else:
+                ru, rinv = np.unique(X[idx, j], return_inverse=True)
             table, bnds[j] = kernel_factor(
                 spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy,
             )
             # every table entry is some node pair's value, so the maxima
             # match; no |table| temporary while the other tables are alive
             maxv[j] = max(table.max(), -table.min())
-            tables.append((table, rinv, cinv))
-        rows = np.empty(i1 - i0)
+            slabs = None
+            if fold[j]:
+                # per tile, its distinct table rows and each row's place
+                # among them, from one sort of the (tile, table row) pairs
+                tile = np.arange(nb) // t
+                pairs, local = np.unique(tile * ru.size + rinv, return_inverse=True)
+                starts = np.searchsorted(pairs, np.arange(tile[-1] + 2) * ru.size)
+                local -= starts[tile]
+                slabs = (pairs % ru.size, starts.tolist(), local)
+            tables.append((table, rinv, cinv, slabs))
+        rows = np.empty(nb)
         # prod stays C-contiguous, as the direct evaluation is, so each row
         # reaches einsum's contiguous inner loop in both
-        prod = np.empty((min(t, i1 - i0), M))
+        prod = np.empty((min(t, nb), M))
         work = np.empty_like(prod)
-        for r0 in range(0, i1 - i0, t):
-            p = prod[:min(t, i1 - i0 - r0)]
-            for j, (table, rinv, cinv) in enumerate(tables):
-                v = work[:len(p)] if j else p
+        # a tile of gathered table rows, or a tile's distinct rows and slab
+        scratch = np.empty(prod.size)
+        for k, r0 in enumerate(range(0, nb, t)):
+            n = min(t, nb - r0)
+            p = prod[:n]
+            for j, (table, rinv, cinv, slabs) in enumerate(tables):
+                v = work[:n] if j else p
+                U, d = table.shape[1], n
+                if slabs is not None:
+                    urows, starts, local = slabs
+                    d = starts[k + 1] - starts[k]
                 # mode="clip" gathers straight into out; the default "raise"
                 # buffers a copy.  Inverse indices from np.unique are in range.
-                np.take(table[rinv[r0:r0 + t]], cinv, axis=1, out=v, mode="clip")
+                if 2 * d <= n:
+                    # gather each distinct row's columns once, into a slab,
+                    # then copy whole slab rows into the tile
+                    sub = table.take(urows[starts[k]:starts[k + 1]], axis=0,
+                                     out=scratch[:d * U].reshape(d, U), mode="clip")
+                    slab = sub.take(cinv, axis=1, out=scratch[d * U:d * (U + M)].reshape(d, M),
+                                    mode="clip")
+                    slab.take(local[r0:r0 + n], axis=0, out=v, mode="clip")
+                else:
+                    sub = table.take(rinv[r0:r0 + n], axis=0,
+                                     out=scratch[:n * U].reshape(n, U), mode="clip")
+                    sub.take(cinv, axis=1, out=v, mode="clip")
                 if j:
                     np.multiply(p, v, out=p)
             # the tile's products are final: reduce them while cached
-            np.einsum("ij,j->i", p, w, out=rows[r0:r0 + t])
-        return w[i0:i1] * rows, maxv, bnds
+            np.einsum("ij,j->i", p, w, out=rows[r0:r0 + n])
+        return w[idx] * rows, maxv, bnds
 
     if threads is not None and threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -11,6 +11,7 @@ import pytest
 
 from latquad.kernels import (
     _BERNOULLI_COEFFS,
+    _SERIES_CHUNK,
     _TABLE_CAP,
     DEFAULT_POLICY,
     QuadratureAccuracyError,
@@ -409,6 +410,38 @@ def test_kernel_factor_peak_memory_is_three_tables(fam, alpha):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 512 * 2040 * 8 + (64 << 10), peak / (512 * 2040 * 8)
+
+
+@pytest.mark.parametrize("fam,kept", [("korobov", 0), ("cosine", 1), ("korcos", 1)])
+def test_series_kernel_factor_peak_memory(fam, kept):
+    """Traced peak of one series call (alpha = 1.5) at 512 x 2040 distinct values.
+
+    c reduces its fresh argument in place and gathers its result back into
+    it, so beside the argument a call holds np.unique's distinct values and
+    inverse, the sums over the distinct values and pi times those values:
+    five tables of 512 * 2040 * 8 bytes, and one more, the first cosine
+    part, that cosine and korcos keep while they build the second part or
+    the korobov part.  Add one cos block of at most _SERIES_CHUNK values and
+    einsum's sums over its rows, at most _SERIES_CHUNK // kmax values; np.unique's
+    own peak, about seven tables, stays below that.  Slack 64 KiB for small
+    arrays.  Reducing theta by expressions and gathering the result into a
+    new array held 1.4 tables more.
+    """
+    pol = TruncationPolicy(tol=1e-2)
+    kmax = series_kmax(1.5, 0.7, pol)
+    assert kmax < _SERIES_CHUNK
+    rng = np.random.default_rng(6)
+    x, y = rng.random(512)[:, None], rng.random(2040)[None, :]
+    table = 512 * 2040 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kernel_factor(fam, 1.5, 0.7, x, y, pol)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = (5 + kept) * table + 8 * (_SERIES_CHUNK + _SERIES_CHUNK // kmax) + (64 << 10)
+    assert peak <= bound, (peak / table, bound / table)
 
 
 def test_kernel_factor_symmetry_and_validation():

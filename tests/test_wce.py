@@ -554,11 +554,11 @@ def test_wce_nonnegative():
 
 
 def test_double_sum_is_thread_count_invariant():
-    # 64 nodes fill one row block; 1024 nodes take two, so the per-block row
-    # tables and the thread pool both run
-    for rule in (LatticeRule(31, (1, 18)), LatticeRule(127, (1, 47, 27, 9))):
-        ps = symmetrize(rule)
-        spec = SpaceSpec("cosine", 1, (1.0, 0.7, 0.5, 0.3)[: rule.s])
+    # 64 nodes fill one row block; the 701 tent nodes take four, in folded
+    # order, so the per-block row tables and the thread pool both run
+    for ps in (symmetrize(LatticeRule(31, (1, 18))),
+               tent_transform(lattice_points(LatticeRule(701, (1, 194, 142))))):
+        spec = SpaceSpec("cosine", 1, (1.0, 0.7, 0.5, 0.3)[: ps.s])
         a = wce_double_sum(spec, ps, POL, threads=1)
         b = wce_double_sum(spec, ps, POL, threads=4)
         assert a.e2 == b.e2, len(ps)
@@ -599,14 +599,22 @@ def _oracle_point_sets():
                      for c in range(4)])
     grid_w = 1.0 + np.arange(len(grid)) % 3
     rand_w = rng.uniform(0.5, 1.5, size=120)
+    sym = symmetrize(LatticeRule(251, (1, 76, 114)))
+    perm = np.random.default_rng(5).permutation(len(sym))
     return [
         lattice_points(LatticeRule(61, (1, 17, 23))),
         tent_transform(lattice_points(LatticeRule(64, (1, 27, 15)))),
         symmetrize(LatticeRule(31, (1, 18, 7))),
-        # more than one row block
-        symmetrize(LatticeRule(251, (1, 76, 114))),
-        # 608 nodes, row tiles of _TILE // 608 = 53 rows: every block ends in
-        # a partial tile (512 = 9 * 53 + 35), and the last block is partial
+        # 1008 nodes in folded order, where each tile gathers its distinct
+        # table rows into a slab; shuffled, the same bits
+        sym,
+        WeightedPointSet(sym.points[perm], sym.weights[perm]),
+        # reflection orbits of 32 rows, two to a tile of 64
+        symmetrize(LatticeRule(31, (1, 12, 5, 3, 9))),
+        # odd N: rows n and N - n coincide in 72 pairs, in folded order, but
+        # a tile of 46 rows has too few repeats for a slab; 4 blocks
+        tent_transform(lattice_points(LatticeRule(701, (1, 194, 142)))),
+        # 608 nodes, row tiles of _TILE // 608 = 53 rows: the last is partial
         symmetrize(LatticeRule(151, (1, 58, 40))),
         # repeated grid values, uneven weights
         WeightedPointSet(grid, grid_w / math.fsum(grid_w)),
@@ -621,8 +629,8 @@ def _oracle_point_sets():
     + [(f, a) for f in ("korobov", "cosine", "korcos") for a in (1, 1.5, 2, 3)],
 )
 def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
-    spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4))
     for ps in _oracle_point_sets():
+        spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
         got = wce_double_sum(spec, ps, POL)
         e2, tail = _direct_double_sum(spec, ps, POL)
         assert got.e2 == e2, len(ps)
@@ -640,7 +648,7 @@ def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
     rule = cbc_construct(127, 4, 2, (1.0, 1 / 4, 1 / 9, 1 / 16)).rule
     distinct = lattice_points(LatticeRule(521, (1, 191, 260)))
     sets = _oracle_point_sets() + [symmetrize(rule), distinct]
-    cases = [(SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3)[:ps.s]), ps)
+    cases = [(SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s]), ps)
              for family, alpha in (("korcos", 1.5), ("cosine", 2)) for ps in sets]
     refs = [wce_double_sum(spec, ps, pol) for spec, ps in cases]
     for block, tile in ((100, 1 << 12), (7, 97), (4096, 1)):
@@ -712,13 +720,16 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
-def _double_sum_block_peak(spec, X, i0, i1, policy):
-    """Traced bytes one double-sum block may hold: its s tables, built one
-    after another and then all kept, plus three tiles."""
+def _double_sum_block_peak(spec, X, rows, policy):
+    """Traced bytes one double-sum block of ``rows`` rows may hold: its s
+    tables, built one after another and then all kept, plus three tiles.
+    Whichever rows the block holds, table j is at most min(rows, U_j) by
+    U_j, U_j the set's distinct values in coordinate j."""
     M, s = X.shape
     tables, build = 0, 0
     for j in range(s):
-        ru, cu = np.unique(X[i0:i1, j]), np.unique(X[:, j])
+        cu = np.unique(X[:, j])
+        ru = cu[:rows]
         peak = _traced_peak(lambda: kernel_factor(
             spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy))
         build = max(build, tables + peak)
@@ -735,20 +746,25 @@ def test_double_sum_peak_memory_is_the_block_tables_and_three_tiles(nodes, threa
     block's distinct values times the set's, and keeps them all; it takes
     each table's largest magnitude with no table-sized temporary.  Then, a
     tile at a time, it gathers the tables into a product tile and a work
-    tile through a row-indexed table slice, each of at most _TILE values.
+    tile, each of at most _TILE values, through one scratch tile: a
+    row-indexed table slice, or a tile's d distinct table rows and their
+    d-by-M slab, which fit it when 2 d is at most the tile's rows.
     So one block holds at most
       max over j of (tables 0 .. j-1 + traced peak of building table j),
       or all s tables + 3 * _TILE * 8 bytes, whichever is larger,
     and the peak is at most ``threads`` such blocks (the largest), since each
     worker runs one block at a time, + 1 MiB slack: np.unique values and
-    inverses of the set and of a block, 2 s (M + 512) words, the row sums,
-    2 (M + 512) words, 0.16 MiB together, and small arrays.  A block's rows
-    are min(_ROW_BLOCK, _ROW_BLOCK * M // sum_j U_j), U_j the set's distinct
-    values in coordinate j: the symmetrized set (N = 509) has at most 510 per
-    coordinate and keeps 512-row blocks; the random set has 2040, so its
-    blocks take 170 rows and its tables together hold no more than a
-    _ROW_BLOCK-by-M block.  A block-by-M product buffer, or all of a 512-row
-    block's tables over 2040 distinct values, does not fit.
+    inverses of the set and of a block, 4 s M words; the folded row order
+    and its keys, (s + 1) M words; per folded coordinate, a block's tile
+    pairs and their sort, at most 8 M words, of which 2 M are kept; the row
+    sums, 4 M words; 0.5 MiB together, and small arrays.  A set whose own
+    tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M array is one block;
+    otherwise a block takes the whole tiles of _TILE // M = 16 rows that fit
+    in _ROW_BLOCK * M // sum_j U_j rows.  The symmetrized set (N = 509) has
+    510 distinct values per coordinate and is one block; the random set has
+    2040, so its blocks take 160 rows and its tables together hold no more
+    than a _ROW_BLOCK-by-M block.  A block-by-M product buffer, or all of a
+    512-row block's tables over 2040 distinct values, does not fit.
     """
     if nodes == "symmetrized":
         ps = symmetrize(LatticeRule(509, (1, 191, 85)))
@@ -758,11 +774,15 @@ def test_double_sum_peak_memory_is_the_block_tables_and_three_tiles(nodes, threa
     X = ps.points
     M, s = X.shape
     assert M == 2040 and wce._TILE < M * _ROW_BLOCK
-    rb = min(_ROW_BLOCK, _ROW_BLOCK * M // sum(np.unique(X[:, j]).size for j in range(s)))
-    assert rb == (512 if nodes == "symmetrized" else 170)
+    U = [np.unique(X[:, j]).size for j in range(s)]
+    t = wce._TILE // M
+    if sum(u * u for u in U) <= _ROW_BLOCK * M:
+        rb = M
+    else:
+        rb = _ROW_BLOCK * M // sum(U) // t * t
+    assert rb == (M if nodes == "symmetrized" else 160)
     spec = SpaceSpec("korobov", 1, (1.0, 0.5, 0.25))
-    block = max(_double_sum_block_peak(spec, X, i0, min(i0 + rb, M), POL)
-                for i0 in range(0, M, rb))
+    block = _double_sum_block_peak(spec, X, rb, POL)
     bound = threads * block + (1 << 20)
     peak = _traced_peak(lambda: wce_double_sum(spec, ps, POL, threads=threads))
     assert peak <= bound, (peak / 2**20, bound / 2**20)
