@@ -27,10 +27,10 @@ from .points import (  # noqa: F401
     LatticeRule,
     _integer,
     _numerators,
+    _tent_nodes,
     lattice_points,
     symmetrize,
     symmetrized_node_count,
-    tent,
     tent_transform,
 )
 
@@ -125,21 +125,22 @@ def integrate(rule: LatticeRule, variant: str, f) -> float:
     over the 2^s reflections x_j -> 1 - x_j of every node; for a product that
     average is the product of the per-coordinate means
     (phi_j(x_j) + phi_j(1 - x_j)) / 2, so the sym estimate costs O(N s) like
-    the other two and no reflected node set is built.  Reflected coordinates
-    come from the integer numerators, (N - n g_j mod N) / N, as in
-    ``symmetrize``.  The N node products are summed exactly with math.fsum.
+    the other two and no reflected node set is built.  Reflected and folded
+    coordinates come from the integer numerators m = n g_j mod N, as
+    (N - m) / N in ``symmetrize`` and 2 min(m, N - m) / N in
+    ``tent_transform``.  The N node products are summed exactly with
+    math.fsum.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     N = rule.N
     nums = _numerators(rule, N)
-    x = nums / float(N)
     if variant == "plain":
-        F = f.factors(x)
+        F = f.factors(nums / float(N))
     elif variant == "tent":
-        F = f.factors(tent(x))
+        F = f.factors(_tent_nodes(nums, N))
     else:
-        F = 0.5 * (f.factors(x) + f.factors((N - nums) / float(N)))
+        F = 0.5 * (f.factors(nums / float(N)) + f.factors((N - nums) / float(N)))
     return math.fsum(np.prod(F, axis=1).tolist()) / N
 
 

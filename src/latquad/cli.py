@@ -274,9 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads for the double sum (result is identical); "
                         "a set whose tables fit one row block runs on one thread")
     p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol,
-                   help="per-factor truncation tolerance of the double-sum series")
+                   help="per-factor truncation tolerance of the double-sum series, "
+                        "summed at non-integer alpha on points files only: a rule's "
+                        "nodes read the omega table")
     p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
-                   help="term cap of the double-sum series")
+                   help="term cap of the double-sum series of points files")
     p.set_defaults(func=cmd_wce)
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")

@@ -21,17 +21,22 @@ The three periodic families are compositions of the one-dimensional sum
     korcos   K = 1 + gamma c(2 (x - y)) + (gamma / 2) [c(x - y) + c(x + y)].
 Integer alpha in {1,2,3} evaluates c through the closed form
 c(theta) = omega(frac(theta / 2)) / 2, so every family is exact there; other
-alpha sum c as a truncated series.  The truncated cosine series oracles live
-in the tests.
+alpha sum c as a truncated series in ``kernel_factor``.  The truncated cosine
+series oracles live in the tests.
 
 On lattice nodes only omega(m / N), m in Z_N, is needed, and
 ``_omega_table`` gives it at every alpha > 1/2: the closed form at 1..3,
 else one real FFT of the Hurwitz-zeta residue sums, with an error bound.
+On nodes p / N, as a rule's plain, tent and symmetrized sets are, every
+argument of c is r / N and c(r / N) = Omega_2N[r mod 2N] / 2 with Omega_2N
+the table at modulus 2N; ``_table_factor`` builds the three families from
+it, so the kernel double sum needs no series on such nodes.
 
-Truncated evaluations report a rigorous tail bound alongside the value: the
+Truncated evaluations report a rigorous bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
 <= 2 * gamma * K^(1 - 2 alpha) / (2 alpha - 1) (basis products never exceed 2
-in magnitude).
+in magnitude), and the rounding of the kept terms by 2 * gamma times
+``_series_rounding``.
 """
 from __future__ import annotations
 
@@ -173,11 +178,16 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
-def _require_closed_alpha(alpha: float) -> int:
+def _closed(alpha: float) -> bool:
+    """True for the smoothness values with a Bernoulli closed form, 1..3."""
     a = float(alpha)
-    if not (a.is_integer() and int(a) in _CLOSED_ALPHAS):
+    return a.is_integer() and int(a) in _CLOSED_ALPHAS
+
+
+def _require_closed_alpha(alpha: float) -> int:
+    if not _closed(alpha):
         raise ValueError(f"closed-form smoothness must be an integer in 1..3, got {alpha}")
-    return int(a)
+    return int(float(alpha))
 
 
 # Bernoulli polynomials B_1..B_6, highest degree first.
@@ -305,7 +315,7 @@ def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
     N = int(N)
     if not 1 <= N <= _TABLE_CAP:
         raise ValueError(f"omega table capped at 1 <= N <= {_TABLE_CAP}, got N={N}")
-    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
+    if _closed(alpha):
         half, bound = korobov_omega(int(alpha), np.arange(N // 2 + 1) / N), 0.0
     else:
         x = 2.0 * alpha
@@ -348,17 +358,49 @@ def series_tail_bound(alpha: float, gamma: float, kmax: int) -> float:
     return gamma * float(kmax) ** (1.0 - 2.0 * alpha) / (2.0 * alpha - 1.0)
 
 
+def _series_rounding(alpha: float, kmax: int) -> float:
+    """Bound on the rounding of one ``_cos_partial_sum`` value, against the
+    exact partial sum at its float argument theta, reduced to [0, 2).
+
+    With u the unit roundoff and g_n = n u / (1 - n u):
+      * the argument fl(fl(pi theta) k) is within g_3 pi theta k < 2 pi g_3 k
+        of pi theta k (np.pi and two products), and cos is 1-Lipschitz:
+        2 pi g_3 sum_k k^(1 - 2 alpha) in all;
+      * k^(-2 alpha) within one ulp, cos within four and their product
+        within half of one: 8 u k^(-2 alpha) per term;
+      * a term meets at most n = ceil(log2 chunk) additions in its chunk's
+        pairwise tree and one for each later chunk of kmax: g_n times the
+        sum of the computed magnitudes, at most (1 + 8 u) zeta(2 alpha).
+    The summand k^(1 - 2 alpha) is monotone, so its sum is at most
+    1 + kmax^(1 - 2 alpha) + int_1^kmax x^(1 - 2 alpha) dx.
+    """
+    K = int(kmax)
+    chunk = min(K, _SERIES_CHUNK)
+    n = (chunk - 1).bit_length() + -(-K // chunk) - 1
+
+    def g(m):
+        return m * _U / (1.0 - m * _U)
+
+    e, lk = 2.0 - 2.0 * alpha, math.log(K)
+    ksum = 1.0 + K ** (1.0 - 2.0 * alpha) + (lk if e == 0.0 else math.expm1(e * lk) / e)
+    return (zeta(2.0 * alpha) * (8.0 * _U + g(n) * (1.0 + 8.0 * _U))
+            + 2.0 * math.pi * g(3) * ksum)
+
+
 def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
     |theta| is reduced mod 2 (the sum is even).  Lattice-derived arguments
     repeat heavily, so the sum is evaluated once per distinct value.  The
-    k-chunks depend on kmax alone, the distinct values are sliced so that a
-    cos block holds at most _SERIES_CHUNK values, and einsum (no BLAS) reduces
-    each value's terms on their own: a value has the same bits whatever other
-    arguments share the call.  ``out``, a C-contiguous float64 array of
-    theta's shape, may be theta itself: the reduced arguments and then the
-    result are written there, so a call holds no table beyond np.unique's.
+    terms go in k-chunks of min(kmax, _SERIES_CHUNK), fixed by kmax alone.
+    A chunk's cos block holds one row per distinct value, as many as fit in
+    _SERIES_CHUNK values; a pairwise tree of elementwise additions folds
+    its columns onto the first, which is added into the values' sums.  Each
+    value so takes the same operations, in the same order, whatever other
+    arguments share the call, and has the same bits; ``_series_rounding``
+    bounds their rounding.  ``out``, a C-contiguous float64 array of theta's
+    shape, may be theta itself: the reduced arguments and then the result
+    are written there, so a call holds no table beyond np.unique's.
     """
     th = np.abs(theta, out=np.empty(np.shape(theta)) if out is None else out)
     np.mod(th, 2.0, out=th)
@@ -372,10 +414,17 @@ def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
         k = np.arange(lo, min(kmax, lo + chunk - 1) + 1, dtype=np.float64)
         ck = k ** (-2.0 * alpha)
         for r0 in range(0, u.size, rows):
-            c = buf[:min(rows, u.size - r0) * k.size].reshape(-1, k.size)
+            sums = acc[r0:r0 + rows]
+            c = buf[:sums.size * k.size].reshape(sums.size, k.size)
             np.multiply(pu[r0:r0 + rows, None], k, out=c)
             np.cos(c, out=c)
-            acc[r0:r0 + rows] += np.einsum("ij,j->i", c, ck)
+            c *= ck
+            n = k.size
+            while n > 1:
+                h = n // 2
+                np.add(c[:, :h], c[:, n - h:n], out=c[:, :h])
+                n -= h
+            np.add(sums, c[:, 0], out=sums)
     # mode="clip" gathers straight into th; inverse indices are in range
     return np.take(acc, inv.reshape(th.shape), out=th, mode="clip")
 
@@ -412,8 +461,10 @@ def kernel_factor(
     korobov, cosine and korcos families are written once, through the cosine
     sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
     the closed form omega(frac(theta / 2)) / 2, with tail_bound 0 and no
-    series terms; other alpha sum c as a series truncated by policy.  Both
-    read the even c at |theta|, so values are symmetric in x and y to the bit.
+    series terms; other alpha sum c as a series truncated by policy, and
+    tail_bound covers the dropped terms and the rounding of the kept ones
+    (``_series_rounding``).  Both read the even c at |theta|, so values are
+    symmetric in x and y to the bit.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
@@ -425,7 +476,7 @@ def kernel_factor(
     if family == "sobolev":
         return _sobolev_factor(alpha, gamma, x, y), 0.0
 
-    if alpha.is_integer() and int(alpha) in _CLOSED_ALPHAS:
+    if _closed(alpha):
         a = int(alpha)
 
         def c(theta):
@@ -446,7 +497,8 @@ def kernel_factor(
             return _cos_partial_sum(theta, alpha, kmax, out=theta)
 
         # every family weighs its c terms by 2 gamma in total
-        tail = 2.0 * series_tail_bound(alpha, gamma, kmax)
+        tail = 2.0 * (series_tail_bound(alpha, gamma, kmax)
+                      + gamma * _series_rounding(alpha, kmax))
 
     shape = np.broadcast(x, y).shape
 
@@ -481,6 +533,67 @@ def kernel_factor(
     if family == "korcos":
         val += cos
     return val[()], tail
+
+
+def _table_factor(family: str, gamma: float, om: np.ndarray, bound: float, p, q):
+    """``kernel_factor`` of a korobov, cosine or korcos family at x = p / N,
+    y = q / N, read from om = Omega_2N; returns (values, gamma * bound).
+
+    om and its bound b are ``_omega_table(alpha, 2 N)``, and p, q integer
+    arrays in 0..N that broadcast.  Each argument x - y, x + y or 2 (x - y)
+    is r / N for an integer r, and omega(r / (2 N)) = 2 sum_k k^(-2 alpha)
+    cos(pi k r / N) = 2 c(r / N), so c(r / N) = Omega_2N[r mod 2N] / 2 and
+
+        korobov  K = 1 + gamma Omega[2 (p - q)],
+        cosine   K = 1 + (gamma / 2) (Omega[p - q] + Omega[p + q]),
+        korcos   K = 1 + (gamma / 2) Omega[2 (p - q)]
+                       + (gamma / 4) (Omega[p - q] + Omega[p + q]),
+
+    indices mod 2N.  Omega is exactly even, so |p - q| may stand for p - q,
+    and every index lies in 0..2N with 2N read as 0.  Each family weighs its
+    Omega entries by gamma in total, so a value is off by at most gamma b:
+    nothing is truncated.  Values are symmetric in p and q to the bit, and a
+    call holds at most three tables: the indices, the values and one
+    gathered part.
+    """
+    ext = np.append(om, om[0])  # Omega[2N] = Omega[0]: indices run to 2N
+    shape = np.broadcast(p, q).shape
+    idx = np.empty(shape, dtype=np.intp)
+
+    def diff(twice: bool) -> None:
+        """idx = |p - q|, or 2 |p - q|."""
+        np.abs(np.subtract(p, q, out=idx), out=idx)
+        if twice:
+            np.left_shift(idx, 1, out=idx)
+
+    def take():
+        # mode="clip" gathers straight into a new table; the indices are in
+        # range.  A table made for one statement is freed with it, so the
+        # broadcast index arithmetic, which takes numpy's ufunc buffers,
+        # never runs beside three tables.
+        return ext.take(idx, out=np.empty(shape), mode="clip")
+
+    if family == "korobov":
+        diff(True)
+        val = take()
+        val *= gamma
+        val += 1.0
+        return val[()], gamma * bound
+    diff(False)
+    cos = take()  # Omega[|p - q|]
+    np.add(p, q, out=idx)
+    cos += take()  # + Omega[p + q]
+    if family == "cosine":
+        cos *= 0.5 * gamma
+        cos += 1.0
+        return cos[()], gamma * bound
+    cos *= 0.25 * gamma
+    diff(True)
+    val = take()  # Omega[2 |p - q|]
+    val *= 0.5 * gamma
+    val += 1.0
+    val += cos
+    return val[()], gamma * bound
 
 
 def _product_tail(bounds, maxima) -> float:

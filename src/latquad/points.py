@@ -4,7 +4,10 @@ Nodes of a rank-1 rule are x_n = frac(n*g/N).  All node coordinates are exact
 rationals with denominator N; generation keeps the integer numerators so that
 reflected and deduplicated nodes can be compared exactly instead of through
 floating-point fuzz.  Coordinates live in [0, 1]; the value 1 appears only as
-the reflection of 0 under symmetrization.
+the reflection of 0 under symmetrization.  The plain, tent and symmetrized
+sets of a rule record N as their ``denominator``: every coordinate is the
+correctly rounded p / N of an integer 0 <= p <= N, which the kernel double
+sum reads back to index exact tables.
 """
 from __future__ import annotations
 
@@ -83,12 +86,24 @@ def _modulus(N) -> int:
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Finite node set in [0,1]^s with positive weights summing to 1."""
+    """Finite node set in [0,1]^s with positive weights summing to 1.
+
+    ``denominator``, when not None, is an integer N >= 1 promising that every
+    coordinate is exactly fl(p / N) for an integer 0 <= p <= N.  The sets
+    built from a rule carry it; points files and other sets carry None.  The
+    promise is checked where it is read.
+    """
 
     points: np.ndarray
     weights: np.ndarray
+    denominator: int | None = None
 
     def __post_init__(self) -> None:
+        if self.denominator is not None:
+            N = _integer("denominator", self.denominator)
+            if N < 1:
+                raise ValueError(f"denominator must be at least 1, got {N}")
+            object.__setattr__(self, "denominator", N)
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         wts = np.asarray(self.weights, dtype=np.float64).ravel()
         if pts.ndim != 2:
@@ -124,11 +139,31 @@ def _numerators(rule: LatticeRule, count: int) -> np.ndarray:
     return (n[:, None] * np.asarray(rule.g, dtype=np.int64)) % rule.N
 
 
+def _rational_numerators(x: np.ndarray, N: int) -> np.ndarray:
+    """The integers p = rint(x N) of coordinates x = fl(p / N) in [0, 1].
+
+    For such an x, x N is within 2 N u of p, u the unit roundoff, so rint
+    recovers p for any N below 2^51, and 0 <= p <= N follows from 0 <= x
+    <= 1.  ValueError unless fl(p / N) == x for
+    every coordinate: a denominator that the values do not have.
+    """
+    p = np.rint(x * N)
+    if not np.array_equal(p / float(N), x):
+        raise ValueError(f"node coordinates are not all of the form p / {N}")
+    return p.astype(np.intp)
+
+
+def _tent_nodes(p: np.ndarray, N: int) -> np.ndarray:
+    """Tent-folded nodes 2 min(p, N - p) / N of numerators p, correctly
+    rounded: numerators p and N - p fold to the same bits."""
+    return 2 * np.minimum(p, N - p) / float(N)
+
+
 def lattice_points(rule: LatticeRule) -> WeightedPointSet:
-    """Equal-weight nodes frac(n*g/N), n = 0..N-1, in node order."""
+    """Equal-weight nodes frac(n*g/N), n = 0..N-1, in node order; denominator N."""
     pts = _numerators(rule, rule.N) / float(rule.N)
     w = np.full(rule.N, 1.0 / rule.N)
-    return WeightedPointSet(pts, w)
+    return WeightedPointSet(pts, w, rule.N)
 
 
 def tent(x):
@@ -137,8 +172,18 @@ def tent(x):
 
 
 def tent_transform(ps: WeightedPointSet) -> WeightedPointSet:
-    """Apply the tent map to every coordinate, keeping weights."""
-    return WeightedPointSet(tent(ps.points), ps.weights)
+    """Apply the tent map to every coordinate, keeping weights.
+
+    A set with a denominator N folds its numerators, p / N -> 2 min(p, N -
+    p) / N correctly rounded, and keeps N; ValueError if its coordinates
+    are not of that form.  Any other set takes ``tent`` of its floats,
+    which can be off in the last bits: by many ulps of a node near 0, where
+    1 - |2x - 1| cancels.
+    """
+    N = ps.denominator
+    if N is None:
+        return WeightedPointSet(tent(ps.points), ps.weights)
+    return WeightedPointSet(_tent_nodes(_rational_numerators(ps.points, N), N), ps.weights, N)
 
 
 def symmetrized_node_count(N: int, s: int) -> int:
@@ -179,7 +224,7 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     base = _numerators(rule, count)[:, None, :]
     nums = np.where(flip, N - base, base).reshape(rows, s)
     if not dedupe:
-        return WeightedPointSet(nums / float(N), np.full(rows, 1.0 / (N << s)))
+        return WeightedPointSet(nums / float(N), np.full(rows, 1.0 / (N << s)), N)
 
     # shifts k and N-k generate identical reflection orbits
     k = np.arange(count)
@@ -193,7 +238,7 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     counts = np.add.reduceat(mult[order], starts)
     pts = nums[starts] / float(N)
     w = counts / float(N << s)
-    return WeightedPointSet(pts, w)
+    return WeightedPointSet(pts, w, N)
 
 
 def node_set(rule: LatticeRule, variant: str, dedupe: bool = True) -> WeightedPointSet:

@@ -26,6 +26,11 @@ from the same table.  ``wce_cosine_tent``, ``wce_korcos_sym`` and
 ``wce_cosine_sym`` sum that exactly, in O(2^s N) by subset sums under a cap
 on 2^s N.  For s >= 2 the result is in general strictly below the Korobov
 single sum, which only bounds it from above.
+
+The double sum shares that table: on the plain, tent or symmetrized nodes
+of a rule at non-integer alpha, every kernel value is read from Omega_2N,
+the table at modulus 2N, within its bound.  Only sets without a
+denominator, such as points files, sum truncated series there.
 """
 from __future__ import annotations
 
@@ -43,16 +48,18 @@ from .kernels import (
     TruncationPolicy,
     _check_alpha,
     _check_gammas,
+    _closed,
     _omega_table,
     _product_tail,
     _refuse_overflow,
+    _table_factor,
     kernel_factor,
     zeta,
 )
 # Not called here: the benchmark tracer (perfbench/tracing.py TARGETS) wraps
 # latquad.wce.korobov_omega and latquad.wce.dual_lattice.
 from .kernels import korobov_omega  # noqa: F401
-from .points import LatticeRule, WeightedPointSet
+from .points import LatticeRule, WeightedPointSet, _rational_numerators
 from .points import dual_lattice  # noqa: F401
 
 __all__ = [
@@ -107,8 +114,25 @@ def wce_double_sum(
     not depend on how many rows are reduced together; math.fsum then sums
     the M values w_i r_i, correctly rounded.  So e2 has the same bits for any
     row block, tile, thread count or BLAS library.  The reported tail bound
-    is ``_product_tail`` of the factor truncation bounds and each factor's
-    largest magnitude over all node pairs.
+    is ``_product_tail`` of the factor bounds and each factor's largest
+    magnitude over all node pairs.
+
+    Kernel values come from one of two places.  At alpha outside {1, 2, 3},
+    a korobov, cosine or korcos sum over a set with a denominator N (the
+    plain, tent and symmetrized sets of a rule) reads them from Omega_2N =
+    ``_omega_table(alpha, 2 N)``, built once per call with its bound b.
+    Every coordinate is p / N, recovered from each coordinate's distinct
+    values (ValueError if a value is not fl(p / N)), so each x - y, x + y
+    and 2 (x - y) is r / N, and c(r / N) = Omega_2N[r mod 2N] / 2
+    (``kernels._table_factor``).  Factor j weighs its table entries by
+    gamma_j in total: gamma_j Omega[2 (p - q)] for korobov, (gamma_j / 2)
+    (Omega[p - q] + Omega[p + q]) for cosine, and half the one plus a
+    quarter of the other two for korcos.  So factor j is off by at most
+    gamma_j b, the bound passed to ``_product_tail``; nothing is truncated,
+    ``policy`` is not used, and 2N above the table's cap raises ValueError.
+    Every other sum (sobolev, integer alpha, or a set without a
+    denominator, such as a points file) evaluates ``kernel_factor`` on the
+    coordinates, whose series at non-integer alpha ``policy`` truncates.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values: per row block and coordinate, a table over the block's distinct
@@ -154,6 +178,21 @@ def wce_double_sum(
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
+    N = ps.denominator
+    if N is not None and spec.family != "sobolev" and not _closed(spec.alpha):
+        # lattice-derived nodes p / N: exact tables from Omega_2N, no series
+        om, bound = _omega_table(spec.alpha, 2 * N)
+        nums = [_rational_numerators(cu, N) for cu, _ in cols]
+
+        def factor(j, ru):
+            p = nums[j] if ru is cols[j][0] else _rational_numerators(ru, N)
+            return _table_factor(spec.family, spec.gammas[j], om, bound, p[:, None],
+                                 nums[j][None, :])
+    else:
+        def factor(j, ru):
+            return kernel_factor(spec.family, spec.alpha, spec.gammas[j], ru[:, None],
+                                 cols[j][0][None, :], policy)
+
     t = max(1, _TILE // M)
     # one block if the set's own tables fit in a _ROW_BLOCK-by-M array (a
     # second worker on so small a sum loses more to the GIL than it gains);
@@ -187,9 +226,7 @@ def wce_double_sum(
                 ru, rinv = cu, cinv[idx]
             else:
                 ru, rinv = np.unique(X[idx, j], return_inverse=True)
-            table, bnds[j] = kernel_factor(
-                spec.family, spec.alpha, spec.gammas[j], ru[:, None], cu[None, :], policy,
-            )
+            table, bnds[j] = factor(j, ru)
             # every table entry is some node pair's value, so the maxima
             # match; no |table| temporary while the other tables are alive
             maxv[j] = max(table.max(), -table.min())

@@ -479,13 +479,24 @@ def test_converge_rejects_empty_or_repeated_variants(capsys, variants):
     assert err.startswith("latquad: --variants must name distinct variants")
 
 
-def test_truncation_budget_exit_two(capsys):
+def test_truncation_budget_exit_two(tmp_path, capsys):
+    # a points file has no denominator, so its double sum at non-integer
+    # alpha sums series under the term budget
+    four = tmp_path / "four.txt"
+    four.write_text("0\n0.25\n0.5\n0.75\n")
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--n", "4", "--g", "1", "--alpha", "1.5", "--gamma", "1", "--tol", "1e-14")
+        "--points-file", str(four), "--s", "1", "--alpha", "1.5", "--gamma", "1",
+        "--tol", "1e-14")
     assert code == 2
     assert stdout == ""
     assert "computation failed" in err
+    # the rule's own nodes read the Omega_2N table: no series, no budget
+    code, stdout, err = run_cli(
+        capsys, "wce", "--space", "double-sum", "--family", "cosine",
+        "--n", "4", "--g", "1", "--alpha", "1.5", "--gamma", "1", "--tol", "1e-14")
+    assert code == 0 and err == ""
+    assert stdout.endswith(" method=kernel-double-sum\n")
     # the same request at integer alpha takes the closed form, no term budget
     code, stdout, _ = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
@@ -501,9 +512,11 @@ def test_truncation_budget_exit_two(capsys):
     assert stdout.endswith(" method=aliased-single-sum\n") and err == ""
     # near alpha = 1/2 the term count overflows a float: still a budget
     # failure of the double-sum series, while the table routes return
+    five = tmp_path / "five.txt"
+    five.write_text("".join(f"{n / 5!r} {2 * n % 5 / 5!r}\n" for n in range(5)))
     code, stdout, err = run_cli(
-        capsys, "wce", "--space", "double-sum", "--family", "korobov", "--n", "5", "--g", "1,2",
-        "--alpha", "0.5000001")
+        capsys, "wce", "--space", "double-sum", "--family", "korobov",
+        "--points-file", str(five), "--s", "2", "--alpha", "0.5000001")
     assert code == 2
     assert stdout == ""
     assert "computation failed" in err and "Traceback" not in err

@@ -27,6 +27,8 @@ from latquad.kernels import (
     zeta,
     _cos_partial_sum,
     _omega_table,
+    _series_rounding,
+    _table_factor,
 )
 from latquad.points import LatticeRule, symmetrize, tent
 
@@ -236,9 +238,11 @@ def test_korobov_factor_spot_values():
 
 def test_truncated_families_carry_tail_bounds():
     # non-integer alpha sums both families as series; each factor drops at
-    # most twice the per-series integral bound
+    # most twice the per-series integral bound, and rounds its kept terms
+    # within twice the series' rounding bound
     pol = TruncationPolicy(tol=1e-6, max_terms=2_000_000)
-    t = series_tail_bound(1.5, 1.0, series_kmax(1.5, 1.0, pol))
+    kmax = series_kmax(1.5, 1.0, pol)
+    t = series_tail_bound(1.5, 1.0, kmax) + _series_rounding(1.5, kmax)
     for fam in ("cosine", "korcos"):
         v, tail = kernel_factor(fam, 1.5, 1.0, 0.0, 0.0, pol)
         assert tail == pytest.approx(2.0 * t, rel=1e-12)
@@ -283,21 +287,38 @@ def test_korobov_closed_form_matches_truncated_series(alpha, tol):
 def test_series_values_do_not_depend_on_the_other_arguments(chunk, monkeypatch):
     # A subset call has the superset call's bits, so a double-sum row block's
     # series table has the full table's bits in its rows.  chunk = 97 splits
-    # both the terms and the distinct arguments into several blocks.
+    # both the terms and the distinct arguments into several blocks.  At
+    # kmax = 10^4 and 10^5 one cos block holds many values, where a reduction
+    # whose bits follow the block's row count would show.
     if chunk is not None:
         monkeypatch.setattr("latquad.kernels._SERIES_CHUNK", chunk)
     rng = np.random.default_rng(11)
     theta = rng.random(301) * 4.0 - 2.0
-    full = _cos_partial_sum(theta, 1.5, 500)
-    for size in (1, 7, 8, 9, 57, 300):
-        idx = rng.choice(theta.size, size, replace=False)
-        assert np.array_equal(_cos_partial_sum(theta[idx], 1.5, 500), full[idx]), size
+    for kmax in (500, 10**4, 10**5) if chunk is None else (500, 10**4):
+        full = _cos_partial_sum(theta, 1.5, kmax)
+        for size in (1, 7, 8, 9, 57, 300):
+            idx = rng.choice(theta.size, size, replace=False)
+            assert np.array_equal(_cos_partial_sum(theta[idx], 1.5, kmax), full[idx]), (kmax, size)
     pol = TruncationPolicy(tol=1e-4)
     x = rng.random(40)
     table, _ = kernel_factor("korcos", 2.5, 0.7, x[:, None], x[None, :], pol)
     for i0, i1 in ((0, 1), (5, 12), (31, 40)):
         block, _ = kernel_factor("korcos", 2.5, 0.7, x[i0:i1, None], x[None, :], pol)
         assert np.array_equal(block, table[i0:i1]), (i0, i1)
+
+
+def test_series_at_zero_is_zeta_within_its_reported_bound():
+    # The korobov factor at (0, 0) is 1 + 2 c(0), c(0) = sum_{k <= kmax} k^-3
+    # over kmax = 2e6 terms, in a call that also sums c(0.2): the reported
+    # bound covers the dropped terms and the rounding of the kept ones.  The
+    # slack covers rounding 1 + 2 c(0) and 1 + 2 zeta(3), whose float is the
+    # nearest to 1.2020569031595942854...
+    pol = TruncationPolicy(tol=1.25e-13, max_terms=10**7)
+    assert series_kmax(1.5, 1.0, pol) == 2_000_000
+    assert zeta(3.0) == 1.2020569031595942
+    v, tail = kernel_factor("korobov", 1.5, 1.0, [[0.0], [0.1]], [[0.0]], pol)
+    want = 1.0 + 2.0 * zeta(3.0)
+    assert abs(float(v[0, 0]) - want) <= tail + 2 * 2.0**-53 * want, tail
 
 
 def _cos_series(theta, alpha, kmax):
@@ -329,7 +350,7 @@ def _per_family_factor(family, alpha, gamma, x, y, policy):
         kor_om = korobov_omega(a, np.mod(x - y, 1.0))
         return 1.0 + 0.5 * gamma * kor_om + 0.25 * gamma * cos_om, 0.0
     kmax = series_kmax(alpha, gamma, policy)
-    t = 2.0 * series_tail_bound(alpha, gamma, kmax)
+    t = 2.0 * (series_tail_bound(alpha, gamma, kmax) + gamma * _series_rounding(alpha, kmax))
     if family == "korobov":
         return 1.0 + 2.0 * gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax), t
     cos = _cos_partial_sum(x - y, alpha, kmax) + _cos_partial_sum(x + y, alpha, kmax)
@@ -412,6 +433,28 @@ def test_kernel_factor_peak_memory_is_three_tables(fam, alpha):
     assert peak <= 3 * 512 * 2040 * 8 + (64 << 10), peak / (512 * 2040 * 8)
 
 
+@pytest.mark.parametrize("fam", ["korobov", "cosine", "korcos"])
+def test_table_factor_peak_memory_is_three_tables(fam):
+    """Traced peak of one Omega_2N call over 512 x 2040 numerator pairs.
+
+    It holds the index table, the values and, for cosine and korcos, one
+    gathered part: three tables of 512 * 2040 * 8 bytes.  Slack: the omega
+    table with Omega[0] appended, 2N + 1 words, and 64 KiB for small arrays.
+    """
+    N = 4093
+    om, b = _omega_table(1.5, 2 * N)
+    rng = np.random.default_rng(6)
+    p, q = rng.integers(0, N + 1, 512)[:, None], rng.integers(0, N + 1, 2040)[None, :]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _table_factor(fam, 0.7, om, b, p, q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 512 * 2040 * 8 + 8 * (2 * N + 1) + (64 << 10), peak / (512 * 2040 * 8)
+
+
 @pytest.mark.parametrize("fam,kept", [("korobov", 0), ("cosine", 1), ("korcos", 1)])
 def test_series_kernel_factor_peak_memory(fam, kept):
     """Traced peak of one series call (alpha = 1.5) at 512 x 2040 distinct values.
@@ -421,11 +464,14 @@ def test_series_kernel_factor_peak_memory(fam, kept):
     inverse, the sums over the distinct values and pi times those values:
     five tables of 512 * 2040 * 8 bytes, and one more, the first cosine
     part, that cosine and korcos keep while they build the second part or
-    the korobov part.  Add one cos block of at most _SERIES_CHUNK values and
-    einsum's sums over its rows, at most _SERIES_CHUNK // kmax values; np.unique's
-    own peak, about seven tables, stays below that.  Slack 64 KiB for small
-    arrays.  Reducing theta by expressions and gathering the result into a
-    new array held 1.4 tables more.
+    the korobov part.  Add one cos block of at most _SERIES_CHUNK values,
+    whose row sums are added into the sums over the distinct values in
+    place, and the three ufunc buffers of 8192 values that numpy takes for
+    the strided additions of the pairwise tree; np.unique's own peak, about
+    seven tables, stays below that.  Slack 64 KiB for small arrays.
+    Reducing theta by expressions and gathering the result into a new array
+    held 1.4 tables more, and a fresh row-sum array per cos block up to
+    _SERIES_CHUNK // kmax values more.
     """
     pol = TruncationPolicy(tol=1e-2)
     kmax = series_kmax(1.5, 0.7, pol)
@@ -440,7 +486,7 @@ def test_series_kernel_factor_peak_memory(fam, kept):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    bound = (5 + kept) * table + 8 * (_SERIES_CHUNK + _SERIES_CHUNK // kmax) + (64 << 10)
+    bound = (5 + kept) * table + 8 * (_SERIES_CHUNK + 3 * 8192) + (64 << 10)
     assert peak <= bound, (peak / table, bound / table)
 
 

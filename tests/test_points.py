@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,10 +81,64 @@ def test_tent_matches_even_cosines():
 
 
 def test_tent_transform_keeps_weights():
+    # a rule's set folds its numerators: 2 min(p, N - p) / N, correctly
+    # rounded, so nodes n and N - n coincide; the float map 1 - |2x - 1| is
+    # within _TENT_GAP of it
     ps = lattice_points(LatticeRule(5, (1, 2)))
     t = tent_transform(ps)
     assert np.array_equal(t.weights, ps.weights)
-    assert np.array_equal(t.points, tent(ps.points))
+    p = np.rint(ps.points * 5).astype(int)
+    assert np.array_equal(t.points, 2 * np.minimum(p, 5 - p) / 5.0)
+    assert np.array_equal(t.points[1:], t.points[:0:-1])
+    assert t.denominator == 5
+    assert float(np.abs(t.points - tent(ps.points)).max()) <= _TENT_GAP
+    # a float-only copy takes the tent map of its floats, bit for bit
+    f = tent_transform(WeightedPointSet(ps.points, ps.weights))
+    assert np.array_equal(f.weights, ps.weights)
+    assert np.array_equal(f.points, tent(ps.points))
+    assert f.denominator is None
+
+
+# The float tent map against the exact fold 2 min(p, N - p) / N of x =
+# fl(p / N) < 1: x is off by at most 2^-54, so 2x by 2^-53; 2x - 1 and
+# 1 - |2x - 1| lie in [0, 1] and round by at most 2^-54 each, so the map is
+# within 2^-52 of the exact fold, and the correctly rounded fold within 2^-54.
+_TENT_GAP = 2.0**-52 + 2.0**-54
+
+
+@pytest.mark.parametrize("N", [1021, 4093, 4096])
+def test_tent_nodes_are_the_correctly_rounded_folds(N):
+    # the float map is off in the last bits for about half the nodes at odd
+    # N; the numerator fold is the correctly rounded value
+    t = tent_transform(lattice_points(LatticeRule(N, (1,)))).points[:, 0]
+    assert t.tolist() == [float(Fraction(2 * min(m, N - m), N)) for m in range(N)]
+    assert np.array_equal(t[1:], t[:0:-1])
+    assert float(np.abs(t - tent(np.arange(N) / N)).max()) <= _TENT_GAP
+
+
+def test_rule_sets_carry_their_denominator():
+    rule = LatticeRule(6, (1, 5))
+    for ps in (lattice_points(rule), tent_transform(lattice_points(rule)),
+               symmetrize(rule), symmetrize(rule, dedupe=False)):
+        assert ps.denominator == 6
+        p = np.rint(ps.points * 6)
+        assert np.array_equal(p / 6.0, ps.points) and p.min() >= 0 and p.max() <= 6
+    # tent of a tent set keeps the denominator, and stays on p / N
+    twice = tent_transform(tent_transform(lattice_points(rule)))
+    assert twice.denominator == 6
+    assert WeightedPointSet([[0.5]], [1.0]).denominator is None
+
+
+def test_denominator_validation():
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="denominator must be at least 1"):
+            WeightedPointSet([[0.5]], [1.0], bad)
+    with pytest.raises(ValueError, match="denominator must be an integer"):
+        WeightedPointSet([[0.5]], [1.0], 2.0)
+    assert WeightedPointSet([[0.5]], [1.0], np.int64(2)).denominator == 2
+    # a false denominator is refused where it is read
+    with pytest.raises(ValueError, match="not all of the form p / 3"):
+        tent_transform(WeightedPointSet([[0.5]], [1.0], 3))
 
 
 @pytest.mark.parametrize("N,g,count", [(3, (1, 2), 8), (4, (1, 3), 9), (5, (1,), 6)])

@@ -22,9 +22,13 @@ from latquad.kernels import (
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _cos_partial_sum,
     _omega_table,
     _product_tail,
+    _series_rounding,
+    _table_factor,
     kernel_factor,
+    series_tail_bound,
     zeta,
 )
 from latquad.points import (
@@ -571,17 +575,35 @@ def test_double_sum_is_thread_count_invariant():
 
 def _direct_products(spec, ps, policy):
     """Every kernel factor evaluated at every node pair, multiplied in
-    coordinate order: (the M x M products, maxv, bnds)."""
+    coordinate order: (the M x M products, maxv, bnds).  At alpha outside
+    1..3, a korobov, cosine or korcos set with a denominator N reads every
+    pair's factor from Omega_2N at the numerators rint(x N), as the double
+    sum's table route does; any other set evaluates kernel_factor."""
     X = ps.points
     M, s = X.shape
+    N = ps.denominator
+    table = N is not None and spec.family != "sobolev" and spec.alpha not in (1, 2, 3)
+    if table:
+        om, b = _omega_table(spec.alpha, 2 * N)
+        P = np.rint(X * N).astype(np.intp)
     prod, maxv, bnds = 1.0, np.empty(s), np.empty(s)
     for j in range(s):
-        vals, bnds[j] = kernel_factor(
-            spec.family, spec.alpha, spec.gammas[j], X[:, j][:, None], X[None, :, j], policy,
-        )
+        if table:
+            vals, bnds[j] = _table_factor(
+                spec.family, spec.gammas[j], om, b, P[:, j][:, None], P[None, :, j])
+        else:
+            vals, bnds[j] = kernel_factor(
+                spec.family, spec.alpha, spec.gammas[j], X[:, j][:, None], X[None, :, j], policy,
+            )
         maxv[j] = float(np.abs(vals).max())
         prod = prod * vals
     return prod, maxv, bnds
+
+
+def _float_only(ps):
+    """The same nodes and weights without a denominator: the double sum
+    evaluates kernel_factor on them, series at non-integer alpha."""
+    return WeightedPointSet(ps.points, ps.weights)
 
 
 def _direct_double_sum(spec, ps, policy):
@@ -608,7 +630,7 @@ def _oracle_point_sets():
         # 1008 nodes in folded order, where each tile gathers its distinct
         # table rows into a slab; shuffled, the same bits
         sym,
-        WeightedPointSet(sym.points[perm], sym.weights[perm]),
+        WeightedPointSet(sym.points[perm], sym.weights[perm], sym.denominator),
         # reflection orbits of 32 rows, two to a tile of 64
         symmetrize(LatticeRule(31, (1, 12, 5, 3, 9))),
         # odd N: rows n and N - n coincide in 72 pairs, in folded order, but
@@ -629,7 +651,8 @@ def _oracle_point_sets():
     + [(f, a) for f in ("korobov", "cosine", "korcos") for a in (1, 1.5, 2, 3)],
 )
 def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
-    for ps in _oracle_point_sets():
+    # float-only copies: the series at alpha = 1.5 on every set
+    for ps in map(_float_only, _oracle_point_sets()):
         spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
         got = wce_double_sum(spec, ps, POL)
         e2, tail = _direct_double_sum(spec, ps, POL)
@@ -637,13 +660,30 @@ def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
         assert got.tail_bound == tail, len(ps)
 
 
+@pytest.mark.parametrize("family,alpha", [(f, a) for f in ("korobov", "cosine", "korcos")
+                                          for a in (0.75, 1.5, 2.5)])
+def test_double_sum_table_route_matches_the_direct_evaluation(family, alpha):
+    # the rule-derived sets, denominators kept: every table from Omega_2N
+    for ps in _oracle_point_sets():
+        if ps.denominator is None:
+            continue
+        spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
+        got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300, max_terms=1))
+        e2, tail = _direct_double_sum(spec, ps, POL)
+        assert got.e2 == e2, len(ps)
+        assert got.tail_bound == tail, len(ps)
+        assert 0.0 < tail < 1e-9, len(ps)
+
+
 def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
     # (100, 2^12) splits rows into blocks that a BLAS matvec reduced with
     # other bits; (7, 97) and (4096, 1) reduce one row per tile.  The 521
     # plain lattice nodes, distinct in every coordinate, take blocks below
     # _ROW_BLOCK rows, which keep their s tables within a _ROW_BLOCK-by-M
-    # block.  A series family, so the tail bound is nonzero, with a coarse
-    # policy to keep it cheap; and a closed form.
+    # block.  korcos at alpha = 1.5 has a nonzero tail bound: it reads
+    # Omega_2N on the rule-derived sets and sums series, under a coarse
+    # policy to keep them cheap, on the grid and random sets, which the
+    # small blocks split too; cosine at alpha = 2 is a closed form.
     pol = TruncationPolicy(tol=1e-2)
     rule = cbc_construct(127, 4, 2, (1.0, 1 / 4, 1 / 9, 1 / 16)).rule
     distinct = lattice_points(LatticeRule(521, (1, 191, 260)))
@@ -683,26 +723,38 @@ def test_double_sum_reduction_error_is_within_its_derived_bound(family, alpha):
     rng = np.random.default_rng(5)
     w = rng.uniform(0.5, 1.5, size=80)
     sets = [
-        lattice_points(LatticeRule(61, (1, 17, 23))),
-        tent_transform(lattice_points(LatticeRule(64, (1, 27, 15)))),
+        _float_only(lattice_points(LatticeRule(61, (1, 17, 23)))),
+        _float_only(tent_transform(lattice_points(LatticeRule(64, (1, 27, 15))))),
         WeightedPointSet(rng.random((80, 3)), w / math.fsum(w)),
     ]
-    u = Fraction(1, 1 << 53)
     for ps in sets:
-        spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4))
-        e2 = wce_double_sum(spec, ps, POL).e2
-        prod, _, _ = _direct_products(spec, ps, POL)
-        M = len(ps)
-        wf = [Fraction(x) for x in ps.weights]
-        S = A = Fraction(0)
-        for i in range(M):
-            terms = [Fraction(p) * wk for p, wk in zip(prod[i].tolist(), wf)]
-            S += wf[i] * sum(terms)
-            A += wf[i] * sum(abs(t) for t in terms)
-        gamma_M = M * u / (1 - M * u)
-        E = gamma_M + u * (1 + gamma_M)
-        bound = E * A + u * (abs(S) + E * A) + u * abs(Fraction(e2)) / (1 - u)
-        assert abs(Fraction(e2) + 1 - S) <= bound, (M, float(bound))
+        _check_reduction_bound(SpaceSpec(family, alpha, (1.0, 0.7, 0.4)), ps)
+
+
+@pytest.mark.parametrize("family", ["korobov", "cosine", "korcos"])
+def test_table_route_reduction_error_is_within_its_derived_bound(family):
+    # the same bound on the table route: rule-derived sets at alpha = 1.5
+    for ps in (lattice_points(LatticeRule(61, (1, 17, 23))),
+               tent_transform(lattice_points(LatticeRule(64, (1, 27, 15))))):
+        _check_reduction_bound(SpaceSpec(family, 1.5, (1.0, 0.7, 0.4)), ps)
+
+
+def _check_reduction_bound(spec, ps):
+    """The bound of test_double_sum_reduction_error_is_within_its_derived_bound."""
+    u = Fraction(1, 1 << 53)
+    e2 = wce_double_sum(spec, ps, POL).e2
+    prod, _, _ = _direct_products(spec, ps, POL)
+    M = len(ps)
+    wf = [Fraction(x) for x in ps.weights]
+    S = A = Fraction(0)
+    for i in range(M):
+        terms = [Fraction(p) * wk for p, wk in zip(prod[i].tolist(), wf)]
+        S += wf[i] * sum(terms)
+        A += wf[i] * sum(abs(t) for t in terms)
+    gamma_M = M * u / (1 - M * u)
+    E = gamma_M + u * (1 + gamma_M)
+    bound = E * A + u * (abs(S) + E * A) + u * abs(Fraction(e2)) / (1 - u)
+    assert abs(Fraction(e2) + 1 - S) <= bound, (M, float(bound))
 
 
 def _traced_peak(fn):
@@ -809,14 +861,86 @@ def test_tail_bound_is_a_python_float(route, alpha):
     assert (r.tail_bound == 0.0) == (alpha == 1)
 
 
+# each rule route and the double sum over the node set it describes
+_NODE_ROUTES = (
+    ("korobov", lattice_points, wce_korobov_lattice),
+    ("cosine", lambda rule: tent_transform(lattice_points(rule)), wce_cosine_tent),
+    ("korcos", symmetrize, wce_korcos_sym),
+    ("cosine", symmetrize, wce_cosine_sym),
+)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 2.5])
+@pytest.mark.parametrize("N,g", [(31, (1, 12, 7)), (32, (1, 13, 5))])
+def test_table_route_double_sum_matches_the_rule_routes(alpha, N, g):
+    """On a rule's plain, tent and sym sets at non-integer alpha the double
+    sum reads Omega_2N, and the rule routes read Omega_N; each is within its
+    bound of the exact e2, so they agree within the sum of the bounds, about
+    1e-11 here.  An index or weight off by a factor of 2 in any family moves
+    e2 far outside that sum."""
+    rule = LatticeRule(N, g)
+    gammas = (1.0, 0.5, 0.25)
+    for family, nodes, route in _NODE_ROUTES:
+        ds = wce_double_sum(SpaceSpec(family, alpha, gammas), nodes(rule))
+        ref = route(rule, alpha, gammas)
+        assert ds.method is WceMethod.KERNEL_DOUBLE_SUM
+        assert 0.0 < ds.tail_bound < 1e-10
+        assert abs(ds.e2 - ref.e2) <= ds.tail_bound + ref.tail_bound, (family, route.__name__)
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.5, 2.5])
+@pytest.mark.parametrize("N", [5, 8, 61])
+def test_omega_2n_is_the_cosine_series_at_r_over_n(alpha, N):
+    """c(r / N) = Omega_2N[r mod 2N] / 2 for r = 0..2N, the identity of the
+    double sum's table route, against the series at theta = fl(r / N).  The
+    table half is off by at most b / 2; the series by its tail and its
+    rounding (``_series_rounding``); and theta <= 2 is within 2^-52 of
+    r / N, which moves c by at most 2^-52 pi sum_k k^(1 - 2 alpha)."""
+    K = 200_000
+    om, b = _omega_table(alpha, 2 * N)
+    r = np.arange(2 * N + 1)
+    series = _cos_partial_sum(r / N, alpha, K)
+    k = np.arange(1, K + 1, dtype=np.float64)
+    moved = 2.0**-52 * PI * math.fsum(k ** (1.0 - 2.0 * alpha))
+    bound = b / 2 + series_tail_bound(alpha, 1.0, K) + _series_rounding(alpha, K) + moved
+    assert float(np.abs(series - om[r % (2 * N)] / 2).max()) <= bound
+
+
+def test_double_sum_refuses_a_false_denominator():
+    ps = lattice_points(LatticeRule(5, (1, 2)))
+    spec = SpaceSpec("cosine", 1.5, (1.0, 1.0))
+    with pytest.raises(ValueError, match="not all of the form p / 7"):
+        wce_double_sum(spec, WeightedPointSet(ps.points, ps.weights, 7))
+    # p / 5 = 2p / 10 to the bit, so 10 is a true denominator too: Omega_20
+    # gives e2 within the bounds of Omega_10's
+    a = wce_double_sum(spec, ps)
+    b = wce_double_sum(spec, WeightedPointSet(ps.points, ps.weights, 10))
+    assert abs(a.e2 - b.e2) <= a.tail_bound + b.tail_bound
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_integer_alpha_ignores_the_denominator(alpha):
+    # the closed forms read the coordinates: the same bits as a float-only set
+    rule = LatticeRule(31, (1, 12, 7))
+    for ps in (lattice_points(rule), tent_transform(lattice_points(rule)), symmetrize(rule)):
+        for family in ("sobolev", "korobov", "cosine", "korcos"):
+            spec = SpaceSpec(family, alpha, (1.0, 0.5, 0.25))
+            assert wce_double_sum(spec, ps) == wce_double_sum(spec, _float_only(ps)), family
+
+
 def test_double_sum_input_validation():
     ps = lattice_points(LatticeRule(4, (1, 3)))
     with pytest.raises(ValueError):
         wce_double_sum(SpaceSpec("cosine", 1, (1.0,)), ps, POL)
+    # the series of a float-only set has a term budget
     with pytest.raises(TruncationBudgetError):
-        wce_double_sum(
-            SpaceSpec("cosine", 1.5, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
-        )
+        wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), _float_only(ps),
+                       TruncationPolicy(tol=1e-12, max_terms=1000))
+    # the rule's own set reads Omega_2N and sums no series: no budget
+    table = wce_double_sum(
+        SpaceSpec("cosine", 1.5, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
+    )
+    assert 0.0 < table.tail_bound < 1e-12
     # integer alpha is closed form: no term budget to exceed
     closed = wce_double_sum(
         SpaceSpec("cosine", 1, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
