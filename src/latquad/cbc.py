@@ -39,7 +39,7 @@ from .points import LatticeRule, _integer, _modulus
 from .wce import _bound_constants, _factor_row, _single_sum_e2
 from .wce import cbc_bound_constant  # noqa: F401
 
-__all__ = ["CbcResult", "candidate_set", "cbc_construct"]
+__all__ = ["CbcResult", "cbc_construct"]
 
 # Levels of a 2^m modulus at most this long are tiled to one length and share
 # one 2-D rfft: a short transform costs numpy's per-call overhead (about 5 us)
@@ -74,14 +74,9 @@ class CbcResult:
     bound_ok: tuple[bool, ...]
 
 
-def candidate_set(N: int) -> list[int]:
-    """Units mod N in ascending order.  Each CBC coordinate searches those
-    <= N/2, one per class {z, -z}, since D(N - z) == D(z)."""
-    return _units(N).tolist()
-
-
 def _units(N: int) -> np.ndarray:
-    """candidate_set(N) as an int64 array."""
+    """Units mod N in ascending order, as an int64 array.  Each CBC coordinate
+    searches those <= N/2, one per class {z, -z}, since D(N - z) == D(z)."""
     N = _modulus(N)  # gcd(0, 1) == 1, so the mask alone would keep 0 at N = 1
     n = np.arange(N, dtype=np.int64)
     return n[np.gcd(n, N) == 1]

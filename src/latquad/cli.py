@@ -172,10 +172,20 @@ def cmd_points(args) -> int:
 def cmd_wce(args) -> int:
     # built on every space, so a bad --tol or --max-terms exits 1 everywhere
     policy = TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
+    if args.points_file is not None:
+        # the file is the whole node set: a rule beside it, or a rule route,
+        # would leave one of the two inputs unread
+        if args.space != "double-sum":
+            raise ValueError(f"--points-file is for --space double-sum, not --space {args.space}")
+        rule_flags = [flag for flag, value in (("--vector-file", args.vector_file),
+                                               ("--n", args.n), ("--g", args.g))
+                      if value is not None]
+        if rule_flags:
+            raise ValueError(f"--points-file takes no rule, got {' and '.join(rule_flags)}")
     if args.space == "double-sum":
         if not args.family:
             raise ValueError("--family is required for --space double-sum")
-        if args.points_file:
+        if args.points_file is not None:
             if args.s is None:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
@@ -264,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--gamma", default="1")
     p.add_argument("--family", choices=FAMILIES, help="kernel for --space double-sum")
-    p.add_argument("--points-file", help="explicit nodes for --space double-sum")
+    p.add_argument("--points-file", help="explicit nodes for --space double-sum, in place of a rule")
     p.add_argument("--s", type=int, help="dimension of the points file")
     p.add_argument("--variant", choices=VARIANTS, default="plain",
                    help="node variant when double-sum reads a vector file")

@@ -1,4 +1,4 @@
-"""Reproducing kernels and coefficient oracles for lattice quadrature spaces.
+"""Reproducing kernels, omega tables and truncation bounds of lattice quadrature spaces.
 
 Four kernel families over [0,1], combined by products across coordinates:
 
@@ -19,18 +19,19 @@ The three periodic families are compositions of the one-dimensional sum
     korobov  K = 1 + 2 gamma c(2 (x - y)),
     cosine   K = 1 + gamma [c(x - y) + c(x + y)],
     korcos   K = 1 + gamma c(2 (x - y)) + (gamma / 2) [c(x - y) + c(x + y)].
+``_periodic_factor`` writes these three once, for every source of c.
 Integer alpha in {1,2,3} evaluates c through the closed form
 c(theta) = omega(frac(theta / 2)) / 2, so every family is exact there; other
 alpha sum c as a truncated series in ``kernel_factor``.  The truncated cosine
-series oracles live in the tests.
+series and the coefficient quadrature oracles live in the tests.
 
 On lattice nodes only omega(m / N), m in Z_N, is needed, and
 ``_omega_table`` gives it at every alpha > 1/2: the closed form at 1..3,
 else one real FFT of the Hurwitz-zeta residue sums, with an error bound.
 On nodes p / N, as a rule's plain, tent and symmetrized sets are, every
 argument of c is r / N and c(r / N) = Omega_2N[r mod 2N] / 2 with Omega_2N
-the table at modulus 2N; ``_table_factor`` builds the three families from
-it, so the kernel double sum needs no series on such nodes.
+the table at modulus 2N; ``_table_factor`` passes that c to
+``_periodic_factor``, so the kernel double sum needs no series on such nodes.
 
 Truncated evaluations report a rigorous bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
@@ -54,15 +55,12 @@ __all__ = [
     "TruncationPolicy",
     "DEFAULT_POLICY",
     "TruncationBudgetError",
-    "QuadratureAccuracyError",
     "bernoulli_poly",
     "zeta",
     "korobov_omega",
     "series_kmax",
     "series_tail_bound",
     "kernel_factor",
-    "cosine_coeff",
-    "fourier_coeff",
 ]
 
 FAMILIES = ("sobolev", "korobov", "cosine", "korcos")
@@ -70,9 +68,8 @@ FAMILIES = ("sobolev", "korobov", "cosine", "korcos")
 # smoothness values with a Bernoulli closed form
 _CLOSED_ALPHAS = (1, 2, 3)
 
-# caps for vectorized series chunks and tensor quadrature grids
+# cap on the values of one vectorized series chunk
 _SERIES_CHUNK = 4_000_000
-_QUAD_POINT_CAP = 1 << 24
 # largest modulus of the omega table, refused before any work above it
 _TABLE_CAP = 1 << 22
 # direct terms per residue class before the Euler-Maclaurin tail
@@ -86,10 +83,6 @@ _FFT_ETA = 32.0
 
 class TruncationBudgetError(ArithmeticError):
     """Requested tolerance needs more series terms than the policy allows."""
-
-
-class QuadratureAccuracyError(ArithmeticError):
-    """Panel-doubling estimate failed the requested accuracy target."""
 
 
 def _refuse_overflow(fn: Callable) -> Callable:
@@ -458,8 +451,8 @@ def kernel_factor(
 
     x and y broadcast against each other; returns (values, tail_bound).  The
     sobolev family is a Bernoulli closed form with tail_bound 0.  The
-    korobov, cosine and korcos families are written once, through the cosine
-    sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
+    korobov, cosine and korcos families are ``_periodic_factor`` of the
+    cosine sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
     the closed form omega(frac(theta / 2)) / 2, with tail_bound 0 and no
     series terms; other alpha sum c as a series truncated by policy, and
     tail_bound covers the dropped terms and the rounding of the kept ones
@@ -502,37 +495,40 @@ def kernel_factor(
 
     shape = np.broadcast(x, y).shape
 
-    def kor_part():
-        """c(2 (x - y))."""
+    def diff(twice: bool):
         theta = np.subtract(x, y, out=np.empty(shape))
-        theta *= 2.0
-        return c(theta)
+        return np.multiply(theta, 2.0, out=theta) if twice else theta
 
-    def cos_part():
-        """c(x - y) + c(x + y)."""
-        val = c(np.subtract(x, y, out=np.empty(shape)))
-        val += c(np.add(x, y, out=np.empty(shape)))
-        return val
+    return _periodic_factor(family, gamma, c, diff,
+                            lambda: np.add(x, y, out=np.empty(shape))), tail
 
-    # In place, in the order of the module docstring's expressions, so every
-    # value keeps their bits; c may overwrite its fresh argument.  A closed-
-    # form call holds at most three tables; korcos builds its cosine part
-    # first to stay there.
+
+def _periodic_factor(family: str, gamma: float, c: Callable, diff: Callable, add: Callable):
+    """The module docstring's korobov, cosine or korcos expression in c.
+
+    diff(twice) builds x - y, or 2 (x - y), and add() builds x + y, as an
+    argument that c may overwrite; c returns a table that no later builder
+    writes.  In place and in the expressions' order, so every caller keeps
+    their bits, and with c and each builder holding one table a call holds
+    at most three: korcos builds its cosine part first.
+    """
     if family == "korobov":
-        val = kor_part()
+        val = c(diff(True))
         val *= 2.0 * gamma
     elif family == "cosine":
-        val = cos_part()
+        val = c(diff(False))
+        val += c(add())
         val *= gamma
     else:
-        cos = cos_part()
+        cos = c(diff(False))
+        cos += c(add())
         cos *= 0.5 * gamma
-        val = kor_part()
+        val = c(diff(True))
         val *= gamma
     val += 1.0
     if family == "korcos":
         val += cos
-    return val[()], tail
+    return val[()]
 
 
 def _table_factor(family: str, gamma: float, om: np.ndarray, bound: float, p, q):
@@ -541,59 +537,31 @@ def _table_factor(family: str, gamma: float, om: np.ndarray, bound: float, p, q)
 
     om and its bound b are ``_omega_table(alpha, 2 N)``, and p, q integer
     arrays in 0..N that broadcast.  Each argument x - y, x + y or 2 (x - y)
-    is r / N for an integer r, and omega(r / (2 N)) = 2 sum_k k^(-2 alpha)
-    cos(pi k r / N) = 2 c(r / N), so c(r / N) = Omega_2N[r mod 2N] / 2 and
-
-        korobov  K = 1 + gamma Omega[2 (p - q)],
-        cosine   K = 1 + (gamma / 2) (Omega[p - q] + Omega[p + q]),
-        korcos   K = 1 + (gamma / 2) Omega[2 (p - q)]
-                       + (gamma / 4) (Omega[p - q] + Omega[p + q]),
-
-    indices mod 2N.  Omega is exactly even, so |p - q| may stand for p - q,
-    and every index lies in 0..2N with 2N read as 0.  Each family weighs its
-    Omega entries by gamma in total, so a value is off by at most gamma b:
-    nothing is truncated.  Values are symmetric in p and q to the bit, and a
-    call holds at most three tables: the indices, the values and one
-    gathered part.
+    is r / N, and omega(r / (2 N)) = 2 c(r / N), so ``_periodic_factor``
+    reads c(r / N) = Omega_2N[r mod 2N] / 2 from one halved copy of om;
+    halving is exact.  Omega is exactly even, so |p - q| may stand for
+    p - q, and every index lies in 0..2N with 2N read as 0.  Each family
+    weighs its Omega entries by gamma in total, so a value is off by at
+    most gamma b.  Values are symmetric in p and q to the bit, and a call
+    holds at most three tables: the indices, which every argument reuses,
+    the values and one gathered part.
     """
-    ext = np.append(om, om[0])  # Omega[2N] = Omega[0]: indices run to 2N
+    half = np.append(om, om[0])  # Omega[2N] = Omega[0]: indices run to 2N
+    half *= 0.5
     shape = np.broadcast(p, q).shape
     idx = np.empty(shape, dtype=np.intp)
 
-    def diff(twice: bool) -> None:
-        """idx = |p - q|, or 2 |p - q|."""
+    def diff(twice: bool):
         np.abs(np.subtract(p, q, out=idx), out=idx)
-        if twice:
-            np.left_shift(idx, 1, out=idx)
+        return np.left_shift(idx, 1, out=idx) if twice else idx
 
-    def take():
+    def c(r):
         # mode="clip" gathers straight into a new table; the indices are in
-        # range.  A table made for one statement is freed with it, so the
-        # broadcast index arithmetic, which takes numpy's ufunc buffers,
-        # never runs beside three tables.
-        return ext.take(idx, out=np.empty(shape), mode="clip")
+        # range.  Each part lives for one statement, so the index arithmetic
+        # and its ufunc buffers never run beside three tables.
+        return half.take(r, out=np.empty(shape), mode="clip")
 
-    if family == "korobov":
-        diff(True)
-        val = take()
-        val *= gamma
-        val += 1.0
-        return val[()], gamma * bound
-    diff(False)
-    cos = take()  # Omega[|p - q|]
-    np.add(p, q, out=idx)
-    cos += take()  # + Omega[p + q]
-    if family == "cosine":
-        cos *= 0.5 * gamma
-        cos += 1.0
-        return cos[()], gamma * bound
-    cos *= 0.25 * gamma
-    diff(True)
-    val = take()  # Omega[2 |p - q|]
-    val *= 0.5 * gamma
-    val += 1.0
-    val += cos
-    return val[()], gamma * bound
+    return _periodic_factor(family, gamma, c, diff, lambda: np.add(p, q, out=idx)), gamma * bound
 
 
 def _product_tail(bounds, maxima) -> float:
@@ -608,88 +576,3 @@ def _product_tail(bounds, maxima) -> float:
         if b:
             tail += b * float(np.prod(np.delete(np.add(maxima, bounds), j)))
     return float(tail)
-
-
-def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite 16-point Gauss-Legendre nodes and weights on [0,1]."""
-    xg, wg = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(0.0, 1.0, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    return nodes, wts
-
-
-def _coeff_quadrature(f: Callable, axis_weight: Callable, s: int, panels: int, target: float):
-    """Tensor quadrature of f(x) * prod_j axis_weight(j, x_j) over [0,1]^s.
-
-    axis_weight(j, nodes) must return the (possibly complex) per-axis factor.
-    f is called once with each full (M, s) grid, at panels and 2 * panels per
-    axis; the finer value is returned only if it is within target of the other.
-    """
-    vals = []
-    for p in (panels, 2 * panels):
-        nodes, wts = _gl_grid(p)
-        m = nodes.size
-        if m**s > _QUAD_POINT_CAP:
-            raise ValueError(f"tensor quadrature grid of {m**s} points is too large")
-        grids = np.meshgrid(*([nodes] * s), indexing="ij")
-        pts = np.stack(grids, axis=-1).reshape(-1, s)
-        acc = np.asarray(f(pts)).reshape(len(pts))
-        full = tuple([m] * s)
-        for j in range(s):
-            wj = wts * axis_weight(j, nodes)
-            shape = [1] * s
-            shape[j] = m
-            acc = acc * np.broadcast_to(wj.reshape(shape), full).reshape(-1)
-        vals.append(acc.sum())
-    v1, v2 = vals
-    if abs(v2 - v1) > target:
-        raise QuadratureAccuracyError(
-            f"panel doubling moved the coefficient by {abs(v2 - v1):.3e} (> {target})"
-        )
-    return v2
-
-
-def cosine_coeff(f: Callable, k, target: float = 1e-10) -> float:
-    """Coefficient of f against the orthonormal cosine basis indexed by k >= 0.
-
-    The basis factor per axis is 1 for k_j = 0 and sqrt(2) cos(pi k_j x_j)
-    otherwise; s = len(k), and a scalar k means s = 1.  f must accept an
-    (M, s) array of points and return M values.
-    Composite 16-point Gauss-Legendre with max(8, 5*max(k)) panels per axis
-    (at least five panels per half oscillation); the result is accepted only
-    if doubling the panel count moves it by at most ``target``.
-    """
-    kvec = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if kvec.ndim != 1:
-        raise ValueError("k must be a scalar or a 1-d sequence")
-    if kvec.min(initial=0) < 0:
-        raise ValueError("cosine indices must be nonnegative")
-
-    def axis_weight(j, xs):
-        if kvec[j] == 0:
-            return np.ones_like(xs)
-        return math.sqrt(2.0) * np.cos(math.pi * int(kvec[j]) * xs)
-
-    panels = max(8, 5 * int(kvec.max(initial=0)))
-    return float(_coeff_quadrature(f, axis_weight, kvec.size, panels, target))
-
-
-def fourier_coeff(f: Callable, h, target: float = 1e-10) -> complex:
-    """Fourier coefficient integral of f(x) e^(-2 pi i h . x); complex result.
-
-    Same quadrature and panel-doubling check as cosine_coeff, with panel count
-    max(8, 10*max|h|) so the full-period exponential keeps at least five
-    panels per half oscillation.
-    """
-    hvec = np.atleast_1d(np.asarray(h, dtype=np.int64))
-    if hvec.ndim != 1:
-        raise ValueError("h must be a scalar or a 1-d sequence")
-
-    def axis_weight(j, xs):
-        return np.exp(-2j * math.pi * int(hvec[j]) * xs)
-
-    panels = max(8, 10 * int(np.abs(hvec).max(initial=0)))
-    return complex(_coeff_quadrature(f, axis_weight, hvec.size, panels, target))

@@ -123,13 +123,13 @@ def wce_double_sum(
     ``_omega_table(alpha, 2 N)``, built once per call with its bound b.
     Every coordinate is p / N, recovered from each coordinate's distinct
     values (ValueError if a value is not fl(p / N)), so each x - y, x + y
-    and 2 (x - y) is r / N, and c(r / N) = Omega_2N[r mod 2N] / 2
-    (``kernels._table_factor``).  Factor j weighs its table entries by
-    gamma_j in total: gamma_j Omega[2 (p - q)] for korobov, (gamma_j / 2)
-    (Omega[p - q] + Omega[p + q]) for cosine, and half the one plus a
-    quarter of the other two for korcos.  So factor j is off by at most
-    gamma_j b, the bound passed to ``_product_tail``; nothing is truncated,
-    ``policy`` is not used, and 2N above the table's cap raises ValueError.
+    and 2 (x - y) is r / N, and ``kernels._table_factor`` passes
+    c(r / N) = Omega_2N[r mod 2N] / 2 to the family combination that
+    ``kernel_factor`` uses.  Every family weighs its c values by 2 gamma_j
+    in total, so its table entries by gamma_j, and factor j is off by at
+    most gamma_j b, the bound passed to ``_product_tail``; nothing is
+    truncated, ``policy`` is not used, and 2N above the table's cap raises
+    ValueError.
     Every other sum (sobolev, integer alpha, or a set without a
     denominator, such as a points file) evaluates ``kernel_factor`` on the
     coordinates, whose series at non-integer alpha ``policy`` truncates.

@@ -1,0 +1,109 @@
+"""Independent oracles that only the tests call.
+
+Coefficients of an integrand against the cosine and Fourier bases, by
+tensor Gauss-Legendre quadrature with a panel-doubling check, and the units
+of a modulus as a plain gcd list.  Nothing here shares code with latquad.
+"""
+import math
+from typing import Callable
+
+import numpy as np
+
+# largest tensor quadrature grid, in points
+_QUAD_POINT_CAP = 1 << 24
+
+
+class QuadratureAccuracyError(ArithmeticError):
+    """Panel-doubling estimate failed the requested accuracy target."""
+
+
+def candidate_set(N: int) -> list[int]:
+    """Units mod N in ascending order, by gcd; N >= 2, else ValueError."""
+    if N < 2:
+        raise ValueError(f"modulus must be >= 2, got {N}")
+    return [z for z in range(1, N) if math.gcd(z, N) == 1]
+
+
+def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite 16-point Gauss-Legendre nodes and weights on [0,1]."""
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    wts = (half[:, None] * wg[None, :]).ravel()
+    return nodes, wts
+
+
+def _coeff_quadrature(f: Callable, axis_weight: Callable, s: int, panels: int, target: float):
+    """Tensor quadrature of f(x) * prod_j axis_weight(j, x_j) over [0,1]^s.
+
+    axis_weight(j, nodes) must return the (possibly complex) per-axis factor.
+    f is called once with each full (M, s) grid, at panels and 2 * panels per
+    axis; the finer value is returned only if it is within target of the other.
+    """
+    vals = []
+    for p in (panels, 2 * panels):
+        nodes, wts = _gl_grid(p)
+        m = nodes.size
+        if m**s > _QUAD_POINT_CAP:
+            raise ValueError(f"tensor quadrature grid of {m**s} points is too large")
+        grids = np.meshgrid(*([nodes] * s), indexing="ij")
+        pts = np.stack(grids, axis=-1).reshape(-1, s)
+        acc = np.asarray(f(pts)).reshape(len(pts))
+        full = tuple([m] * s)
+        for j in range(s):
+            wj = wts * axis_weight(j, nodes)
+            shape = [1] * s
+            shape[j] = m
+            acc = acc * np.broadcast_to(wj.reshape(shape), full).reshape(-1)
+        vals.append(acc.sum())
+    v1, v2 = vals
+    if abs(v2 - v1) > target:
+        raise QuadratureAccuracyError(
+            f"panel doubling moved the coefficient by {abs(v2 - v1):.3e} (> {target})"
+        )
+    return v2
+
+
+def cosine_coeff(f: Callable, k, target: float = 1e-10) -> float:
+    """Coefficient of f against the orthonormal cosine basis indexed by k >= 0.
+
+    The basis factor per axis is 1 for k_j = 0 and sqrt(2) cos(pi k_j x_j)
+    otherwise; s = len(k), and a scalar k means s = 1.  f must accept an
+    (M, s) array of points and return M values.
+    Composite 16-point Gauss-Legendre with max(8, 5*max(k)) panels per axis
+    (at least five panels per half oscillation); the result is accepted only
+    if doubling the panel count moves it by at most ``target``.
+    """
+    kvec = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    if kvec.ndim != 1:
+        raise ValueError("k must be a scalar or a 1-d sequence")
+    if kvec.min(initial=0) < 0:
+        raise ValueError("cosine indices must be nonnegative")
+
+    def axis_weight(j, xs):
+        if kvec[j] == 0:
+            return np.ones_like(xs)
+        return math.sqrt(2.0) * np.cos(math.pi * int(kvec[j]) * xs)
+
+    panels = max(8, 5 * int(kvec.max(initial=0)))
+    return float(_coeff_quadrature(f, axis_weight, kvec.size, panels, target))
+
+
+def fourier_coeff(f: Callable, h, target: float = 1e-10) -> complex:
+    """Fourier coefficient integral of f(x) e^(-2 pi i h . x); complex result.
+
+    Same quadrature and panel-doubling check as cosine_coeff, with panel count
+    max(8, 10*max|h|) so the full-period exponential keeps at least five
+    panels per half oscillation.
+    """
+    hvec = np.atleast_1d(np.asarray(h, dtype=np.int64))
+    if hvec.ndim != 1:
+        raise ValueError("h must be a scalar or a 1-d sequence")
+
+    def axis_weight(j, xs):
+        return np.exp(-2j * math.pi * int(hvec[j]) * xs)
+
+    panels = max(8, 10 * int(np.abs(hvec).max(initial=0)))
+    return complex(_coeff_quadrature(f, axis_weight, hvec.size, panels, target))

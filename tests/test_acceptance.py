@@ -20,12 +20,10 @@ import numpy as np
 
 from latquad.bench import TestFunction as Integrand
 from latquad.bench import converge_study, fit_slope
-from latquad.cbc import candidate_set, cbc_construct
+from latquad.cbc import cbc_construct
 from latquad.kernels import (
     SpaceSpec,
     TruncationPolicy,
-    cosine_coeff,
-    fourier_coeff,
     kernel_factor,
     korobov_omega,
 )
@@ -43,6 +41,8 @@ from latquad.wce import (
     wce_korcos_sym,
     wce_korobov_lattice,
 )
+
+from oracles import candidate_set, cosine_coeff, fourier_coeff
 
 PI = math.pi
 SEED = 20140814

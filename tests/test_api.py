@@ -97,3 +97,40 @@ def test_only_the_cli_opens_files():
                 if name == "open":
                     opens.append(f"{path.name}:{node.lineno}")
     assert opens == []
+
+
+# private names that only the tests call, each an oracle for a public route
+_TEST_ORACLES = {("cbc", "_reference_construct")}
+
+
+def test_src_private_names_are_used_in_src():
+    """Every module-level private def, class or constant of a package module
+    is referenced inside the package, apart from the listed test oracles."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "latquad").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and name not in used and (module, name) not in _TEST_ORACLES:
+                    unused.append(f"{module}.{name}")
+    assert unused == []
+    for module, name in _TEST_ORACLES:  # an oracle that src has come to call leaves the list
+        assert name not in used, f"{module}.{name}"

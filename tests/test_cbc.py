@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latquad import cbc
-from latquad.cbc import _reference_construct, _UnitScreen, candidate_set, cbc_construct
+from latquad.cbc import _reference_construct, _UnitScreen, cbc_construct
 from latquad.cli import main
 from latquad.kernels import _omega_table, korobov_omega
 from latquad.points import LatticeRule
@@ -18,6 +18,8 @@ from latquad.wce import (
     wce_korobov_lattice,
 )
 
+from oracles import candidate_set
+
 
 @pytest.mark.parametrize("base,N", [(3, 7), (5, 1 << 20), (2, 4093), (3, 4194301)])
 @pytest.mark.parametrize("count", [0, 1, 3, 255, 256, 257, 1025])
@@ -28,14 +30,19 @@ def test_powers_are_modular_powers(base, N, count):
 
 
 def test_candidate_sets():
+    """cbc._units against the gcd list of the oracle."""
     assert candidate_set(2) == [1]
     assert candidate_set(5) == [1, 2, 3, 4]
     assert candidate_set(6) == [1, 5]
     assert candidate_set(12) == [1, 5, 7, 11]
     for N in [*range(2, 5001), 1 << 18]:  # 4093 and 4096 inside the sweep
-        assert candidate_set(N) == [z for z in range(1, N) if math.gcd(z, N) == 1], N
+        zs = cbc._units(N)
+        assert zs.dtype == np.int64
+        assert zs.tolist() == candidate_set(N), N
     with pytest.raises(ValueError):
         candidate_set(1)
+    with pytest.raises(ValueError):
+        cbc._units(1)
     with pytest.raises(ValueError):
         cbc_construct(1, 2, 1.0, (1.0, 1.0))
 

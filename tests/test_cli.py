@@ -383,6 +383,33 @@ def test_points_file_errors_exit_one(tmp_path, capsys, text, message):
     assert err == f"latquad: {message}\n"
 
 
+
+@pytest.mark.parametrize("argv,message", [
+    (("--space", "double-sum", "--family", "korobov", "--vector-file", "{vec}"),
+     "--points-file takes no rule, got --vector-file"),
+    (("--space", "double-sum", "--family", "korobov", "--n", "11"),
+     "--points-file takes no rule, got --n"),
+    (("--space", "double-sum", "--family", "korobov", "--g", "1,4"),
+     "--points-file takes no rule, got --g"),
+    (("--space", "double-sum", "--family", "korobov", "--n", "11", "--g", "1,4"),
+     "--points-file takes no rule, got --n and --g"),
+    (("--space", "korobov",), "--points-file is for --space double-sum, not --space korobov"),
+    (("--space", "cosine-tent", "--n", "11", "--g", "1,4"),
+     "--points-file is for --space double-sum, not --space cosine-tent"),
+])
+def test_points_file_beside_a_rule_exits_one(tmp_path, capsys, argv, message):
+    # each of these once printed the e2 of one input and ignored the other
+    pts, vec = tmp_path / "nodes.txt", tmp_path / "vec.txt"
+    assert run_cli(capsys, "points", "--n", "7", "--g", "1,3", "--variant", "plain",
+                   "-o", str(pts))[0] == 0
+    with open(vec, "w") as fh:
+        write_vector_file(LatticeRule(11, (1, 4)), fh)
+    argv = [a.format(vec=vec) for a in argv]
+    code, stdout, err = run_cli(capsys, "wce", *argv, "--points-file", str(pts), "--s", "2")
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: {message}\n"
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_thread_count_below_one_exits_one(capsys, threads):
     code, stdout, err = run_cli(

@@ -14,12 +14,9 @@ from latquad.kernels import (
     _SERIES_CHUNK,
     _TABLE_CAP,
     DEFAULT_POLICY,
-    QuadratureAccuracyError,
     TruncationBudgetError,
     TruncationPolicy,
     bernoulli_poly,
-    cosine_coeff,
-    fourier_coeff,
     kernel_factor,
     korobov_omega,
     series_kmax,
@@ -31,6 +28,8 @@ from latquad.kernels import (
     _table_factor,
 )
 from latquad.points import LatticeRule, symmetrize, tent
+
+from oracles import QuadratureAccuracyError, cosine_coeff, fourier_coeff
 
 PI = math.pi
 
@@ -383,6 +382,23 @@ def test_periodic_factor_composition_matches_per_family_formulas(fam, alpha, gri
         want, want_tail = _per_family_factor(fam, alpha, gamma, x, y, pol)
         assert np.array_equal(got, want), (fam, alpha, grid, gamma)
         assert got_tail == want_tail
+
+
+@pytest.mark.parametrize("N", [2, 8, 64, 1024])
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+@pytest.mark.parametrize("fam", ["korobov", "cosine", "korcos"])
+def test_table_factor_is_the_closed_form_at_dyadic_nodes(fam, alpha, N):
+    # at dyadic N, p / N, x - y, x + y and theta / 2 are exact, so c read
+    # from Omega_2N and the closed-form c see the same arguments through the
+    # one combination: a slip in either route's c or argument builders, an
+    # index or a halving, moves a bit
+    om, b = _omega_table(alpha, 2 * N)
+    p = np.arange(N + 1)
+    for gamma in (0.3, 1.0, 2.5, 7.0):
+        got, got_tail = _table_factor(fam, gamma, om, b, p[:, None], p[None, :])
+        want, want_tail = kernel_factor(fam, alpha, gamma, p[:, None] / N, p[None, :] / N)
+        assert np.array_equal(got, want), (fam, alpha, N, gamma)
+        assert got_tail == want_tail == 0.0
 
 
 def test_sobolev_equals_rescaled_cosine_kernel():
