@@ -21,7 +21,8 @@ length and share one forward transform, and a prime length with a large
 prime factor is zero-padded to a power of two instead of going to
 Bluestein's algorithm.  That screen only rules units out: the few it cannot
 are summed directly, so the result equals the full direct scan bit for bit
-and the search costs O(s N log N).
+and the search costs O(s N log N).  The tests compare it with a direct
+scan of every unit that they keep in tests/oracles.py.
 Other moduli take the scan of the units <= N/2, O(s N phi(N) / 2).
 """
 from __future__ import annotations
@@ -82,6 +83,7 @@ def _units(N: int) -> np.ndarray:
     return n[np.gcd(n, N) == 1]
 
 
+@_refuse_overflow
 def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     """Greedy generating vector for the Korobov space, any finite alpha > 1/2.
 
@@ -97,23 +99,12 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     component.  D(N - z) == D(z) bit for bit, so that unit is at most N/2 and
     only those units are searched.  Prime and power-of-two moduli are
     screened by FFT: the screen returns each unit's screened D and a bound
-    on its error, and ``_construct`` alone computes the scale and the tie
+    on its error, and this function alone computes the scale and the tie
     window, keeps the units the bound cannot rule out, sums their D
-    directly and picks the winner, so the result equals the full scan of
+    directly and picks the winner, so the result equals the direct scan of
     every unit, bit for bit.  ``per_dim_e2[d]`` is
     ``wce_korobov_lattice`` of the first d + 1 coordinates, bit for bit.
     """
-    return _construct(N, s, alpha, gammas, fast=True)
-
-
-def _reference_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
-    """``cbc_construct`` by the direct scan of every unit, z > N/2 included:
-    the test oracle."""
-    return _construct(N, s, alpha, gammas, fast=False)
-
-
-@_refuse_overflow
-def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
     N, s = _modulus(N), _integer("dimension", s)
     if s < 1:
         raise ValueError("dimension must be at least 1")
@@ -123,9 +114,8 @@ def _construct(N: int, s: int, alpha: float, gammas, fast: bool) -> CbcResult:
     om, _ = _omega_table(alpha, N)
     zs = _units(N)
     # prime N, whose every nonzero residue is a unit, and N = 2^m are screened
-    screened = fast and s > 1 and (len(zs) == N - 1 or N & (N - 1) == 0)
-    if fast:
-        zs = zs[2 * zs <= N]
+    screened = s > 1 and (len(zs) == N - 1 or N & (N - 1) == 0)
+    zs = zs[2 * zs <= N]
     om_max = float(np.abs(om[1:]).max())
     n = np.arange(N, dtype=np.int64)
     screen = _UnitScreen(N, om, zs) if screened else None
@@ -193,7 +183,7 @@ def _primitive_root(p: int, qs: list[int]) -> int:
 
 class _UnitScreen:
     """Screened D of every unit z for one coordinate, by FFT correlation.
-    It only evaluates: ``_construct`` picks the survivors and the winner.
+    It only evaluates: ``cbc_construct`` picks the survivors and the winner.
 
     T(z) = sum_{n >= 1} prod[n] omega[n z mod N] splits over the nodes n.
     omega is even, so T(z) = T(-z) and T depends on z through its class

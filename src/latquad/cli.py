@@ -86,6 +86,10 @@ def parse_gammas(text: str, s: int) -> tuple[float, ...]:
 
 def _rule_from_args(args) -> LatticeRule:
     if args.vector_file:
+        # the file is the whole rule: --n or --g beside it would go unread
+        flags = [flag for flag, value in (("--n", args.n), ("--g", args.g)) if value is not None]
+        if flags:
+            raise ValueError(f"--vector-file takes no --n or --g, got {' and '.join(flags)}")
         with open(args.vector_file, "r", encoding="ascii") as fh:
             return read_vector_file(fh)
     if args.n is not None and args.g:
@@ -163,6 +167,8 @@ def cmd_cbc(args) -> int:
 
 
 def cmd_points(args) -> int:
+    if args.no_dedupe and args.variant != "sym":
+        raise ValueError(f"--no-dedupe is for --variant sym, not --variant {args.variant}")
     ps = node_set(_rule_from_args(args), args.variant, dedupe=not args.no_dedupe)
     with _output(args.output) as out:
         _write_points(ps, out, with_weights=args.variant == "sym")
@@ -172,16 +178,23 @@ def cmd_points(args) -> int:
 def cmd_wce(args) -> int:
     # built on every space, so a bad --tol or --max-terms exits 1 everywhere
     policy = TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
+    # a flag that the chosen inputs would leave unread is refused, naming it
+    if args.space != "double-sum":
+        for flag, value in (("--points-file", args.points_file), ("--family", args.family),
+                            ("--variant", args.variant)):
+            if value is not None:
+                raise ValueError(f"{flag} is for --space double-sum, not --space {args.space}")
     if args.points_file is not None:
-        # the file is the whole node set: a rule beside it, or a rule route,
-        # would leave one of the two inputs unread
-        if args.space != "double-sum":
-            raise ValueError(f"--points-file is for --space double-sum, not --space {args.space}")
+        # the file is the whole node set
         rule_flags = [flag for flag, value in (("--vector-file", args.vector_file),
                                                ("--n", args.n), ("--g", args.g))
                       if value is not None]
         if rule_flags:
             raise ValueError(f"--points-file takes no rule, got {' and '.join(rule_flags)}")
+        if args.variant is not None:
+            raise ValueError(f"--points-file takes no --variant, got --variant {args.variant}")
+    elif args.s is not None:
+        raise ValueError("--s is for --points-file: a rule sets its own dimension")
     if args.space == "double-sum":
         if not args.family:
             raise ValueError("--family is required for --space double-sum")
@@ -190,12 +203,12 @@ def cmd_wce(args) -> int:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
         else:
-            rule = _rule_from_args(args)
+            rule, variant = _rule_from_args(args), args.variant or "plain"
             # plain and tent sets hold N nodes: refuse before building them;
             # a deduplicated sym set can hold fewer, so it is checked built
-            if args.variant != "sym":
+            if variant != "sym":
                 _check_double_sum_nodes(rule.N)
-            ps = node_set(rule, args.variant)
+            ps = node_set(rule, variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
         res = wce_double_sum(spec, ps, policy, threads=args.threads)
@@ -276,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES, help="kernel for --space double-sum")
     p.add_argument("--points-file", help="explicit nodes for --space double-sum, in place of a rule")
     p.add_argument("--s", type=int, help="dimension of the points file")
-    p.add_argument("--variant", choices=VARIANTS, default="plain",
-                   help="node variant when double-sum reads a vector file")
+    p.add_argument("--variant", choices=VARIANTS,
+                   help="node variant when double-sum reads a rule (default plain)")
     # the cores this process may run on, not every CPU of the host
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     p.add_argument("--threads", type=int, default=cores,

@@ -531,23 +531,21 @@ def _periodic_factor(family: str, gamma: float, c: Callable, diff: Callable, add
     return val[()]
 
 
-def _table_factor(family: str, gamma: float, om: np.ndarray, bound: float, p, q):
+def _table_factor(family: str, gamma: float, half: np.ndarray, bound: float, p, q):
     """``kernel_factor`` of a korobov, cosine or korcos family at x = p / N,
-    y = q / N, read from om = Omega_2N; returns (values, gamma * bound).
+    y = q / N, read from half = Omega_2N / 2; returns (values, gamma * bound).
 
-    om and its bound b are ``_omega_table(alpha, 2 N)``, and p, q integer
-    arrays in 0..N that broadcast.  Each argument x - y, x + y or 2 (x - y)
-    is r / N, and omega(r / (2 N)) = 2 c(r / N), so ``_periodic_factor``
-    reads c(r / N) = Omega_2N[r mod 2N] / 2 from one halved copy of om;
-    halving is exact.  Omega is exactly even, so |p - q| may stand for
-    p - q, and every index lies in 0..2N with 2N read as 0.  Each family
-    weighs its Omega entries by gamma in total, so a value is off by at
-    most gamma b.  Values are symmetric in p and q to the bit, and a call
-    holds at most three tables: the indices, which every argument reuses,
-    the values and one gathered part.
+    half is ``_omega_table(alpha, 2 N)`` with its entry 0 appended as entry
+    2N, halved, which is exact; bound is that table's b.  p and q are
+    integer arrays in 0..N that broadcast.  Each argument x - y, x + y or
+    2 (x - y) is r / N, and omega(r / (2 N)) = 2 c(r / N), so
+    ``_periodic_factor`` reads c(r / N) = half[r].  Omega is exactly even,
+    so |p - q| may stand for p - q, and every index lies in 0..2N.  Each
+    family weighs its Omega entries by gamma in total, so a value is off by
+    at most gamma b.  Values are symmetric in p and q to the bit, and a
+    call holds at most three tables: the indices, which every argument
+    reuses, the values and one gathered part.
     """
-    half = np.append(om, om[0])  # Omega[2N] = Omega[0]: indices run to 2N
-    half *= 0.5
     shape = np.broadcast(p, q).shape
     idx = np.empty(shape, dtype=np.intp)
 

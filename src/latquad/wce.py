@@ -120,11 +120,11 @@ def wce_double_sum(
     Kernel values come from one of two places.  At alpha outside {1, 2, 3},
     a korobov, cosine or korcos sum over a set with a denominator N (the
     plain, tent and symmetrized sets of a rule) reads them from Omega_2N =
-    ``_omega_table(alpha, 2 N)``, built once per call with its bound b.
-    Every coordinate is p / N, recovered from each coordinate's distinct
-    values (ValueError if a value is not fl(p / N)), so each x - y, x + y
-    and 2 (x - y) is r / N, and ``kernels._table_factor`` passes
-    c(r / N) = Omega_2N[r mod 2N] / 2 to the family combination that
+    ``_omega_table(alpha, 2 N)``, built and halved once per call, with its
+    bound b.  Every coordinate is p / N, its numerators recovered once from
+    its distinct values (ValueError if a value is not fl(p / N)), so each
+    x - y, x + y and 2 (x - y) is r / N, and ``kernels._table_factor``
+    passes c(r / N) = Omega_2N[r mod 2N] / 2 to the family combination that
     ``kernel_factor`` uses.  Every family weighs its c values by 2 gamma_j
     in total, so its table entries by gamma_j, and factor j is off by at
     most gamma_j b, the bound passed to ``_product_tail``; nothing is
@@ -135,38 +135,41 @@ def wce_double_sum(
     coordinates, whose series at non-integer alpha ``policy`` truncates.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
-    values: per row block and coordinate, a table over the block's distinct
-    values times the set's U_j distinct values, gathered into the block's
-    rows and columns.  Lattice, tent and symmetrized node sets of an N-point
-    rule take at most N + 1 distinct values per coordinate, so each block
-    costs s tables of at most (N + 1)^2 evaluations, and the whole sum at
-    most s gathers and s - 1 products of M^2 values, instead of s M^2
-    evaluations.  A set whose own tables, sum_j U_j^2 values, fit in a
-    _ROW_BLOCK-by-M array is one block, which runs on one thread.
-    Otherwise a block takes the whole tiles of t = max(1, _TILE // M) rows
-    that fit in _ROW_BLOCK M // sum_j U_j rows, but at least one tile.
-    Either way its tables hold at most max(_ROW_BLOCK M, s _TILE) values.
-    A block first builds all s of its tables and keeps them.  Then, one row
-    tile at a time, it gathers coordinate 0 into a product tile, gathers
-    every later coordinate into a work tile and multiplies it in, in
-    coordinate order, and reduces the finished tile by einsum while it is
-    still in cache; no block-by-M array is built.
+    values.  Coordinate j keeps its U_j distinct values, as floats or as
+    numerators, and every table is read through indices into them: per row
+    block, a table over the values at the block's distinct indices times
+    all U_j values, gathered into the block's rows and columns.  Lattice,
+    tent and symmetrized node sets of an N-point rule take at most N + 1
+    distinct values per coordinate, so each block costs s tables of at
+    most (N + 1)^2 evaluations, and the whole sum at most s gathers and
+    s - 1 products of M^2 values, instead of s M^2 evaluations.  A set
+    whose own tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M array is
+    one block, which runs on one thread.  Otherwise a block takes the whole
+    tiles of t = max(1, _TILE // M) rows that fit in _ROW_BLOCK M // sum_j
+    U_j rows, but at least one tile.  Either way its tables hold at most
+    max(_ROW_BLOCK M, s _TILE) values.  A block first builds all s of its
+    tables and keeps them.  Then, one row tile at a time, it gathers
+    coordinate 0 into a product tile, gathers every later coordinate into
+    a work tile and multiplies it in, in coordinate order, and reduces the
+    finished tile by einsum while it is still in cache; no block-by-M array
+    is built.
 
     When a coordinate repeats at least _FOLD_TILES tiles of rows (M - U_j >=
     _FOLD_TILES t), the rows are taken in folded order: lexsorted by each
     coordinate's folded rank min(r, U_j - 1 - r), so a reflection orbit of
     a symmetrized set, and coincident tent nodes n and N - n, share a tile.
-    For such a coordinate, a tile whose d distinct table rows satisfy 2 d <=
-    its rows gathers the columns of each distinct row once, into a d-by-M
-    slab, and copies whole slab rows into the tile; any other tile gathers
-    its rows directly.  Either way the gathered table rows, and the slab,
-    fit in one scratch tile, so a block's memory is its tables, the
-    transient of building one table, and three arrays of at most _TILE
-    values; each of ``threads`` workers runs one block at a time.  Row order
-    moves no bit: each row is reduced by the same einsum over its products
-    in column order, and the factors are elementwise and multiplied in
-    coordinate order, so every product, and hence e2 and the tail bound,
-    has the same bits as evaluating every node pair directly.  A product,
+    Each tile and coordinate gathers table rows, then their columns into a
+    slab.  For such a coordinate, a tile whose d distinct table rows
+    satisfy 2 d <= its rows takes each once, into a d-by-M slab, and copies
+    whole slab rows into the tile; any other tile takes its own rows, and
+    its slab is the tile.  The gathered rows and the slab fit in one
+    scratch tile, so a block's memory is its tables, the transient of
+    building one table, and three arrays of at most _TILE values; each of
+    ``threads`` workers runs one block at a time.  Row order moves no bit:
+    each row is reduced by the same einsum over its products in column
+    order, and the factors are elementwise and multiplied in coordinate
+    order, so every product, and hence e2 and the tail bound, has the same
+    bits as evaluating every node pair directly.  A product,
     sum or tail past the float64 range raises OverflowError.
     """
     X, w = ps.points, ps.weights
@@ -182,16 +185,18 @@ def wce_double_sum(
     if N is not None and spec.family != "sobolev" and not _closed(spec.alpha):
         # lattice-derived nodes p / N: exact tables from Omega_2N, no series
         om, bound = _omega_table(spec.alpha, 2 * N)
-        nums = [_rational_numerators(cu, N) for cu, _ in cols]
+        half = np.append(om, om[0]) / 2  # Omega[2N] = Omega[0]: indices run to 2N
+        vals = [_rational_numerators(cu, N) for cu, _ in cols]
 
         def factor(j, ru):
-            p = nums[j] if ru is cols[j][0] else _rational_numerators(ru, N)
-            return _table_factor(spec.family, spec.gammas[j], om, bound, p[:, None],
-                                 nums[j][None, :])
+            return _table_factor(spec.family, spec.gammas[j], half, bound, ru[:, None],
+                                 vals[j][None, :])
     else:
+        vals = [cu for cu, _ in cols]
+
         def factor(j, ru):
             return kernel_factor(spec.family, spec.alpha, spec.gammas[j], ru[:, None],
-                                 cols[j][0][None, :], policy)
+                                 vals[j][None, :], policy)
 
     t = max(1, _TILE // M)
     # one block if the set's own tables fit in a _ROW_BLOCK-by-M array (a
@@ -221,11 +226,13 @@ def wce_double_sum(
         maxv = np.empty(s)
         bnds = np.empty(s)
         tables = []
-        for j, (cu, cinv) in enumerate(cols):
+        for j, (_, cinv) in enumerate(cols):
+            # the block's rows as indices into the coordinate's distinct values
             if nb == M:
-                ru, rinv = cu, cinv[idx]
+                ru, rinv = vals[j], cinv[idx]
             else:
-                ru, rinv = np.unique(X[idx, j], return_inverse=True)
+                ui, rinv = np.unique(cinv[idx], return_inverse=True)
+                ru = vals[j][ui]
             table, bnds[j] = factor(j, ru)
             # every table entry is some node pair's value, so the maxima
             # match; no |table| temporary while the other tables are alive
@@ -245,31 +252,29 @@ def wce_double_sum(
         # reaches einsum's contiguous inner loop in both
         prod = np.empty((min(t, nb), M))
         work = np.empty_like(prod)
-        # a tile of gathered table rows, or a tile's distinct rows and slab
+        # a tile's gathered table rows, and the slab of their columns
         scratch = np.empty(prod.size)
         for k, r0 in enumerate(range(0, nb, t)):
             n = min(t, nb - r0)
             p = prod[:n]
             for j, (table, rinv, cinv, slabs) in enumerate(tables):
                 v = work[:n] if j else p
-                U, d = table.shape[1], n
+                U = table.shape[1]
+                # the tile's own rows, whose slab is the tile, or its
+                # distinct rows and each row's place among them
+                sel, local = rinv[r0:r0 + n], None
                 if slabs is not None:
-                    urows, starts, local = slabs
-                    d = starts[k + 1] - starts[k]
+                    urows, starts, place = slabs
+                    if 2 * (starts[k + 1] - starts[k]) <= n:
+                        sel, local = urows[starts[k]:starts[k + 1]], place[r0:r0 + n]
+                d = sel.size
                 # mode="clip" gathers straight into out; the default "raise"
                 # buffers a copy.  Inverse indices from np.unique are in range.
-                if 2 * d <= n:
-                    # gather each distinct row's columns once, into a slab,
-                    # then copy whole slab rows into the tile
-                    sub = table.take(urows[starts[k]:starts[k + 1]], axis=0,
-                                     out=scratch[:d * U].reshape(d, U), mode="clip")
-                    slab = sub.take(cinv, axis=1, out=scratch[d * U:d * (U + M)].reshape(d, M),
-                                    mode="clip")
-                    slab.take(local[r0:r0 + n], axis=0, out=v, mode="clip")
-                else:
-                    sub = table.take(rinv[r0:r0 + n], axis=0,
-                                     out=scratch[:n * U].reshape(n, U), mode="clip")
-                    sub.take(cinv, axis=1, out=v, mode="clip")
+                sub = table.take(sel, axis=0, out=scratch[:d * U].reshape(d, U), mode="clip")
+                slab = v if local is None else scratch[d * U:d * (U + M)].reshape(d, M)
+                sub.take(cinv, axis=1, out=slab, mode="clip")
+                if local is not None:
+                    slab.take(local, axis=0, out=v, mode="clip")
                 if j:
                     np.multiply(p, v, out=p)
             # the tile's products are final: reduce them while cached

@@ -1,13 +1,24 @@
 """Independent oracles that only the tests call.
 
 Coefficients of an integrand against the cosine and Fourier bases, by
-tensor Gauss-Legendre quadrature with a panel-doubling check, and the units
-of a modulus as a plain gcd list.  Nothing here shares code with latquad.
+tensor Gauss-Legendre quadrature with a panel-doubling check, the units of
+a modulus as a plain gcd list, and the CBC search as a direct scan of every
+unit.  Only that scan shares code with latquad: the omega table
+``kernels._omega_table`` and the tie tolerance ``cbc.TIE_RTOL``, which
+define the search, and the public ``wce_korobov_lattice`` and
+``cbc_bound_constant`` for its reported errors, in the package's
+``CbcResult``.  Its sum D must follow any change to the order in which
+``cbc_construct`` sums D, as the two agree bit for bit.
 """
 import math
 from typing import Callable
 
 import numpy as np
+
+from latquad.cbc import TIE_RTOL, CbcResult
+from latquad.kernels import _omega_table
+from latquad.points import LatticeRule
+from latquad.wce import cbc_bound_constant, wce_korobov_lattice
 
 # largest tensor quadrature grid, in points
 _QUAD_POINT_CAP = 1 << 24
@@ -22,6 +33,39 @@ def candidate_set(N: int) -> list[int]:
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     return [z for z in range(1, N) if math.gcd(z, N) == 1]
+
+
+def cbc_scan(N: int, s: int, alpha: float, gammas) -> CbcResult:
+    """``cbc_construct`` by the direct scan of every unit z mod N, z > N/2
+    included.
+
+    Coordinate 1 takes z = 1.  Each later one sums D(z) = sum_{n >= 1}
+    prod[n] Omega[n z mod N] for every unit and takes the smallest unit
+    within TIE_RTOL * sum_{n >= 1} |prod[n]| max_{m != 0} |Omega[m]| of the
+    minimum.  After coordinate d the error is ``wce_korobov_lattice`` of the
+    first d + 1 coordinates, checked against ``cbc_bound_constant`` of
+    their weights, tau = 1.
+    """
+    gammas = [float(g) for g in gammas]
+    om, _ = _omega_table(alpha, N)
+    n = np.arange(N, dtype=np.int64)
+    om_max = float(np.abs(om[1:]).max())
+    prod = np.ones(N)
+    g, per_dim_e2, bound_ok = [], [], []
+    for d in range(s):
+        z = 1
+        if d:
+            window = TIE_RTOL * (float(np.abs(prod[1:]).sum()) * om_max)
+            D = {u: float(np.sum(prod[1:] * om[n[1:] * u % N])) for u in candidate_set(N)}
+            top = min(D.values()) + window
+            z = min(u for u, v in D.items() if v <= top)
+        g.append(z)
+        prod *= 1.0 + gammas[d] * om[n * z % N]
+        e2 = wce_korobov_lattice(LatticeRule(N, tuple(g)), alpha, gammas[:d + 1]).e2
+        c = cbc_bound_constant(alpha, gammas[:d + 1])
+        per_dim_e2.append(e2)
+        bound_ok.append(e2 <= c * c / (N - 1))
+    return CbcResult(LatticeRule(N, tuple(g)), tuple(per_dim_e2), tuple(bound_ok))
 
 
 def _gl_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:

@@ -99,13 +99,9 @@ def test_only_the_cli_opens_files():
     assert opens == []
 
 
-# private names that only the tests call, each an oracle for a public route
-_TEST_ORACLES = {("cbc", "_reference_construct")}
-
-
 def test_src_private_names_are_used_in_src():
     """Every module-level private def, class or constant of a package module
-    is referenced inside the package, apart from the listed test oracles."""
+    is referenced inside the package: test-only oracles live in the tests."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "latquad").glob("*.py"))}
     used = set()
@@ -129,8 +125,6 @@ def test_src_private_names_are_used_in_src():
                 continue
             for name in names:
                 private = name.startswith("_") and not name.startswith("__")
-                if private and name not in used and (module, name) not in _TEST_ORACLES:
+                if private and name not in used:
                     unused.append(f"{module}.{name}")
     assert unused == []
-    for module, name in _TEST_ORACLES:  # an oracle that src has come to call leaves the list
-        assert name not in used, f"{module}.{name}"

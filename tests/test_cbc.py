@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from latquad import cbc
-from latquad.cbc import _reference_construct, _UnitScreen, cbc_construct
+from latquad.cbc import _UnitScreen, cbc_construct
 from latquad.cli import main
 from latquad.kernels import _omega_table, korobov_omega
 from latquad.points import LatticeRule
@@ -18,7 +18,7 @@ from latquad.wce import (
     wce_korobov_lattice,
 )
 
-from oracles import candidate_set
+from oracles import candidate_set, cbc_scan
 
 
 @pytest.mark.parametrize("base,N", [(3, 7), (5, 1 << 20), (2, 4093), (3, 4194301)])
@@ -150,7 +150,7 @@ _SCREENED = [N for N in range(2, 65) if N & (N - 1) == 0 or all(N % q for q in r
 @pytest.mark.parametrize("N", _SCREENED)
 def test_fft_screen_matches_the_reference_scan(N, alpha, weights):
     gammas = _WEIGHTS[weights]
-    assert cbc_construct(N, 6, alpha, gammas) == _reference_construct(N, 6, alpha, gammas)
+    assert cbc_construct(N, 6, alpha, gammas) == cbc_scan(N, 6, alpha, gammas)
 
 
 # a sample of the screened moduli, prime and 2^m, small and large
@@ -163,7 +163,7 @@ _SCREENED_SAMPLE = [5, 8, 13, 32, 61, 127, 256, 1019, 1021, 2048, 4093]
 def test_fft_screen_matches_the_reference_scan_at_non_integer_alpha(N, alpha, weights):
     # both searches read one aliased omega table, so they agree bit for bit
     gammas = _WEIGHTS[weights]
-    assert cbc_construct(N, 6, alpha, gammas) == _reference_construct(N, 6, alpha, gammas)
+    assert cbc_construct(N, 6, alpha, gammas) == cbc_scan(N, 6, alpha, gammas)
 
 
 def test_non_integer_alpha_constructs_a_certified_rule():
@@ -189,7 +189,7 @@ def test_other_moduli_take_the_reference_scan(N, monkeypatch):
         raise AssertionError("screen used for a modulus that is neither prime nor 2^m")
 
     gammas = _WEIGHTS["0.9^j"]
-    expected = _reference_construct(N, 6, 1, gammas)
+    expected = cbc_scan(N, 6, 1, gammas)
     monkeypatch.setattr(cbc, "_UnitScreen", refuse)
     assert cbc_construct(N, 6, 1, gammas) == expected
 
@@ -319,7 +319,7 @@ def test_merged_levels_screen_within_their_bound(N, alpha):
 def test_fft_screen_matches_the_reference_scan_past_the_sweep(alpha):
     # one size past the sweep's 4096, where the longest level grows again
     gammas = _WEIGHTS["0.9^j"][:3]
-    assert cbc_construct(8192, 3, alpha, gammas) == _reference_construct(8192, 3, alpha, gammas)
+    assert cbc_construct(8192, 3, alpha, gammas) == cbc_scan(8192, 3, alpha, gammas)
 
 
 def test_screen_takes_one_inverse_transform_per_coordinate(monkeypatch):
@@ -462,5 +462,5 @@ def test_screen_bound_past_the_float64_range_keeps_every_unit():
     # |a|_2: B is inf, every unit is summed directly, and the build returns
     gammas = (1e160, 1e-10)
     res = cbc_construct(64, 2, 1, gammas)
-    assert res == _reference_construct(64, 2, 1, gammas)
+    assert res == cbc_scan(64, 2, 1, gammas)
     assert 1e156 < res.per_dim_e2[-1] < math.inf

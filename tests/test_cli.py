@@ -410,6 +410,77 @@ def test_points_file_beside_a_rule_exits_one(tmp_path, capsys, argv, message):
     assert stdout == ""
     assert err == f"latquad: {message}\n"
 
+
+@pytest.mark.parametrize("argv,message", [
+    (("wce", "--space", "double-sum", "--family", "korobov", "--points-file", "{pts}",
+      "--s", "2", "--variant", "sym"), "--points-file takes no --variant, got --variant sym"),
+    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--s", "5"),
+     "--s is for --points-file: a rule sets its own dimension"),
+    (("wce", "--space", "double-sum", "--family", "korobov", "--n", "7", "--g", "1,3",
+      "--s", "2"), "--s is for --points-file: a rule sets its own dimension"),
+    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--family", "cosine"),
+     "--family is for --space double-sum, not --space korobov"),
+    (("wce", "--space", "cosine-sym", "--n", "7", "--g", "1,3", "--variant", "tent"),
+     "--variant is for --space double-sum, not --space cosine-sym"),
+    (("wce", "--space", "korobov", "--vector-file", "{vec}", "--n", "5", "--g", "1,2"),
+     "--vector-file takes no --n or --g, got --n and --g"),
+    (("wce", "--space", "double-sum", "--family", "cosine", "--vector-file", "{vec}",
+      "--n", "5"), "--vector-file takes no --n or --g, got --n"),
+    (("points", "--vector-file", "{vec}", "--g", "1,2", "--variant", "plain"),
+     "--vector-file takes no --n or --g, got --g"),
+    (("integrate", "--vector-file", "{vec}", "--n", "5", "--variant", "tent",
+      "--family", "g", "--w", "0.5"), "--vector-file takes no --n or --g, got --n"),
+    (("points", "--n", "7", "--g", "1,3", "--variant", "plain", "--no-dedupe"),
+     "--no-dedupe is for --variant sym, not --variant plain"),
+    (("points", "--n", "7", "--g", "1,3", "--variant", "tent", "--no-dedupe"),
+     "--no-dedupe is for --variant sym, not --variant tent"),
+])
+def test_unread_flags_exit_one(tmp_path, capsys, argv, message):
+    # each of these once exited 0 and ignored the named flag
+    pts, vec = tmp_path / "nodes.txt", tmp_path / "vec.txt"
+    assert run_cli(capsys, "points", "--n", "7", "--g", "1,3", "--variant", "plain",
+                   "-o", str(pts))[0] == 0
+    with open(vec, "w") as fh:
+        write_vector_file(LatticeRule(11, (1, 4)), fh)
+    code, stdout, err = run_cli(capsys, *[a.format(pts=pts, vec=vec) for a in argv])
+    assert code == 1
+    assert stdout == ""
+    assert err == f"latquad: {message}\n"
+
+
+def test_double_sum_on_a_rule_defaults_to_the_plain_nodes(capsys):
+    argv = ("wce", "--space", "double-sum", "--family", "korobov", "--n", "7", "--g", "1,3")
+    code, stdout, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--variant", "plain")[1] == stdout
+
+
+# emit's three rules, (N, s, family, alpha, gamma): a points file holds its
+# node set to the bit, so its double sum prints its vector file's line
+_TWIN_RULES = [(127, 4, "korobov", 1, "/j^2"), (251, 3, "sobolev", 1, "0.9/j^1"),
+               (61, 5, "korobov", 2, "0.5")]
+
+
+@pytest.mark.parametrize("variant", ["tent", "sym"])
+@pytest.mark.parametrize("N,s,family,alpha,gamma", _TWIN_RULES)
+def test_points_file_double_sum_prints_its_vector_file_line(
+        tmp_path, capsys, N, s, family, alpha, gamma, variant):
+    vec, pts = tmp_path / "vec.txt", tmp_path / "nodes.txt"
+    assert run_cli(capsys, "cbc", "--n", str(N), "--s", str(s), "--alpha", str(alpha),
+                   "--gamma", gamma, "-o", str(vec))[0] == 0
+    assert run_cli(capsys, "points", "--vector-file", str(vec), "--variant", variant,
+                   "-o", str(pts))[0] == 0
+    common = ("wce", "--space", "double-sum", "--family", family, "--alpha", str(alpha),
+              "--gamma", gamma, "--threads", "2")
+    code, from_file, _ = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s))
+    assert code == 0
+    code, from_rule, _ = run_cli(capsys, *common, "--vector-file", str(vec),
+                                 "--variant", variant)
+    assert code == 0
+    assert from_file.startswith("e2=")
+    assert from_file == from_rule
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_thread_count_below_one_exits_one(capsys, threads):
     code, stdout, err = run_cli(

@@ -393,9 +393,10 @@ def test_table_factor_is_the_closed_form_at_dyadic_nodes(fam, alpha, N):
     # one combination: a slip in either route's c or argument builders, an
     # index or a halving, moves a bit
     om, b = _omega_table(alpha, 2 * N)
+    half = np.append(om, om[0]) / 2
     p = np.arange(N + 1)
     for gamma in (0.3, 1.0, 2.5, 7.0):
-        got, got_tail = _table_factor(fam, gamma, om, b, p[:, None], p[None, :])
+        got, got_tail = _table_factor(fam, gamma, half, b, p[:, None], p[None, :])
         want, want_tail = kernel_factor(fam, alpha, gamma, p[:, None] / N, p[None, :] / N)
         assert np.array_equal(got, want), (fam, alpha, N, gamma)
         assert got_tail == want_tail == 0.0
@@ -454,8 +455,9 @@ def test_table_factor_peak_memory_is_three_tables(fam):
     """Traced peak of one Omega_2N call over 512 x 2040 numerator pairs.
 
     It holds the index table, the values and, for cosine and korcos, one
-    gathered part: three tables of 512 * 2040 * 8 bytes.  Slack: the omega
-    table with Omega[0] appended, 2N + 1 words, and 64 KiB for small arrays.
+    gathered part: three tables of 512 * 2040 * 8 bytes.  Slack: the halved
+    omega table it reads, built in the traced span with Omega[0] appended,
+    2N + 1 words, and 64 KiB for small arrays.
     """
     N = 4093
     om, b = _omega_table(1.5, 2 * N)
@@ -464,7 +466,7 @@ def test_table_factor_peak_memory_is_three_tables(fam):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _table_factor(fam, 0.7, om, b, p, q)
+        _table_factor(fam, 0.7, np.append(om, om[0]) / 2, b, p, q)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -585,12 +585,13 @@ def _direct_products(spec, ps, policy):
     table = N is not None and spec.family != "sobolev" and spec.alpha not in (1, 2, 3)
     if table:
         om, b = _omega_table(spec.alpha, 2 * N)
+        half = np.append(om, om[0]) / 2
         P = np.rint(X * N).astype(np.intp)
     prod, maxv, bnds = 1.0, np.empty(s), np.empty(s)
     for j in range(s):
         if table:
             vals, bnds[j] = _table_factor(
-                spec.family, spec.gammas[j], om, b, P[:, j][:, None], P[None, :, j])
+                spec.family, spec.gammas[j], half, b, P[:, j][:, None], P[None, :, j])
         else:
             vals, bnds[j] = kernel_factor(
                 spec.family, spec.alpha, spec.gammas[j], X[:, j][:, None], X[None, :, j], policy,
