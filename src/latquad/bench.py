@@ -25,7 +25,7 @@ from .cbc import cbc_construct
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
-    _integer,
+    _dimension,
     _numerators,
     _tent_nodes,
     lattice_points,
@@ -91,9 +91,7 @@ class TestFunction:
     def __post_init__(self) -> None:
         if self.family not in ("g", "h"):
             raise ValueError(f"family must be 'g' or 'h', got {self.family!r}")
-        object.__setattr__(self, "s", _integer("dimension", self.s))
-        if self.s < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "s", _dimension(self.s))
         if not 0.0 < self.w <= 1.0:
             raise ValueError("w must be in (0, 1]")
 

@@ -36,7 +36,7 @@ from .kernels import _FFT_ETA, _U, _check_alpha, _check_gammas, _omega_table, _r
 # Not called here: the benchmark tracer wraps latquad.cbc.korobov_omega and
 # latquad.cbc.cbc_bound_constant.
 from .kernels import korobov_omega  # noqa: F401
-from .points import LatticeRule, _integer, _modulus
+from .points import LatticeRule, _dimension, _modulus
 from .wce import _bound_constants, _factor_row, _single_sum_e2
 from .wce import cbc_bound_constant  # noqa: F401
 
@@ -105,9 +105,7 @@ def cbc_construct(N: int, s: int, alpha: float, gammas) -> CbcResult:
     every unit, bit for bit.  ``per_dim_e2[d]`` is
     ``wce_korobov_lattice`` of the first d + 1 coordinates, bit for bit.
     """
-    N, s = _modulus(N), _integer("dimension", s)
-    if s < 1:
-        raise ValueError("dimension must be at least 1")
+    N, s = _modulus(N), _dimension(s)
     alpha = _check_alpha(alpha)
     gammas = _check_gammas(gammas, s)
 

@@ -26,14 +26,16 @@ from .kernels import (
     SpaceSpec,
     TruncationBudgetError,
     TruncationPolicy,
+    _closed,
 )
-# lattice_points, tent_transform and symmetrize are reached through node_set;
-# the benchmark tracer wraps them as latquad.cli attributes.
+# lattice_points and tent_transform are reached through node_set; the
+# benchmark tracer wraps them as latquad.cli attributes.
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,
     WeightedPointSet,
     _components,
+    _dimension,
     lattice_points,
     node_set,
     read_vector_file,
@@ -68,8 +70,7 @@ def _fmt(x: float) -> str:
 
 def parse_gammas(text: str, s: int) -> tuple[float, ...]:
     """Weight grammar: a constant, 'c/j^p' for decaying weights, or a comma list."""
-    if s < 1:
-        raise ValueError("dimension must be at least 1")
+    s = _dimension(s)
     text = text.strip()
     if "," in text:
         parts = [p.strip() for p in text.split(",")]
@@ -98,8 +99,7 @@ def _rule_from_args(args) -> LatticeRule:
 
 
 def _read_points_file(path: str, s: int) -> WeightedPointSet:
-    if s < 1:
-        raise ValueError("dimension must be at least 1")
+    s = _dimension(s)
     with open(path, "r", encoding="ascii") as fh:
         # "\n", not splitlines, which also breaks at \v, \f and others:
         # the messages number the lines of the file
@@ -169,21 +169,25 @@ def cmd_cbc(args) -> int:
 def cmd_points(args) -> int:
     if args.no_dedupe and args.variant != "sym":
         raise ValueError(f"--no-dedupe is for --variant sym, not --variant {args.variant}")
-    ps = node_set(_rule_from_args(args), args.variant, dedupe=not args.no_dedupe)
+    rule = _rule_from_args(args)
+    ps = symmetrize(rule, dedupe=False) if args.no_dedupe else node_set(rule, args.variant)
     with _output(args.output) as out:
         _write_points(ps, out, with_weights=args.variant == "sym")
     return 0
 
 
 def cmd_wce(args) -> int:
-    # built on every space, so a bad --tol or --max-terms exits 1 everywhere
-    policy = TruncationPolicy(tol=args.tol, max_terms=args.max_terms)
     # a flag that the chosen inputs would leave unread is refused, naming it
     if args.space != "double-sum":
         for flag, value in (("--points-file", args.points_file), ("--family", args.family),
-                            ("--variant", args.variant)):
+                            ("--variant", args.variant), ("--threads", args.threads)):
             if value is not None:
                 raise ValueError(f"{flag} is for --space double-sum, not --space {args.space}")
+    # only a points file's kernels at non-integer alpha sum a series
+    if args.points_file is None or _closed(args.alpha):
+        for flag, value in (("--tol", args.tol), ("--max-terms", args.max_terms)):
+            if value is not None:
+                raise ValueError(f"{flag} is for a points-file double sum at non-integer --alpha")
     if args.points_file is not None:
         # the file is the whole node set
         rule_flags = [flag for flag, value in (("--vector-file", args.vector_file),
@@ -211,7 +215,12 @@ def cmd_wce(args) -> int:
             ps = node_set(rule, variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
-        res = wce_double_sum(spec, ps, policy, threads=args.threads)
+        budget = {"tol": args.tol, "max_terms": args.max_terms}
+        policy = TruncationPolicy(**{k: v for k, v in budget.items() if v is not None})
+        # by default the cores this process may run on, not every CPU of the host
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count()) if args.threads is None else args.threads
+        res = wce_double_sum(spec, ps, policy, threads=threads)
     else:
         rule = _rule_from_args(args)
         gammas = parse_gammas(args.gamma, rule.s)
@@ -291,17 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, help="dimension of the points file")
     p.add_argument("--variant", choices=VARIANTS,
                    help="node variant when double-sum reads a rule (default plain)")
-    # the cores this process may run on, not every CPU of the host
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    p.add_argument("--threads", type=int, default=cores,
-                   help="worker threads for the double sum (result is identical); "
-                        "a set whose tables fit one row block runs on one thread")
-    p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol,
-                   help="per-factor truncation tolerance of the double-sum series, "
-                        "summed at non-integer alpha on points files only: a rule's "
-                        "nodes read the omega table")
-    p.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
-                   help="term cap of the double-sum series of points files")
+    p.add_argument("--threads", type=int,
+                   help="double-sum worker threads, same result for any count (default: the CPU "
+                        "affinity set); a set whose tables fit one row block runs on one")
+    p.add_argument("--tol", type=float,
+                   help="series tolerance per factor of a points-file double sum at non-integer"
+                        f" alpha, the one route that sums one (default {DEFAULT_POLICY.tol:g})")
+    p.add_argument("--max-terms", type=int,
+                   help=f"term cap of that series (default {DEFAULT_POLICY.max_terms})")
     p.set_defaults(func=cmd_wce)
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")

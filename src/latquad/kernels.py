@@ -252,19 +252,14 @@ def _hurwitz_sum(x: float, head, t, step):
 def zeta(x: float) -> float:
     """Riemann zeta for real x > 1.
 
-    Even integers 2, 4, 6 return the pi-power closed forms; everything else
-    uses Euler-Maclaurin summation (M = 64 direct terms plus correction terms
-    through B_16, far below 1e-12 relative error on this domain).
+    Euler-Maclaurin summation (M = 64 direct terms plus correction terms
+    through B_16, far below 1e-12 relative error on this domain).  At x = 2
+    and 6 it is the correctly rounded value; zeta(4) is one ulp below it,
+    as fl(pi^4 / 90) is.
     """
     x = float(x)
     if not x > 1.0:
         raise ValueError("zeta is only evaluated for x > 1")
-    if x == 2.0:
-        return math.pi**2 / 6.0
-    if x == 4.0:
-        return math.pi**4 / 90.0
-    if x == 6.0:
-        return math.pi**6 / 945.0
     M = 64
     return _hurwitz_sum(x, math.fsum(n ** (-x) for n in range(1, M)), M, 1)[0]
 

@@ -84,6 +84,14 @@ def _modulus(N) -> int:
     return N
 
 
+def _dimension(s) -> int:
+    """s as an int >= 1, a dimension; ValueError otherwise."""
+    s = _integer("dimension", s)
+    if s < 1:
+        raise ValueError("dimension must be at least 1")
+    return s
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     """Finite node set in [0,1]^s with positive weights summing to 1.
@@ -190,9 +198,7 @@ def symmetrized_node_count(N: int, s: int) -> int:
     """Distinct node count of the fully symmetrized rank-1 rule of modulus N in
     s dimensions whose every g_j is a unit mod N.  Other components can merge
     reflection orbits: N = 4, g = (1, 2) has 8 nodes, not 9."""
-    N, s = _modulus(N), _integer("dimension", s)
-    if s < 1:
-        raise ValueError("dimension must be at least 1")
+    N, s = _modulus(N), _dimension(s)
     if N % 2:
         return (1 << (s - 1)) * (N + 1)
     return (1 << (s - 1)) * N + 1
@@ -241,18 +247,15 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     return WeightedPointSet(pts, w, N)
 
 
-def node_set(rule: LatticeRule, variant: str, dedupe: bool = True) -> WeightedPointSet:
-    """Nodes of the plain, tent-folded or symmetrized rule.
-
-    ``dedupe`` is passed to ``symmetrize`` and has no effect on the other two
-    variants.
-    """
+def node_set(rule: LatticeRule, variant: str) -> WeightedPointSet:
+    """Nodes of the plain, tent-folded or deduplicated symmetrized rule; the
+    full reflection multiset is ``symmetrize(rule, dedupe=False)``."""
     if variant == "plain":
         return lattice_points(rule)
     if variant == "tent":
         return tent_transform(lattice_points(rule))
     if variant == "sym":
-        return symmetrize(rule, dedupe=dedupe)
+        return symmetrize(rule)
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 

@@ -128,3 +128,28 @@ def test_src_private_names_are_used_in_src():
                 if private and name not in used:
                     unused.append(f"{module}.{name}")
     assert unused == []
+
+
+# rule routes whose policy the benchmark's certify workload still passes
+# positionally: they go when it stops (ROADMAP step 4e)
+_UNREAD_PARAMETERS = {f"wce.{name}.policy" for name in (
+    "wce_korobov_lattice", "wce_cosine_tent", "wce_korcos_sym", "wce_cosine_sym")}
+
+
+def test_src_parameters_are_read():
+    """Every parameter of every def in the package is read in its body, the
+    nested functions' included.  A lambda's parameters are its caller's
+    signature, as the constant tent scale ``lambda a: 1.0``, so lambdas are
+    not scanned."""
+    unread = set()
+    for path in sorted((ROOT / "src" / "latquad").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            unread.update(f"{path.stem}.{fn.name}.{p}" for p in params if p not in read)
+    assert unread == _UNREAD_PARAMETERS

@@ -10,7 +10,7 @@ from latquad import cli
 from latquad.bench import TestFunction as Integrand
 from latquad.bench import converge_study, integrate, records_to_csv
 from latquad.cbc import cbc_construct
-from latquad.cli import _fmt, _read_points_file, _write_points, build_parser, main, parse_gammas
+from latquad.cli import _fmt, _read_points_file, _write_points, main, parse_gammas
 from latquad.kernels import SpaceSpec, TruncationPolicy
 from latquad.points import (
     LatticeRule,
@@ -155,7 +155,7 @@ def test_points_bytes_are_fmt_per_value_and_read_back_bit_for_bit(tmp_path, caps
             argv = ["points", "--n", str(N), "--g", g, "--variant", variant, "-o", str(path)]
             code, _, _ = run_cli(capsys, *argv, *([] if dedupe else ["--no-dedupe"]))
             assert code == 0
-            ps = node_set(rule, variant, dedupe=dedupe)
+            ps = node_set(rule, variant) if dedupe else symmetrize(rule, dedupe=False)
             assert path.read_text() == _reference_text(ps, with_weights=variant == "sym")
             _assert_same_bits(_read_points_file(str(path), s), ps)
 
@@ -175,12 +175,21 @@ def test_write_points_keeps_signed_zero_subnormal_and_last_ulp(tmp_path):
     _assert_same_bits(_read_points_file(str(path), 2), ps)
 
 
-def test_threads_default_is_the_affinity_set_not_every_host_cpu(monkeypatch):
+def test_threads_default_is_the_affinity_set_not_every_host_cpu(capsys, monkeypatch):
     # a process pinned to one core of a larger host defaults to one worker
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    args = build_parser().parse_args(["wce", "--space", "double-sum", "--n", "5", "--g", "1,2"])
-    assert args.threads == 1
+    seen = []
+
+    def record(spec, ps, policy, threads):
+        seen.append(threads)
+        return wce_double_sum(spec, ps, policy, threads=threads)
+
+    monkeypatch.setattr(cli, "wce_double_sum", record)
+    code, stdout, _ = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korobov",
+                              "--n", "5", "--g", "1,2")
+    assert code == 0 and stdout.startswith("e2=")
+    assert seen == [1]
 
 
 def test_wce_korobov_output_line(capsys):
@@ -319,11 +328,23 @@ def test_usage_errors_exit_one(capsys):
 @pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "nan"), ("--max-terms", "0")])
 @pytest.mark.parametrize("space", ["korobov", "cosine-tent", "korcos-sym", "cosine-sym"])
 def test_bad_truncation_policy_exits_one_on_rule_spaces(capsys, space, flag):
-    # the rule routes sum no series, yet --tol and --max-terms are checked
+    # the rule routes sum no series, so --tol and --max-terms are refused
     code, stdout, err = run_cli(capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", *flag)
     assert code == 1
     assert stdout == ""
-    assert err.startswith("latquad: ") and "Traceback" not in err
+    assert err == f"latquad: {flag[0]} is for a points-file double sum at non-integer --alpha\n"
+
+
+@pytest.mark.parametrize("flag,message", [(("--tol", "0"), "tol must be positive"),
+                                          (("--tol", "nan"), "tol must be positive"),
+                                          (("--max-terms", "0"), "max_terms must be at least 1")])
+def test_bad_truncation_policy_exits_one_on_the_series_route(tmp_path, capsys, flag, message):
+    # a points file at non-integer alpha sums the series, so it checks the values
+    pts = tmp_path / "nodes.txt"
+    pts.write_text("0.25\n0.75\n")
+    code, stdout, err = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korobov",
+                                "--points-file", str(pts), "--s", "1", "--alpha", "1.5", *flag)
+    assert (code, stdout, err) == (1, "", f"latquad: {message}\n")
 
 
 _WEIGHT_ROUTES = {
@@ -434,6 +455,18 @@ def test_points_file_beside_a_rule_exits_one(tmp_path, capsys, argv, message):
      "--no-dedupe is for --variant sym, not --variant plain"),
     (("points", "--n", "7", "--g", "1,3", "--variant", "tent", "--no-dedupe"),
      "--no-dedupe is for --variant sym, not --variant tent"),
+    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--threads", "1"),
+     "--threads is for --space double-sum, not --space korobov"),
+    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--tol", "1e-2"),
+     "--tol is for a points-file double sum at non-integer --alpha"),
+    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5",
+      "--max-terms", "10"), "--max-terms is for a points-file double sum at non-integer --alpha"),
+    (("wce", "--space", "double-sum", "--family", "cosine", "--n", "7", "--g", "1,3",
+      "--alpha", "1.5", "--tol", "1e-2"),
+     "--tol is for a points-file double sum at non-integer --alpha"),
+    (("wce", "--space", "double-sum", "--family", "korobov", "--points-file", "{pts}",
+      "--s", "2", "--alpha", "1", "--max-terms", "1"),
+     "--max-terms is for a points-file double sum at non-integer --alpha"),
 ])
 def test_unread_flags_exit_one(tmp_path, capsys, argv, message):
     # each of these once exited 0 and ignored the named flag
@@ -479,6 +512,42 @@ def test_points_file_double_sum_prints_its_vector_file_line(
     assert code == 0
     assert from_file.startswith("e2=")
     assert from_file == from_rule
+
+
+def _e2_tail(line: str) -> tuple[float, float]:
+    e2, tail, _method = line.split()
+    return float(e2.removeprefix("e2=")), float(tail.removeprefix("tail="))
+
+
+# emit's three rules at non-integer alpha, with a periodic family in place of
+# sobolev, which has no series: (N, s, family, gamma)
+_SERIES_TWIN_RULES = [(127, 4, "korobov", "/j^2"), (251, 3, "cosine", "0.9/j^1"),
+                      (61, 5, "korcos", "0.5")]
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+@pytest.mark.parametrize("variant", ["tent", "sym"])
+@pytest.mark.parametrize("N,s,family,gamma", _SERIES_TWIN_RULES)
+def test_points_file_series_is_within_the_tails_of_its_vector_file_table(
+        tmp_path, capsys, N, s, family, gamma, variant, tol):
+    # at alpha = 1.5 the points file sums truncated series and the vector file
+    # reads Omega_2N, so the two lines differ, by no more than their tails
+    vec, pts = tmp_path / "vec.txt", tmp_path / "nodes.txt"
+    assert run_cli(capsys, "cbc", "--n", str(N), "--s", str(s), "--alpha", "1.5",
+                   "--gamma", gamma, "-o", str(vec))[0] == 0
+    assert run_cli(capsys, "points", "--vector-file", str(vec), "--variant", variant,
+                   "-o", str(pts))[0] == 0
+    common = ("wce", "--space", "double-sum", "--family", family, "--alpha", "1.5",
+              "--gamma", gamma)
+    code, from_file, _ = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s),
+                                 "--tol", tol)
+    assert code == 0
+    code, from_rule, _ = run_cli(capsys, *common, "--vector-file", str(vec),
+                                 "--variant", variant)
+    assert code == 0
+    (e2_file, tail_file), (e2_rule, tail_rule) = _e2_tail(from_file), _e2_tail(from_rule)
+    assert 0.0 < tail_rule < 1e-10
+    assert abs(e2_file - e2_rule) <= tail_file + tail_rule
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -589,25 +658,21 @@ def test_truncation_budget_exit_two(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert "computation failed" in err
-    # the rule's own nodes read the Omega_2N table: no series, no budget
+    # the default tolerance needs more than one term, so --max-terms is read too
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--n", "4", "--g", "1", "--alpha", "1.5", "--gamma", "1", "--tol", "1e-14")
-    assert code == 0 and err == ""
-    assert stdout.endswith(" method=kernel-double-sum\n")
-    # the same request at integer alpha takes the closed form, no term budget
-    code, stdout, _ = run_cli(
-        capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--n", "4", "--g", "1", "--alpha", "1", "--gamma", "1", "--tol", "1e-14")
-    assert code == 0
-    assert "tail=0 " in stdout
-    # the Korobov route reads the aliased omega table and sums no series, so
-    # the same tolerance costs it no term budget
-    code, stdout, err = run_cli(
-        capsys, "wce", "--space", "korobov", "--n", "4", "--g", "1", "--alpha", "1.5",
-        "--gamma", "1", "--tol", "1e-14")
-    assert code == 0
-    assert stdout.endswith(" method=aliased-single-sum\n") and err == ""
+        "--points-file", str(four), "--s", "1", "--alpha", "1.5", "--max-terms", "1")
+    assert (code, stdout) == (2, "")
+    assert "above max_terms=1" in err
+    # the rule's own nodes read the Omega_2N table, the closed form at integer
+    # alpha and the aliased omega table on the Korobov route: none sums a
+    # series, so each refuses the tolerance
+    double_sum = ("--space", "double-sum", "--family", "cosine")
+    for route, alpha in ((double_sum, "1.5"), (double_sum, "1"), (("--space", "korobov"), "1.5")):
+        code, stdout, err = run_cli(capsys, "wce", *route, "--n", "4", "--g", "1",
+                                    "--alpha", alpha, "--gamma", "1", "--tol", "1e-14")
+        assert (code, stdout) == (1, "")
+        assert err == "latquad: --tol is for a points-file double sum at non-integer --alpha\n"
     # near alpha = 1/2 the term count overflows a float: still a budget
     # failure of the double-sum series, while the table routes return
     five = tmp_path / "five.txt"
@@ -673,11 +738,9 @@ def test_help_exits_zero(capsys):
 
 def test_repeated_runs_are_byte_identical(capsys):
     argv = ("wce", "--space", "double-sum", "--family", "korcos", "--n", "5",
-            "--g", "1,2", "--variant", "sym", "--alpha", "1", "--gamma", "0.9",
-            "--tol", "1e-4")
-    _, first, _ = run_cli(capsys, *argv)
-    _, second, _ = run_cli(capsys, *argv)
-    assert first == second
-    _, one_thread, _ = run_cli(capsys, *argv, "--threads", "1")
-    _, four_threads, _ = run_cli(capsys, *argv, "--threads", "4")
-    assert one_thread == four_threads == first
+            "--g", "1,2", "--variant", "sym", "--alpha", "1", "--gamma", "0.9")
+    runs = [run_cli(capsys, *argv, *threads)
+            for threads in ((), (), ("--threads", "1"), ("--threads", "4"))]
+    assert {code for code, _, _ in runs} == {0}
+    assert runs[0][1].startswith("e2=")
+    assert len({stdout for _, stdout, _ in runs}) == 1

@@ -3,6 +3,7 @@
 The truncated cosine-series oracles are built here from plain numpy, apart
 from the library's kernel code.
 """
+import decimal
 import math
 import tracemalloc
 
@@ -79,6 +80,35 @@ def test_zeta_closed_and_series():
         zeta(1.0)
     with pytest.raises(ValueError):
         zeta(0.5)
+
+
+def _decimal_pi(digits: int) -> decimal.Decimal:
+    """pi to ``digits`` significant digits by the decimal module's recipe."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 2
+        three = decimal.Decimal(3)
+        lasts, t, s, n, na, d, da = 0, three, three, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return +s
+
+
+def test_zeta_at_even_integers_against_forty_digits():
+    # one summation path: zeta(6) is correctly rounded, where fl(pi^6) / 945
+    # was one ulp low, and zeta(4) is one ulp below pi^4 / 90, as before
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        pi = _decimal_pi(40)
+        exact = {x: float(pi**x / den) for x, den in ((2, 6), (4, 90), (6, 945))}
+    assert zeta(2.0) == exact[2]
+    assert zeta(4.0) == math.nextafter(exact[4], 0.0)
+    assert zeta(6.0) == exact[6] == float.fromhex("0x1.0470984c09245p+0")
 
 
 def test_korobov_omega_spot_values():
