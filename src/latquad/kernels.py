@@ -19,7 +19,7 @@ The three periodic families are compositions of the one-dimensional sum
     korobov  K = 1 + 2 gamma c(2 (x - y)),
     cosine   K = 1 + gamma [c(x - y) + c(x + y)],
     korcos   K = 1 + gamma c(2 (x - y)) + (gamma / 2) [c(x - y) + c(x + y)].
-``_periodic_factor`` writes these three once, for every source of c.
+``_periodic_parts`` and ``_periodic_tables`` write them once, for every c.
 Integer alpha in {1,2,3} evaluates c through the closed form
 c(theta) = omega(frac(theta / 2)) / 2, so every family is exact there; other
 alpha sum c as a truncated series in ``kernel_factor``.  The truncated cosine
@@ -30,8 +30,8 @@ On lattice nodes only omega(m / N), m in Z_N, is needed, and
 else one real FFT of the Hurwitz-zeta residue sums, with an error bound.
 On nodes p / N, as a rule's plain, tent and symmetrized sets are, every
 argument of c is r / N and c(r / N) = Omega_2N[r mod 2N] / 2 with Omega_2N
-the table at modulus 2N; ``_table_factor`` passes that c to
-``_periodic_factor``, so the kernel double sum needs no series on such nodes.
+the table at modulus 2N; ``_table_parts`` passes that c to
+``_periodic_parts``, so the kernel double sum needs no series on such nodes.
 
 Truncated evaluations report a rigorous bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)
@@ -200,10 +200,11 @@ def bernoulli_poly(tau: int, x):
         coeffs = _BERNOULLI_COEFFS[operator.index(tau)]
     except (KeyError, TypeError):
         raise ValueError(f"degree must be an integer in 1..6, got {tau}") from None
-    # Horner in place, in np.polyval's order, so the values keep its bits
+    # Horner in place, in np.polyval's order, so the values keep its bits;
+    # the leading coefficient is 1.0, and 1.0 x is x
     x = np.asarray(x, dtype=np.float64)
-    y = np.full(x.shape, coeffs[0])
-    for c in coeffs[1:]:
+    y = np.add(x, coeffs[1], out=np.empty(x.shape))
+    for c in coeffs[2:]:
         y *= x
         y += c
     return y[()]
@@ -375,6 +376,12 @@ def _series_rounding(alpha: float, kmax: int) -> float:
             + 2.0 * math.pi * g(3) * ksum)
 
 
+def _mod2(th):
+    """th mod 2 in place, exact for th >= 0: np.mod's bits without its division."""
+    th -= 2.0 * np.floor(0.5 * th)
+    return th
+
+
 def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
@@ -390,8 +397,7 @@ def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     shape, may be theta itself: the reduced arguments and then the result
     are written there, so a call holds no table beyond np.unique's.
     """
-    th = np.abs(theta, out=np.empty(np.shape(theta)) if out is None else out)
-    np.mod(th, 2.0, out=th)
+    th = _mod2(np.abs(theta, out=np.empty(np.shape(theta)) if out is None else out))
     u, inv = np.unique(th, return_inverse=True)
     acc = np.zeros(u.size)
     chunk = min(kmax, _SERIES_CHUNK)
@@ -417,21 +423,51 @@ def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     return np.take(acc, inv.reshape(th.shape), out=th, mode="clip")
 
 
-def _sobolev_factor(alpha: float, gamma: float, x, y):
+def _sobolev_tables(alpha: float, gammas, x, y) -> list:
+    """The sobolev table for each weight in gammas by a lone call's steps,
+    with one B_2alpha(|x - y|), built after the products, for them all."""
     a = _require_closed_alpha(alpha)
-    val = np.ones(np.broadcast(x, y).shape)
-    tmp = np.empty(val.shape)
-    for t in range(1, a + 1):
-        # B_t(x) B_t(y) first, so the value is symmetric in x and y to the bit
-        np.multiply(bernoulli_poly(t, x), bernoulli_poly(t, y), out=tmp)
-        tmp *= gamma
-        tmp /= math.factorial(t) ** 2
-        val += tmp
-    term = bernoulli_poly(2 * a, np.abs(np.subtract(x, y, out=tmp), out=tmp))
-    term *= (-1.0) ** a * gamma
-    term /= math.factorial(2 * a)
-    val -= term
-    return val[()]
+    shape = np.broadcast(x, y).shape
+    tmp, vals = np.empty(shape), []
+    for gamma in gammas:
+        val = np.ones(shape)
+        for t in range(1, a + 1):
+            # B_t(x) B_t(y) first, so the value is symmetric in x and y to the bit
+            np.multiply(bernoulli_poly(t, x), bernoulli_poly(t, y), out=tmp)
+            tmp *= gamma
+            tmp /= math.factorial(t) ** 2
+            val += tmp
+        vals.append(val)
+    part = bernoulli_poly(2 * a, np.abs(np.subtract(x, y, out=tmp), out=tmp))
+    for val, gamma in zip(vals, gammas):
+        np.multiply(part, (-1.0) ** a * gamma, out=tmp)
+        tmp /= math.factorial(2 * a)
+        val -= tmp
+    return [val[()] for val in vals]
+
+
+def _half_turns(theta):
+    """min(t, 1 - t), t = frac(|theta| / 2), in place: the closed-form c's
+    argument.  t - floor(t) is exact, so it has np.remainder's bits."""
+    np.abs(theta, out=theta)
+    theta *= 0.5
+    theta -= np.floor(theta)
+    np.minimum(theta, 1.0 - theta, out=theta)
+    return theta
+
+
+def _closed_tables(family: str, alpha: float, gammas, x, y) -> list:
+    """``kernel_factor``'s closed-form table (sobolev, or integer alpha in
+    {1,2,3}) for each weight in gammas, from one gamma-free evaluation."""
+    if family == "sobolev":
+        return _sobolev_tables(alpha, gammas, x, y)
+    a = int(alpha)
+
+    def c(theta):
+        # omega is even, so this is exact and c(-theta) has c(theta)'s bits
+        return np.multiply(korobov_omega(a, _half_turns(theta)), 0.5, out=theta)
+
+    return _periodic_tables(family, gammas, _float_parts(family, c, x, y))
 
 
 def kernel_factor(
@@ -446,7 +482,7 @@ def kernel_factor(
 
     x and y broadcast against each other; returns (values, tail_bound).  The
     sobolev family is a Bernoulli closed form with tail_bound 0.  The
-    korobov, cosine and korcos families are ``_periodic_factor`` of the
+    korobov, cosine and korcos families are ``_periodic_tables`` of the
     cosine sum c(theta) of the module docstring: at integer alpha in {1,2,3} c is
     the closed form omega(frac(theta / 2)) / 2, with tail_bound 0 and no
     series terms; other alpha sum c as a series truncated by policy, and
@@ -460,86 +496,76 @@ def kernel_factor(
     alpha = _check_alpha(alpha)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if family == "sobolev" or _closed(alpha):
+        return _closed_tables(family, alpha, (gamma,), x, y)[0], 0.0
 
-    if family == "sobolev":
-        return _sobolev_factor(alpha, gamma, x, y), 0.0
+    kmax = series_kmax(alpha, gamma, policy)
 
-    if _closed(alpha):
-        a = int(alpha)
+    def c(theta):
+        return _cos_partial_sum(theta, alpha, kmax, out=theta)
 
-        def c(theta):
-            # omega is even, so this is exact and c(-theta) has c(theta)'s bits
-            np.abs(theta, out=theta)
-            theta *= 0.5
-            theta %= 1.0
-            np.minimum(theta, 1.0 - theta, out=theta)
-            val = korobov_omega(a, theta)
-            val *= 0.5
-            return val
+    # every family weighs its c terms by 2 gamma in total
+    tail = 2.0 * (series_tail_bound(alpha, gamma, kmax)
+                  + gamma * _series_rounding(alpha, kmax))
+    return _periodic_tables(family, (gamma,), _float_parts(family, c, x, y))[0], tail
 
-        tail = 0.0
-    else:
-        kmax = series_kmax(alpha, gamma, policy)
 
-        def c(theta):
-            return _cos_partial_sum(theta, alpha, kmax, out=theta)
-
-        # every family weighs its c terms by 2 gamma in total
-        tail = 2.0 * (series_tail_bound(alpha, gamma, kmax)
-                      + gamma * _series_rounding(alpha, kmax))
-
+def _float_parts(family: str, c: Callable, x, y) -> list:
+    """``_periodic_parts`` at float x and y, each argument a fresh table."""
     shape = np.broadcast(x, y).shape
 
     def diff(twice: bool):
         theta = np.subtract(x, y, out=np.empty(shape))
         return np.multiply(theta, 2.0, out=theta) if twice else theta
 
-    return _periodic_factor(family, gamma, c, diff,
-                            lambda: np.add(x, y, out=np.empty(shape))), tail
+    return _periodic_parts(family, c, diff, lambda: np.add(x, y, out=np.empty(shape)))
 
 
-def _periodic_factor(family: str, gamma: float, c: Callable, diff: Callable, add: Callable):
-    """The module docstring's korobov, cosine or korcos expression in c.
-
-    diff(twice) builds x - y, or 2 (x - y), and add() builds x + y, as an
+def _periodic_parts(family: str, c: Callable, diff: Callable, add: Callable) -> list:
+    """The gamma-free parts of the module docstring's expressions in c:
+    [c(2 (x - y))] for korobov, [c(x - y) + c(x + y)] for cosine, both for
+    korcos.  diff(twice) builds x - y, or 2 (x - y), and add() x + y, as an
     argument that c may overwrite; c returns a table that no later builder
-    writes.  In place and in the expressions' order, so every caller keeps
-    their bits, and with c and each builder holding one table a call holds
-    at most three: korcos builds its cosine part first.
+    writes.  So this holds at most three tables: korcos keeps its cosine
+    sum while it builds c(2 (x - y)).
     """
-    if family == "korobov":
-        val = c(diff(True))
-        val *= 2.0 * gamma
-    elif family == "cosine":
-        val = c(diff(False))
-        val += c(add())
-        val *= gamma
-    else:
+    parts = []
+    if family != "korobov":
         cos = c(diff(False))
         cos += c(add())
-        cos *= 0.5 * gamma
-        val = c(diff(True))
-        val *= gamma
-    val += 1.0
-    if family == "korcos":
-        val += cos
-    return val[()]
+        parts.append(cos)
+    if family != "cosine":
+        parts.append(c(diff(True)))
+    return parts
 
 
-def _table_factor(family: str, gamma: float, half: np.ndarray, bound: float, p, q):
-    """``kernel_factor`` of a korobov, cosine or korcos family at x = p / N,
-    y = q / N, read from half = Omega_2N / 2; returns (values, gamma * bound).
+def _periodic_tables(family: str, gammas, parts: list) -> list:
+    """The family's table for each weight in gammas from its
+    ``_periodic_parts``, in the expressions' order, so each has the bits of
+    a lone call.  The last table is built in place in the parts; korcos
+    weighs its cosine sum for the earlier ones in one scratch table.
+    """
+    out = []
+    scratch = np.empty_like(parts[0]) if family == "korcos" and len(gammas) > 1 else None
+    for i, gamma in enumerate(gammas):
+        last = i == len(gammas) - 1
+        val = np.multiply(parts[-1], 2.0 * gamma if family == "korobov" else gamma,
+                          out=parts[-1] if last else None)
+        val += 1.0
+        if family == "korcos":
+            val += np.multiply(parts[0], 0.5 * gamma, out=parts[0] if last else scratch)
+        out.append(val[()])
+    return out
 
-    half is ``_omega_table(alpha, 2 N)`` with its entry 0 appended as entry
-    2N, halved, which is exact; bound is that table's b.  p and q are
-    integer arrays in 0..N that broadcast.  Each argument x - y, x + y or
-    2 (x - y) is r / N, and omega(r / (2 N)) = 2 c(r / N), so
-    ``_periodic_factor`` reads c(r / N) = half[r].  Omega is exactly even,
-    so |p - q| may stand for p - q, and every index lies in 0..2N.  Each
-    family weighs its Omega entries by gamma in total, so a value is off by
-    at most gamma b.  Values are symmetric in p and q to the bit, and a
-    call holds at most three tables: the indices, which every argument
-    reuses, the values and one gathered part.
+
+def _table_parts(family: str, half: np.ndarray, p, q) -> list:
+    """``_periodic_parts`` at x = p / N, y = q / N from half = Omega_2N / 2,
+    ``_omega_table(alpha, 2 N)`` with entry 0 appended as entry 2N, halved,
+    which is exact.  p and q are integer arrays in 0..N that broadcast.
+    Each argument is r / N and omega(r / (2 N)) = 2 c(r / N), so c(r / N) =
+    half[r]; Omega is exactly even, so |p - q| may stand for p - q, and
+    every index lies in 0..2N.  At most three tables: the indices, which
+    every argument reuses, the cosine sum and one gathered part.
     """
     shape = np.broadcast(p, q).shape
     idx = np.empty(shape, dtype=np.intp)
@@ -554,7 +580,7 @@ def _table_factor(family: str, gamma: float, half: np.ndarray, bound: float, p, 
         # and its ufunc buffers never run beside three tables.
         return half.take(r, out=np.empty(shape), mode="clip")
 
-    return _periodic_factor(family, gamma, c, diff, lambda: np.add(p, q, out=idx)), gamma * bound
+    return _periodic_parts(family, c, diff, lambda: np.add(p, q, out=idx))
 
 
 def _product_tail(bounds, maxima) -> float:

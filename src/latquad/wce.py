@@ -52,7 +52,9 @@ from .kernels import (
     _omega_table,
     _product_tail,
     _refuse_overflow,
-    _table_factor,
+    _closed_tables,
+    _periodic_tables,
+    _table_parts,
     kernel_factor,
     zeta,
 )
@@ -123,16 +125,17 @@ def wce_double_sum(
     ``_omega_table(alpha, 2 N)``, built and halved once per call, with its
     bound b.  Every coordinate is p / N, its numerators recovered once from
     its distinct values (ValueError if a value is not fl(p / N)), so each
-    x - y, x + y and 2 (x - y) is r / N, and ``kernels._table_factor``
-    passes c(r / N) = Omega_2N[r mod 2N] / 2 to the family combination that
+    x - y, x + y and 2 (x - y) is r / N, and ``kernels._table_parts``
+    passes c(r / N) = Omega_2N[r mod 2N] / 2 to the family expressions that
     ``kernel_factor`` uses.  Every family weighs its c values by 2 gamma_j
     in total, so its table entries by gamma_j, and factor j is off by at
     most gamma_j b, the bound passed to ``_product_tail``; nothing is
     truncated, ``policy`` is not used, and 2N above the table's cap raises
     ValueError.
-    Every other sum (sobolev, integer alpha, or a set without a
-    denominator, such as a points file) evaluates ``kernel_factor`` on the
-    coordinates, whose series at non-integer alpha ``policy`` truncates.
+    Sobolev and integer alpha take ``kernel_factor``'s closed forms; a set
+    without a denominator at other alpha, such as a points file, calls
+    ``kernel_factor`` per coordinate, whose series ``policy`` truncates
+    with a term count that follows gamma_j.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values.  Coordinate j keeps its U_j distinct values, as floats or as
@@ -142,17 +145,21 @@ def wce_double_sum(
     tent and symmetrized node sets of an N-point rule take at most N + 1
     distinct values per coordinate, so each block costs s tables of at
     most (N + 1)^2 evaluations, and the whole sum at most s gathers and
-    s - 1 products of M^2 values, instead of s M^2 evaluations.  A set
-    whose own tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M array is
-    one block, which runs on one thread.  Otherwise a block takes the whole
-    tiles of t = max(1, _TILE // M) rows that fit in _ROW_BLOCK M // sum_j
-    U_j rows, but at least one tile.  Either way its tables hold at most
-    max(_ROW_BLOCK M, s _TILE) values.  A block first builds all s of its
-    tables and keeps them.  Then, one row tile at a time, it gathers
-    coordinate 0 into a product tile, gathers every later coordinate into
-    a work tile and multiplies it in, in coordinate order, and reduces the
-    finished tile by einsum while it is still in cache; no block-by-M array
-    is built.
+    s - 1 products of M^2 values, instead of s M^2 evaluations.  Outside
+    the series, coordinates whose block rows and columns hold bit-equal
+    values, as a rule's p / N do, share one gamma-free evaluation per block
+    (``kernels._periodic_parts``, or sobolev's B_2alpha(|x - y|)), and each
+    table follows from it in a lone call's order, the last in its storage.
+    A set whose own tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M
+    array is one block, which runs on one thread.  Otherwise a block takes
+    the whole tiles of t = max(1, _TILE // M) rows that fit in _ROW_BLOCK M
+    // sum_j U_j rows, but at least one tile.  Either way its tables hold at
+    most max(_ROW_BLOCK M, s _TILE) values.  A block first builds all s of
+    its tables, one group at a time, and keeps them.  Then, one row tile at
+    a time, it gathers coordinate 0 into a product tile, gathers every later
+    coordinate into a work tile and multiplies it in, in coordinate order,
+    and reduces the finished tile by einsum while it is still in cache; no
+    block-by-M array is built.
 
     When a coordinate repeats at least _FOLD_TILES tiles of rows (M - U_j >=
     _FOLD_TILES t), the rows are taken in folded order: lexsorted by each
@@ -164,7 +171,8 @@ def wce_double_sum(
     whole slab rows into the tile; any other tile takes its own rows, and
     its slab is the tile.  The gathered rows and the slab fit in one
     scratch tile, so a block's memory is its tables, the transient of
-    building one table, and three arrays of at most _TILE values; each of
+    building one group's (its gamma-free parts, and for korcos and sobolev
+    one scratch table), and three arrays of at most _TILE values; each of
     ``threads`` workers runs one block at a time.  Row order moves no bit:
     each row is reduced by the same einsum over its products in column
     order, and the factors are elementwise and multiplied in coordinate
@@ -181,22 +189,23 @@ def wce_double_sum(
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
-    N = ps.denominator
-    if N is not None and spec.family != "sobolev" and not _closed(spec.alpha):
+    N, fam, alpha = ps.denominator, spec.family, spec.alpha
+    vals = [cu for cu, _ in cols]
+    if N is not None and fam != "sobolev" and not _closed(alpha):
         # lattice-derived nodes p / N: exact tables from Omega_2N, no series
-        om, bound = _omega_table(spec.alpha, 2 * N)
+        om, bound = _omega_table(alpha, 2 * N)
         half = np.append(om, om[0]) / 2  # Omega[2N] = Omega[0]: indices run to 2N
-        vals = [_rational_numerators(cu, N) for cu, _ in cols]
+        vals = [_rational_numerators(cu, N) for cu in vals]
 
-        def factor(j, ru):
-            return _table_factor(spec.family, spec.gammas[j], half, bound, ru[:, None],
-                                 vals[j][None, :])
+        def factors(gs, p, q):
+            tables = _periodic_tables(fam, gs, _table_parts(fam, half, p, q))
+            return [(v, g * bound) for v, g in zip(tables, gs)]
     else:
-        vals = [cu for cu, _ in cols]
-
-        def factor(j, ru):
-            return kernel_factor(spec.family, spec.alpha, spec.gammas[j], ru[:, None],
-                                 vals[j][None, :], policy)
+        def factors(gs, x, y):
+            if fam == "sobolev" or _closed(alpha):
+                return [(v, 0.0) for v in _closed_tables(fam, alpha, gs, x, y)]
+            # a series' kmax follows gamma_j: one kernel_factor per coordinate
+            return [kernel_factor(fam, alpha, g, x, y, policy) for g in gs]
 
     t = max(1, _TILE // M)
     # one block if the set's own tables fit in a _ROW_BLOCK-by-M array (a
@@ -225,7 +234,7 @@ def wce_double_sum(
         idx = slice(i0, i1) if order is None else order[i0:i1]
         maxv = np.empty(s)
         bnds = np.empty(s)
-        tables = []
+        rows_of, groups = [], {}
         for j, (_, cinv) in enumerate(cols):
             # the block's rows as indices into the coordinate's distinct values
             if nb == M:
@@ -233,20 +242,28 @@ def wce_double_sum(
             else:
                 ui, rinv = np.unique(cinv[idx], return_inverse=True)
                 ru = vals[j][ui]
-            table, bnds[j] = factor(j, ru)
-            # every table entry is some node pair's value, so the maxima
-            # match; no |table| temporary while the other tables are alive
-            maxv[j] = max(table.max(), -table.min())
-            slabs = None
-            if fold[j]:
-                # per tile, its distinct table rows and each row's place
-                # among them, from one sort of the (tile, table row) pairs
-                tile = np.arange(nb) // t
-                pairs, local = np.unique(tile * ru.size + rinv, return_inverse=True)
-                starts = np.searchsorted(pairs, np.arange(tile[-1] + 2) * ru.size)
-                local -= starts[tile]
-                slabs = (pairs % ru.size, starts.tolist(), local)
-            tables.append((table, rinv, cinv, slabs))
+            rows_of.append((ru, rinv))
+            # bit-equal rows and columns: one gamma-free evaluation
+            groups.setdefault((ru.tobytes(), vals[j].tobytes()), []).append(j)
+        tables = [None] * s
+        for js in groups.values():
+            ru = rows_of[js[0]][0]
+            made = factors([spec.gammas[j] for j in js], ru[:, None], vals[js[0]][None, :])
+            for j, (table, bnds[j]) in zip(js, made):
+                ru, rinv = rows_of[j]
+                # every table entry is some node pair's value, so the maxima
+                # match; no |table| temporary while the other tables are alive
+                maxv[j] = max(table.max(), -table.min())
+                slabs = None
+                if fold[j]:
+                    # per tile, its distinct table rows and each row's place
+                    # among them, from one sort of the (tile, table row) pairs
+                    tile = np.arange(nb) // t
+                    pairs, local = np.unique(tile * ru.size + rinv, return_inverse=True)
+                    starts = np.searchsorted(pairs, np.arange(tile[-1] + 2) * ru.size)
+                    local -= starts[tile]
+                    slabs = (pairs % ru.size, starts.tolist(), local)
+                tables[j] = (table, rinv, cols[j][1], slabs)
         rows = np.empty(nb)
         # prod stays C-contiguous, as the direct evaluation is, so each row
         # reaches einsum's contiguous inner loop in both

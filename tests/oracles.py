@@ -2,8 +2,12 @@
 
 Coefficients of an integrand against the cosine and Fourier bases, by
 tensor Gauss-Legendre quadrature with a panel-doubling check, the units of
-a modulus as a plain gcd list, and the CBC search as a direct scan of every
-unit.  Only that scan shares code with latquad: the omega table
+a modulus as a plain gcd list, the kernel arguments reduced by
+np.remainder, one coordinate's kernel factor on nodes p / N, and the CBC
+search as a direct scan of every unit.  The factor shares the kernels'
+Omega_2N parts and their weighting, ``kernels._table_parts`` and
+``kernels._periodic_tables``, which define it, and takes them for one
+weight, as a lone coordinate does.  The scan shares the omega table
 ``kernels._omega_table`` and the tie tolerance ``cbc.TIE_RTOL``, which
 define the search, and the public ``wce_korobov_lattice`` and
 ``cbc_bound_constant`` for its reported errors, in the package's
@@ -16,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from latquad.cbc import TIE_RTOL, CbcResult
-from latquad.kernels import _omega_table
+from latquad.kernels import _omega_table, _periodic_tables, _table_parts
 from latquad.points import LatticeRule
 from latquad.wce import cbc_bound_constant, wce_korobov_lattice
 
@@ -33,6 +37,29 @@ def candidate_set(N: int) -> list[int]:
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     return [z for z in range(1, N) if math.gcd(z, N) == 1]
+
+
+def table_factor(family: str, gamma: float, half: np.ndarray, bound: float, p, q):
+    """The korobov, cosine or korcos factor at x = p / N, y = q / N read from
+    half = Omega_2N / 2, entry 0 appended as entry 2N, by
+    ``kernels._table_parts`` for the one weight gamma; returns (values,
+    gamma * bound), bound the table's b, since each family weighs its Omega
+    entries by gamma in total.  It holds at most three tables."""
+    return _periodic_tables(family, (gamma,), _table_parts(family, half, p, q))[0], gamma * bound
+
+
+def closed_form_argument(theta) -> np.ndarray:
+    """min(t, 1 - t) for t = (|theta| / 2) mod 1 by np.remainder: where the
+    closed-form cosine sum reads omega, reduced as the kernels once did."""
+    t = np.abs(np.asarray(theta, dtype=np.float64)) * 0.5
+    t %= 1.0
+    return np.minimum(t, 1.0 - t)
+
+
+def series_argument(theta) -> np.ndarray:
+    """|theta| mod 2 by np.mod: where the cosine series is summed, reduced as
+    the kernels once did."""
+    return np.mod(np.abs(np.asarray(theta, dtype=np.float64)), 2.0)
 
 
 def cbc_scan(N: int, s: int, alpha: float, gammas) -> CbcResult:

@@ -12,6 +12,7 @@ import pytest
 
 from latquad.kernels import (
     _BERNOULLI_COEFFS,
+    FAMILIES,
     _SERIES_CHUNK,
     _TABLE_CAP,
     DEFAULT_POLICY,
@@ -24,13 +25,21 @@ from latquad.kernels import (
     series_tail_bound,
     zeta,
     _cos_partial_sum,
+    _half_turns,
+    _mod2,
     _omega_table,
     _series_rounding,
-    _table_factor,
 )
 from latquad.points import LatticeRule, symmetrize, tent
 
-from oracles import QuadratureAccuracyError, cosine_coeff, fourier_coeff
+from oracles import (
+    QuadratureAccuracyError,
+    closed_form_argument,
+    cosine_coeff,
+    fourier_coeff,
+    series_argument,
+)
+from oracles import table_factor as _table_factor
 
 PI = math.pi
 
@@ -47,13 +56,17 @@ def test_bernoulli_spot_values():
 
 
 def test_bernoulli_poly_keeps_polyval_bits():
-    # the in-place Horner steps are np.polyval's, in its order
-    xs = (0.3, 1, np.linspace(0.0, 1.0, 257), np.random.default_rng(4).random((6, 7)))
+    # the in-place Horner steps are np.polyval's, in its order, the first
+    # one x + c1 since 1.0 x is x; signed zeros, the least subnormal and the
+    # float below 1 keep every bit, the sign of zero too
+    edges = [-0.0, 0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53]
+    xs = (0.3, 1, np.linspace(0.0, 1.0, 257), np.random.default_rng(4).random((6, 7)),
+          np.array(edges), *edges)
     for tau, coeffs in _BERNOULLI_COEFFS.items():
         for x in xs:
             got, want = bernoulli_poly(tau, x), np.polyval(coeffs, x)
             assert type(got) is type(want)
-            assert np.array_equal(got, want), (tau, x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (tau, x)
 
 
 @pytest.mark.parametrize("tau", [2.5, 2.0, "2", None, 0, 7])
@@ -387,6 +400,57 @@ def _per_family_factor(family, alpha, gamma, x, y, policy):
         return 1.0 + gamma * cos, t
     kor_half = gamma * _cos_partial_sum(2.0 * (x - y), alpha, kmax)
     return 1.0 + kor_half + 0.5 * gamma * cos, t
+
+
+# zeros of both signs, halves, integers, the float below 1, a half above
+# 2^52, where spacing is 1, 2^53, the least subnormal and a huge value
+_REDUCTION_ARGS = [0.0, -0.0, 0.5, 1.0, 2.0, 3.5, 1.0 - 2.0**-53, 2.0**52 + 0.5, 2.0**53,
+                   5e-324, 1e300]
+
+
+def _closed_form_oracle(family, a, gamma, x, y):
+    """The closed-form factor in kernel_factor's operation order, with the
+    arguments reduced by np.remainder and Bernoulli values by np.polyval."""
+    if family == "sobolev":
+        val = 1.0
+        for t in range(1, a + 1):
+            bx, by = np.polyval(_BERNOULLI_COEFFS[t], x), np.polyval(_BERNOULLI_COEFFS[t], y)
+            val = val + bx * by * gamma / math.factorial(t) ** 2
+        term = np.polyval(_BERNOULLI_COEFFS[2 * a], np.abs(x - y))
+        return val - term * ((-1.0) ** a * gamma) / math.factorial(2 * a)
+
+    def c(theta):
+        return korobov_omega(a, closed_form_argument(theta)) * 0.5
+
+    kor, cos = c(2.0 * (x - y)), c(x - y) + c(x + y)
+    if family == "korobov":
+        return kor * (2.0 * gamma) + 1.0
+    if family == "cosine":
+        return cos * gamma + 1.0
+    return (kor * gamma + 1.0) + cos * (0.5 * gamma)
+
+
+def test_floor_reductions_keep_the_remainder_bits():
+    # t - floor(t) and th - 2 floor(th / 2) are exact for arguments >= 0, so
+    # they give np.remainder's and np.mod's bits, and every closed-form table
+    # keeps them; a reduction to the nearest integer, t - rint(t), does not
+    args = np.array(_REDUCTION_ARGS)
+    for theta in (args, -args):
+        got = _half_turns(theta.copy())
+        assert got.tobytes() == closed_form_argument(theta).tobytes(), theta
+        got = _mod2(np.abs(theta))
+        assert got.tobytes() == series_argument(theta).tobytes(), theta
+    unit = np.array([0.0, -0.0, 0.5, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 0.3, 0.7])
+    for fam in FAMILIES:
+        # sobolev is a kernel on [0, 1]; the periodic families take any float
+        g = unit if fam == "sobolev" else np.concatenate((args, -args, unit))
+        x, y = g[:, None], g[None, :]
+        for a in (1, 2, 3):
+            for gamma in (0.3, 2.5):
+                got, tail = kernel_factor(fam, a, gamma, x, y)
+                want = _closed_form_oracle(fam, a, gamma, x, y)
+                assert got.tobytes() == want.tobytes(), (fam, a, gamma)
+                assert tail == 0.0
 
 
 _RULE16 = LatticeRule(16, (1, 5))

@@ -26,7 +26,6 @@ from latquad.kernels import (
     _omega_table,
     _product_tail,
     _series_rounding,
-    _table_factor,
     kernel_factor,
     series_tail_bound,
     zeta,
@@ -51,6 +50,8 @@ from latquad.wce import (
     wce_korcos_sym,
     wce_korobov_lattice,
 )
+
+from oracles import table_factor
 
 PI = math.pi
 POL = TruncationPolicy(tol=3e-5, max_terms=2_000_000)
@@ -590,7 +591,7 @@ def _direct_products(spec, ps, policy):
     prod, maxv, bnds = 1.0, np.empty(s), np.empty(s)
     for j in range(s):
         if table:
-            vals, bnds[j] = _table_factor(
+            vals, bnds[j] = table_factor(
                 spec.family, spec.gammas[j], half, b, P[:, j][:, None], P[None, :, j])
         else:
             vals, bnds[j] = kernel_factor(
@@ -674,6 +675,37 @@ def test_double_sum_table_route_matches_the_direct_evaluation(family, alpha):
         assert got.e2 == e2, len(ps)
         assert got.tail_bound == tail, len(ps)
         assert 0.0 < tail < 1e-9, len(ps)
+
+
+def _shared_parts_sets():
+    """A rule's sym set, whose coordinates hold the same values p / N, and
+    a float set in which coordinates 0 and 1 take the same 40 values and
+    coordinate 2 the same but one, 120 nodes each with uneven weights."""
+    rng = np.random.default_rng(30)
+    u = rng.random(40)
+    v = u.copy()
+    v[17] = 0.5 * (u[17] + u[18])
+    X = np.stack([np.tile(c, 3)[rng.permutation(120)] for c in (u, u, v)], axis=1)
+    w = rng.uniform(0.5, 1.5, size=120)
+    return [symmetrize(LatticeRule(31, (1, 12, 5))), WeightedPointSet(X, w / math.fsum(w))]
+
+
+@pytest.mark.parametrize(
+    "family,alpha",
+    [(f, a) for f in ("sobolev", "korobov", "cosine", "korcos") for a in (1, 2, 3)]
+    + [(f, 1.5) for f in ("korobov", "cosine", "korcos")],
+)
+def test_double_sum_shared_parts_match_per_coordinate_factors(family, alpha):
+    # coordinates with bit-equal values share one gamma-free evaluation per
+    # block, and each must still get its own kernel_factor (or Omega_2N)
+    # table with its own gamma_j; a float coordinate one value apart from
+    # the others, with as many values, must not share
+    spec = SpaceSpec(family, alpha, (1.0, 0.6, 0.3))
+    for ps in _shared_parts_sets():
+        got = wce_double_sum(spec, ps, POL)
+        e2, tail = _direct_double_sum(spec, ps, POL)
+        assert got.e2 == e2, len(ps)
+        assert got.tail_bound == tail, len(ps)
 
 
 def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
