@@ -35,6 +35,7 @@ from .points import (  # noqa: F401
     LatticeRule,
     WeightedPointSet,
     _components,
+    _denominator,
     _dimension,
     lattice_points,
     node_set,
@@ -183,11 +184,13 @@ def cmd_wce(args) -> int:
                             ("--variant", args.variant), ("--threads", args.threads)):
             if value is not None:
                 raise ValueError(f"{flag} is for --space double-sum, not --space {args.space}")
-    # only a points file's kernels at non-integer alpha sum a series
-    if args.points_file is None or _closed(args.alpha):
-        for flag, value in (("--tol", args.tol), ("--max-terms", args.max_terms)):
-            if value is not None:
-                raise ValueError(f"{flag} is for a points-file double sum at non-integer --alpha")
+    # only a points file whose nodes are not all p/N sums a series, at non-integer alpha
+    budget = {"tol": args.tol, "max_terms": args.max_terms}
+    given = [key for key, value in budget.items() if value is not None]
+    unread = given and (f"--{given[0].replace('_', '-')} is for a points-file double sum at"
+                        " non-integer --alpha, where the file's nodes are not all p/N")
+    if unread and (args.points_file is None or _closed(args.alpha)):
+        raise ValueError(unread)
     if args.points_file is not None:
         # the file is the whole node set
         rule_flags = [flag for flag, value in (("--vector-file", args.vector_file),
@@ -206,6 +209,8 @@ def cmd_wce(args) -> int:
             if args.s is None:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
+            if unread and _denominator(ps.points) is not None:
+                raise ValueError(unread)  # its kernels read Omega_2N
         else:
             rule, variant = _rule_from_args(args), args.variant or "plain"
             # plain and tent sets hold N nodes: refuse before building them;
@@ -215,8 +220,7 @@ def cmd_wce(args) -> int:
             ps = node_set(rule, variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
-        budget = {"tol": args.tol, "max_terms": args.max_terms}
-        policy = TruncationPolicy(**{k: v for k, v in budget.items() if v is not None})
+        policy = TruncationPolicy(**{key: budget[key] for key in given})
         # by default the cores this process may run on, not every CPU of the host
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count()) if args.threads is None else args.threads
@@ -304,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="double-sum worker threads, same result for any count (default: the CPU "
                         "affinity set); a set whose tables fit one row block runs on one")
     p.add_argument("--tol", type=float,
-                   help="series tolerance per factor of a points-file double sum at non-integer"
-                        f" alpha, the one route that sums one (default {DEFAULT_POLICY.tol:g})")
+                   help="series tolerance per factor, for a points file whose nodes are not all"
+                        f" p/N at non-integer alpha (default {DEFAULT_POLICY.tol:g})")
     p.add_argument("--max-terms", type=int,
-                   help=f"term cap of that series (default {DEFAULT_POLICY.max_terms})")
+                   help=f"term cap of that file's series (default {DEFAULT_POLICY.max_terms})")
     p.set_defaults(func=cmd_wce)
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")

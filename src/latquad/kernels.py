@@ -28,10 +28,10 @@ series and the coefficient quadrature oracles live in the tests.
 On lattice nodes only omega(m / N), m in Z_N, is needed, and
 ``_omega_table`` gives it at every alpha > 1/2: the closed form at 1..3,
 else one real FFT of the Hurwitz-zeta residue sums, with an error bound.
-On nodes p / N, as a rule's plain, tent and symmetrized sets are, every
-argument of c is r / N and c(r / N) = Omega_2N[r mod 2N] / 2 with Omega_2N
-the table at modulus 2N; ``_table_parts`` passes that c to
-``_periodic_parts``, so the kernel double sum needs no series on such nodes.
+On nodes p / N, as a rule's sets and the points files written from them
+are, every argument of c is r / N and c(r / N) = Omega_2N[r mod 2N] / 2,
+Omega_2N the table at modulus 2N; ``_table_parts`` passes that c to
+``_periodic_parts``, so the double sum there needs no series.
 
 Truncated evaluations report a rigorous bound alongside the value: the
 dropped terms of one factor are bounded by 2 * gamma * sum_{k > K} k^(-2 alpha)

@@ -4,17 +4,19 @@ Nodes of a rank-1 rule are x_n = frac(n*g/N).  All node coordinates are exact
 rationals with denominator N; generation keeps the integer numerators so that
 reflected and deduplicated nodes can be compared exactly instead of through
 floating-point fuzz.  Coordinates live in [0, 1]; the value 1 appears only as
-the reflection of 0 under symmetrization.  The plain, tent and symmetrized
-sets of a rule record N as their ``denominator``: every coordinate is the
-correctly rounded p / N of an integer 0 <= p <= N, which the kernel double
-sum reads back to index exact tables.
+the reflection of 0 under symmetrization.  A rule's plain, tent and
+symmetrized sets hold correctly rounded p / N, integers 0 <= p <= N, and
+``_denominator`` reads such an N back from the floats alone.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .kernels import _TABLE_CAP
 
 __all__ = [
     "LatticeRule",
@@ -94,24 +96,12 @@ def _dimension(s) -> int:
 
 @dataclass(frozen=True)
 class WeightedPointSet:
-    """Finite node set in [0,1]^s with positive weights summing to 1.
-
-    ``denominator``, when not None, is an integer N >= 1 promising that every
-    coordinate is exactly fl(p / N) for an integer 0 <= p <= N.  The sets
-    built from a rule carry it; points files and other sets carry None.  The
-    promise is checked where it is read.
-    """
+    """Finite node set in [0,1]^s with positive weights summing to 1."""
 
     points: np.ndarray
     weights: np.ndarray
-    denominator: int | None = None
 
     def __post_init__(self) -> None:
-        if self.denominator is not None:
-            N = _integer("denominator", self.denominator)
-            if N < 1:
-                raise ValueError(f"denominator must be at least 1, got {N}")
-            object.__setattr__(self, "denominator", N)
         pts = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         wts = np.asarray(self.weights, dtype=np.float64).ravel()
         if pts.ndim != 2:
@@ -147,18 +137,26 @@ def _numerators(rule: LatticeRule, count: int) -> np.ndarray:
     return (n[:, None] * np.asarray(rule.g, dtype=np.int64)) % rule.N
 
 
-def _rational_numerators(x: np.ndarray, N: int) -> np.ndarray:
-    """The integers p = rint(x N) of coordinates x = fl(p / N) in [0, 1].
-
-    For such an x, x N is within 2 N u of p, u the unit roundoff, so rint
-    recovers p for any N below 2^51, and 0 <= p <= N follows from 0 <= x
-    <= 1.  ValueError unless fl(p / N) == x for
-    every coordinate: a denominator that the values do not have.
-    """
-    p = np.rint(x * N)
-    if not np.array_equal(p / float(N), x):
-        raise ValueError(f"node coordinates are not all of the form p / {N}")
-    return p.astype(np.intp)
+def _denominator(x: np.ndarray) -> int | None:
+    """N with every value of the nodes x (one row each, in [0, 1]) equal to
+    fl(p / N), so rint(x N) is p; None if there is none by the rule below,
+    or if 2 N > _TABLE_CAP.  Coordinate j takes d_j, the least positive x or
+    1 - x in its column, and N_j, the first of rint(1 / d_j) and rint(2 /
+    d_j) with rint(x N_j) / N_j == x for every x; N is their lcm.  A rule's
+    sets give its N when its g_j are units, but a tent set at even N gives
+    N / 2: its numerators are even."""
+    pos = np.minimum(x, 1.0 - x)
+    pos[pos <= 0] = 1.0  # at 0 and 1, the positive one of x and 1 - x is 1
+    # clamped, 1 / d stays finite and its N_j is past the cap
+    d = np.maximum(pos.min(axis=0), 1.0 / _TABLE_CAP)
+    n = np.rint(1.0 / d)
+    ok = (np.rint(x * n) / n == x).all(axis=0)
+    if not ok.all():
+        n = np.where(ok, n, np.rint(2.0 / d))
+        if not (np.rint(x * n) / n == x).all():
+            return None
+    N = math.lcm(*map(int, n.tolist()))
+    return N if 2 * N <= _TABLE_CAP else None
 
 
 def _tent_nodes(p: np.ndarray, N: int) -> np.ndarray:
@@ -168,10 +166,10 @@ def _tent_nodes(p: np.ndarray, N: int) -> np.ndarray:
 
 
 def lattice_points(rule: LatticeRule) -> WeightedPointSet:
-    """Equal-weight nodes frac(n*g/N), n = 0..N-1, in node order; denominator N."""
+    """Equal-weight nodes frac(n*g/N), n = 0..N-1, in node order."""
     pts = _numerators(rule, rule.N) / float(rule.N)
     w = np.full(rule.N, 1.0 / rule.N)
-    return WeightedPointSet(pts, w, rule.N)
+    return WeightedPointSet(pts, w)
 
 
 def tent(x):
@@ -182,16 +180,15 @@ def tent(x):
 def tent_transform(ps: WeightedPointSet) -> WeightedPointSet:
     """Apply the tent map to every coordinate, keeping weights.
 
-    A set with a denominator N folds its numerators, p / N -> 2 min(p, N -
-    p) / N correctly rounded, and keeps N; ValueError if its coordinates
-    are not of that form.  Any other set takes ``tent`` of its floats,
-    which can be off in the last bits: by many ulps of a node near 0, where
-    1 - |2x - 1| cancels.
+    A set whose coordinates are all p / N, N from ``_denominator``, folds
+    its numerators, p / N -> 2 min(p, N - p) / N correctly rounded.  Any
+    other set takes ``tent`` of its floats, which can be off in the last
+    bits: by many ulps of a node near 0, where 1 - |2x - 1| cancels.
     """
-    N = ps.denominator
+    N = _denominator(ps.points)
     if N is None:
         return WeightedPointSet(tent(ps.points), ps.weights)
-    return WeightedPointSet(_tent_nodes(_rational_numerators(ps.points, N), N), ps.weights, N)
+    return WeightedPointSet(_tent_nodes(np.rint(ps.points * N).astype(np.intp), N), ps.weights)
 
 
 def symmetrized_node_count(N: int, s: int) -> int:
@@ -230,7 +227,7 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     base = _numerators(rule, count)[:, None, :]
     nums = np.where(flip, N - base, base).reshape(rows, s)
     if not dedupe:
-        return WeightedPointSet(nums / float(N), np.full(rows, 1.0 / (N << s)), N)
+        return WeightedPointSet(nums / float(N), np.full(rows, 1.0 / (N << s)))
 
     # shifts k and N-k generate identical reflection orbits
     k = np.arange(count)
@@ -244,7 +241,7 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
     counts = np.add.reduceat(mult[order], starts)
     pts = nums[starts] / float(N)
     w = counts / float(N << s)
-    return WeightedPointSet(pts, w, N)
+    return WeightedPointSet(pts, w)
 
 
 def node_set(rule: LatticeRule, variant: str) -> WeightedPointSet:

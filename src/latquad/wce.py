@@ -27,10 +27,10 @@ from the same table.  ``wce_cosine_tent``, ``wce_korcos_sym`` and
 on 2^s N.  For s >= 2 the result is in general strictly below the Korobov
 single sum, which only bounds it from above.
 
-The double sum shares that table: on the plain, tent or symmetrized nodes
-of a rule at non-integer alpha, every kernel value is read from Omega_2N,
-the table at modulus 2N, within its bound.  Only sets without a
-denominator, such as points files, sum truncated series there.
+The double sum shares that table: at non-integer alpha, on nodes p / N
+(``points._denominator``), as a rule's sets and the points files written
+from them are, every kernel value is read from Omega_2N, the table at
+modulus 2N, within its bound.  Other sets sum truncated series there.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from .kernels import (
 # Not called here: the benchmark tracer (perfbench/tracing.py TARGETS) wraps
 # latquad.wce.korobov_omega and latquad.wce.dual_lattice.
 from .kernels import korobov_omega  # noqa: F401
-from .points import LatticeRule, WeightedPointSet, _rational_numerators
+from .points import LatticeRule, WeightedPointSet, _denominator
 from .points import dual_lattice  # noqa: F401
 
 __all__ = [
@@ -120,22 +120,18 @@ def wce_double_sum(
     magnitude over all node pairs.
 
     Kernel values come from one of two places.  At alpha outside {1, 2, 3},
-    a korobov, cosine or korcos sum over a set with a denominator N (the
-    plain, tent and symmetrized sets of a rule) reads them from Omega_2N =
-    ``_omega_table(alpha, 2 N)``, built and halved once per call, with its
-    bound b.  Every coordinate is p / N, its numerators recovered once from
-    its distinct values (ValueError if a value is not fl(p / N)), so each
-    x - y, x + y and 2 (x - y) is r / N, and ``kernels._table_parts``
-    passes c(r / N) = Omega_2N[r mod 2N] / 2 to the family expressions that
-    ``kernel_factor`` uses.  Every family weighs its c values by 2 gamma_j
-    in total, so its table entries by gamma_j, and factor j is off by at
-    most gamma_j b, the bound passed to ``_product_tail``; nothing is
-    truncated, ``policy`` is not used, and 2N above the table's cap raises
-    ValueError.
-    Sobolev and integer alpha take ``kernel_factor``'s closed forms; a set
-    without a denominator at other alpha, such as a points file, calls
-    ``kernel_factor`` per coordinate, whose series ``policy`` truncates
-    with a term count that follows gamma_j.
+    a korobov, cosine or korcos sum over nodes p / N, N from
+    ``points._denominator`` of the coordinates, reads them from Omega_2N
+    = ``_omega_table(alpha, 2 N)``, built and halved once per call, with
+    its bound b.  The numerators make each x - y, x + y and 2 (x - y) r / N,
+    and ``kernels._table_parts`` passes c(r / N) = Omega_2N[r mod 2N] / 2 to
+    the family expressions that ``kernel_factor`` uses.  Every family weighs
+    its c values by 2 gamma_j in total, so its table entries by gamma_j, and
+    factor j is off by at most gamma_j b, the bound passed to
+    ``_product_tail``; nothing is truncated, and ``policy`` is not used.
+    Other sets call ``kernel_factor`` per coordinate there, whose series
+    ``policy`` truncates with a term count that follows gamma_j.  Sobolev
+    and integer alpha take its closed forms, and no N.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values.  Coordinate j keeps its U_j distinct values, as floats or as
@@ -189,20 +185,22 @@ def wce_double_sum(
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
-    N, fam, alpha = ps.denominator, spec.family, spec.alpha
+    fam, alpha = spec.family, spec.alpha
     vals = [cu for cu, _ in cols]
-    if N is not None and fam != "sobolev" and not _closed(alpha):
-        # lattice-derived nodes p / N: exact tables from Omega_2N, no series
+    closed = fam == "sobolev" or _closed(alpha)
+    N = None if closed else _denominator(X)
+    if N is not None:
+        # nodes p / N: exact tables from Omega_2N, no series
         om, bound = _omega_table(alpha, 2 * N)
         half = np.append(om, om[0]) / 2  # Omega[2N] = Omega[0]: indices run to 2N
-        vals = [_rational_numerators(cu, N) for cu in vals]
+        vals = [np.rint(cu * N).astype(np.intp) for cu in vals]  # the numerators
 
         def factors(gs, p, q):
             tables = _periodic_tables(fam, gs, _table_parts(fam, half, p, q))
             return [(v, g * bound) for v, g in zip(tables, gs)]
     else:
         def factors(gs, x, y):
-            if fam == "sobolev" or _closed(alpha):
+            if closed:
                 return [(v, 0.0) for v in _closed_tables(fam, alpha, gs, x, y)]
             # a series' kmax follows gamma_j: one kernel_factor per coordinate
             return [kernel_factor(fam, alpha, g, x, y, policy) for g in gs]

@@ -24,6 +24,11 @@ from latquad.points import (
 from latquad.wce import wce_double_sum
 
 
+# the refusal of --tol and --max-terms on a route that sums no series
+_SERIES_ONLY = ("is for a points-file double sum at non-integer --alpha, where the file's nodes"
+                " are not all p/N")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     cap = capsys.readouterr()
@@ -332,16 +337,17 @@ def test_bad_truncation_policy_exits_one_on_rule_spaces(capsys, space, flag):
     code, stdout, err = run_cli(capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", *flag)
     assert code == 1
     assert stdout == ""
-    assert err == f"latquad: {flag[0]} is for a points-file double sum at non-integer --alpha\n"
+    assert err == f"latquad: {flag[0]} {_SERIES_ONLY}\n"
 
 
 @pytest.mark.parametrize("flag,message", [(("--tol", "0"), "tol must be positive"),
                                           (("--tol", "nan"), "tol must be positive"),
                                           (("--max-terms", "0"), "max_terms must be at least 1")])
 def test_bad_truncation_policy_exits_one_on_the_series_route(tmp_path, capsys, flag, message):
-    # a points file at non-integer alpha sums the series, so it checks the values
+    # a points file whose nodes give no denominator sums the series at
+    # non-integer alpha, so it checks the values
     pts = tmp_path / "nodes.txt"
-    pts.write_text("0.25\n0.75\n")
+    pts.write_text(_off_lattice_text([[0.25], [0.75]]))
     code, stdout, err = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korobov",
                                 "--points-file", str(pts), "--s", "1", "--alpha", "1.5", *flag)
     assert (code, stdout, err) == (1, "", f"latquad: {message}\n")
@@ -458,15 +464,15 @@ def test_points_file_beside_a_rule_exits_one(tmp_path, capsys, argv, message):
     (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--threads", "1"),
      "--threads is for --space double-sum, not --space korobov"),
     (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--tol", "1e-2"),
-     "--tol is for a points-file double sum at non-integer --alpha"),
+     f"--tol {_SERIES_ONLY}"),
     (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5",
-      "--max-terms", "10"), "--max-terms is for a points-file double sum at non-integer --alpha"),
+      "--max-terms", "10"), f"--max-terms {_SERIES_ONLY}"),
     (("wce", "--space", "double-sum", "--family", "cosine", "--n", "7", "--g", "1,3",
       "--alpha", "1.5", "--tol", "1e-2"),
-     "--tol is for a points-file double sum at non-integer --alpha"),
+     f"--tol {_SERIES_ONLY}"),
     (("wce", "--space", "double-sum", "--family", "korobov", "--points-file", "{pts}",
       "--s", "2", "--alpha", "1", "--max-terms", "1"),
-     "--max-terms is for a points-file double sum at non-integer --alpha"),
+     f"--max-terms {_SERIES_ONLY}"),
 ])
 def test_unread_flags_exit_one(tmp_path, capsys, argv, message):
     # each of these once exited 0 and ignored the named flag
@@ -519,35 +525,47 @@ def _e2_tail(line: str) -> tuple[float, float]:
     return float(e2.removeprefix("e2=")), float(tail.removeprefix("tail="))
 
 
+def _off_lattice_text(rows) -> str:
+    """Points-file text of the nodes moved to x + 2^-10 sin(2 pi x): the
+    map keeps equal values equal, but the coordinates give no denominator,
+    so a double sum at non-integer alpha sums the series."""
+    return "".join(" ".join(repr(x + 2.0**-10 * math.sin(2 * math.pi * x)) for x in row) + "\n"
+                   for row in rows)
+
+
 # emit's three rules at non-integer alpha, with a periodic family in place of
 # sobolev, which has no series: (N, s, family, gamma)
-_SERIES_TWIN_RULES = [(127, 4, "korobov", "/j^2"), (251, 3, "cosine", "0.9/j^1"),
-                      (61, 5, "korcos", "0.5")]
+_TWIN_RULES = [(127, 4, "korobov", "/j^2"), (251, 3, "cosine", "0.9/j^1"),
+               (61, 5, "korcos", "0.5")]
 
 
-@pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+@pytest.mark.parametrize("alpha", ["1.5", "2.5"])
 @pytest.mark.parametrize("variant", ["tent", "sym"])
-@pytest.mark.parametrize("N,s,family,gamma", _SERIES_TWIN_RULES)
-def test_points_file_series_is_within_the_tails_of_its_vector_file_table(
-        tmp_path, capsys, N, s, family, gamma, variant, tol):
-    # at alpha = 1.5 the points file sums truncated series and the vector file
-    # reads Omega_2N, so the two lines differ, by no more than their tails
+@pytest.mark.parametrize("N,s,family,gamma", _TWIN_RULES)
+def test_points_file_prints_the_line_of_its_vector_file(
+        tmp_path, capsys, N, s, family, gamma, variant, alpha):
+    # a file that points writes holds its rule set's floats, which give a
+    # denominator: it reads Omega_2N as the vector file does, to the byte,
+    # and so refuses the series flags
     vec, pts = tmp_path / "vec.txt", tmp_path / "nodes.txt"
-    assert run_cli(capsys, "cbc", "--n", str(N), "--s", str(s), "--alpha", "1.5",
+    assert run_cli(capsys, "cbc", "--n", str(N), "--s", str(s), "--alpha", alpha,
                    "--gamma", gamma, "-o", str(vec))[0] == 0
     assert run_cli(capsys, "points", "--vector-file", str(vec), "--variant", variant,
                    "-o", str(pts))[0] == 0
-    common = ("wce", "--space", "double-sum", "--family", family, "--alpha", "1.5",
+    common = ("wce", "--space", "double-sum", "--family", family, "--alpha", alpha,
               "--gamma", gamma)
-    code, from_file, _ = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s),
-                                 "--tol", tol)
+    code, from_file, _ = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s))
     assert code == 0
     code, from_rule, _ = run_cli(capsys, *common, "--vector-file", str(vec),
                                  "--variant", variant)
     assert code == 0
-    (e2_file, tail_file), (e2_rule, tail_rule) = _e2_tail(from_file), _e2_tail(from_rule)
-    assert 0.0 < tail_rule < 1e-10
-    assert abs(e2_file - e2_rule) <= tail_file + tail_rule
+    assert from_file == from_rule
+    assert 0.0 < _e2_tail(from_rule)[1] < 1e-10
+    for flag in (("--tol", "1e-8"), ("--max-terms", "10")):
+        code, stdout, err = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s),
+                                    *flag)
+        assert (code, stdout) == (1, "")
+        assert err == f"latquad: {flag[0]} {_SERIES_ONLY}\n"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -647,10 +665,10 @@ def test_converge_rejects_empty_or_repeated_variants(capsys, variants):
 
 
 def test_truncation_budget_exit_two(tmp_path, capsys):
-    # a points file has no denominator, so its double sum at non-integer
-    # alpha sums series under the term budget
+    # a points file whose nodes give no denominator sums series at
+    # non-integer alpha, under the term budget
     four = tmp_path / "four.txt"
-    four.write_text("0\n0.25\n0.5\n0.75\n")
+    four.write_text(_off_lattice_text([[0], [0.25], [0.5], [0.75]]))
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
         "--points-file", str(four), "--s", "1", "--alpha", "1.5", "--gamma", "1",
@@ -672,11 +690,11 @@ def test_truncation_budget_exit_two(tmp_path, capsys):
         code, stdout, err = run_cli(capsys, "wce", *route, "--n", "4", "--g", "1",
                                     "--alpha", alpha, "--gamma", "1", "--tol", "1e-14")
         assert (code, stdout) == (1, "")
-        assert err == "latquad: --tol is for a points-file double sum at non-integer --alpha\n"
+        assert err == f"latquad: --tol {_SERIES_ONLY}\n"
     # near alpha = 1/2 the term count overflows a float: still a budget
     # failure of the double-sum series, while the table routes return
     five = tmp_path / "five.txt"
-    five.write_text("".join(f"{n / 5!r} {2 * n % 5 / 5!r}\n" for n in range(5)))
+    five.write_text(_off_lattice_text([[n / 5, 2 * n % 5 / 5] for n in range(5)]))
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "korobov",
         "--points-file", str(five), "--s", "2", "--alpha", "0.5000001")

@@ -90,13 +90,14 @@ def test_tent_transform_keeps_weights():
     p = np.rint(ps.points * 5).astype(int)
     assert np.array_equal(t.points, 2 * np.minimum(p, 5 - p) / 5.0)
     assert np.array_equal(t.points[1:], t.points[:0:-1])
-    assert t.denominator == 5
     assert float(np.abs(t.points - tent(ps.points)).max()) <= _TENT_GAP
-    # a float-only copy takes the tent map of its floats, bit for bit
-    f = tent_transform(WeightedPointSet(ps.points, ps.weights))
+    # a set whose coordinates give no denominator takes the tent map of its
+    # floats, bit for bit
+    x = np.random.default_rng(9).random((5, 2))
+    assert points._denominator(x) is None
+    f = tent_transform(WeightedPointSet(x, ps.weights))
     assert np.array_equal(f.weights, ps.weights)
-    assert np.array_equal(f.points, tent(ps.points))
-    assert f.denominator is None
+    assert np.array_equal(f.points, tent(x))
 
 
 # The float tent map against the exact fold 2 min(p, N - p) / N of x =
@@ -116,29 +117,54 @@ def test_tent_nodes_are_the_correctly_rounded_folds(N):
     assert float(np.abs(t - tent(np.arange(N) / N)).max()) <= _TENT_GAP
 
 
-def test_rule_sets_carry_their_denominator():
-    rule = LatticeRule(6, (1, 5))
-    for ps in (lattice_points(rule), tent_transform(lattice_points(rule)),
-               symmetrize(rule), symmetrize(rule, dedupe=False)):
-        assert ps.denominator == 6
-        p = np.rint(ps.points * 6)
-        assert np.array_equal(p / 6.0, ps.points) and p.min() >= 0 and p.max() <= 6
-    # tent of a tent set keeps the denominator, and stays on p / N
-    twice = tent_transform(tent_transform(lattice_points(rule)))
-    assert twice.denominator == 6
-    assert WeightedPointSet([[0.5]], [1.0]).denominator is None
+@pytest.mark.parametrize("N,g", [(6, (1, 5)), (30, (6, 10, 15)), (12, (2, 3)),
+                                 (64, (1, 27, 15)), (61, (1, 17, 23))])
+def test_rule_sets_infer_a_true_denominator(N, g):
+    # every set of a rule, a tent of a tent set too, gives a denominator D
+    # from its floats alone, and every coordinate is fl(p / D): N itself
+    # where each g_j is a unit, except a tent set at even N, whose
+    # numerators are all even
+    rule = LatticeRule(N, g)
+    units = all(math.gcd(v, N) == 1 for v in g)
+    for variant, ps in (("plain", lattice_points(rule)),
+                        ("tent", tent_transform(lattice_points(rule))),
+                        ("sym", symmetrize(rule)), ("sym", symmetrize(rule, dedupe=False)),
+                        ("twice", tent_transform(tent_transform(lattice_points(rule))))):
+        D = points._denominator(ps.points)
+        p = np.rint(ps.points * D)
+        assert np.array_equal(p / D, ps.points) and p.min() >= 0 and p.max() <= D
+        if units and variant != "twice":
+            assert D == (N // 2 if variant == "tent" and N % 2 == 0 else N), variant
+        # the same floats in any row order give the same D
+        perm = np.random.default_rng(N).permutation(len(ps))
+        assert points._denominator(ps.points[perm]) == D
 
 
-def test_denominator_validation():
-    for bad in (0, -4):
-        with pytest.raises(ValueError, match="denominator must be at least 1"):
-            WeightedPointSet([[0.5]], [1.0], bad)
-    with pytest.raises(ValueError, match="denominator must be an integer"):
-        WeightedPointSet([[0.5]], [1.0], 2.0)
-    assert WeightedPointSet([[0.5]], [1.0], np.int64(2)).denominator == 2
-    # a false denominator is refused where it is read
-    with pytest.raises(ValueError, match="not all of the form p / 3"):
-        tent_transform(WeightedPointSet([[0.5]], [1.0], 3))
+def test_denominator_inference_finds_none_it_cannot_verify():
+    def inf(*columns):
+        return points._denominator(np.stack(columns, axis=1))
+
+    # one coordinate: d = 2/5 takes rint(2 / d); 1/3 rounded to four digits
+    # verifies neither rint(1 / d) nor rint(2 / d); all zeros give 1
+    assert inf(np.array([0.4])) == 5
+    assert inf(np.array([0.0, 0.3333])) is None
+    assert inf(np.zeros(3)) == 1
+    # coordinates give their own N_j, and the set their lcm; zeros padding
+    # a coordinate change nothing
+    assert inf(np.arange(4) / 4, np.arange(4) / 6) == 12
+    assert inf(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.0, 0.0])) == 4
+    # up to 2 N <= _TABLE_CAP
+    half = points._TABLE_CAP // 2
+    assert inf(np.array([1.0 / half])) == half
+    assert inf(np.array([1.0 / (half + 1)])) is None
+    assert inf(np.arange(5) / 2039) == 2039
+    assert inf(np.arange(5) / 2039, np.arange(5) / 2053) is None
+    # a random coordinate, alone or beside one that verifies, and one so
+    # close to 0 that 1 / d overflows
+    rand = np.random.default_rng(4).random(50)
+    assert inf(rand) is None
+    assert inf(rand, np.arange(50) / 7) is None
+    assert inf(np.array([0.0, 5e-324])) is None
 
 
 @pytest.mark.parametrize("N,g,count", [(3, (1, 2), 8), (4, (1, 3), 9), (5, (1,), 6)])

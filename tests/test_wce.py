@@ -33,8 +33,10 @@ from latquad.kernels import (
 from latquad.points import (
     LatticeRule,
     WeightedPointSet,
+    _denominator,
     dual_lattice,
     lattice_points,
+    node_set,
     symmetrize,
     tent_transform,
 )
@@ -577,13 +579,15 @@ def test_double_sum_is_thread_count_invariant():
 def _direct_products(spec, ps, policy):
     """Every kernel factor evaluated at every node pair, multiplied in
     coordinate order: (the M x M products, maxv, bnds).  At alpha outside
-    1..3, a korobov, cosine or korcos set with a denominator N reads every
-    pair's factor from Omega_2N at the numerators rint(x N), as the double
-    sum's table route does; any other set evaluates kernel_factor."""
+    1..3, a korobov, cosine or korcos set whose coordinates give an N,
+    ``_denominator``, reads every pair's factor from Omega_2N at the
+    numerators rint(x N), as the double sum's table route does; any other
+    set evaluates kernel_factor."""
     X = ps.points
     M, s = X.shape
-    N = ps.denominator
-    table = N is not None and spec.family != "sobolev" and spec.alpha not in (1, 2, 3)
+    closed = spec.family == "sobolev" or spec.alpha in (1, 2, 3)
+    N = None if closed else _denominator(X)
+    table = N is not None
     if table:
         om, b = _omega_table(spec.alpha, 2 * N)
         half = np.append(om, om[0]) / 2
@@ -602,10 +606,16 @@ def _direct_products(spec, ps, policy):
     return prod, maxv, bnds
 
 
-def _float_only(ps):
-    """The same nodes and weights without a denominator: the double sum
-    evaluates kernel_factor on them, series at non-integer alpha."""
-    return WeightedPointSet(ps.points, ps.weights)
+def _off_lattice(ps):
+    """The nodes moved to x + 2^-10 sin(2 pi x), weights kept.  The map is
+    increasing, and fixes 0, 1/2 and 1, so equal values stay equal and
+    their ranks, which fold tiles and slabs, stay; but the coordinates give
+    no denominator, so the double sum evaluates kernel_factor on them, the
+    series at non-integer alpha."""
+    X = ps.points
+    moved = WeightedPointSet(X + 2.0**-10 * np.sin(2 * np.pi * X), ps.weights)
+    assert _denominator(moved.points) is None
+    return moved
 
 
 def _direct_double_sum(spec, ps, policy):
@@ -632,7 +642,7 @@ def _oracle_point_sets():
         # 1008 nodes in folded order, where each tile gathers its distinct
         # table rows into a slab; shuffled, the same bits
         sym,
-        WeightedPointSet(sym.points[perm], sym.weights[perm], sym.denominator),
+        WeightedPointSet(sym.points[perm], sym.weights[perm]),
         # reflection orbits of 32 rows, two to a tile of 64
         symmetrize(LatticeRule(31, (1, 12, 5, 3, 9))),
         # odd N: rows n and N - n coincide in 72 pairs, in folded order, but
@@ -653,8 +663,8 @@ def _oracle_point_sets():
     + [(f, a) for f in ("korobov", "cosine", "korcos") for a in (1, 1.5, 2, 3)],
 )
 def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
-    # float-only copies: the series at alpha = 1.5 on every set
-    for ps in map(_float_only, _oracle_point_sets()):
+    # copies moved off p / N: the series at alpha = 1.5 on every set
+    for ps in map(_off_lattice, _oracle_point_sets()):
         spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
         got = wce_double_sum(spec, ps, POL)
         e2, tail = _direct_double_sum(spec, ps, POL)
@@ -665,9 +675,10 @@ def test_double_sum_tables_match_the_direct_evaluation(family, alpha):
 @pytest.mark.parametrize("family,alpha", [(f, a) for f in ("korobov", "cosine", "korcos")
                                           for a in (0.75, 1.5, 2.5)])
 def test_double_sum_table_route_matches_the_direct_evaluation(family, alpha):
-    # the rule-derived sets, denominators kept: every table from Omega_2N
+    # the sets whose coordinates give a denominator, the rule-derived ones
+    # and the grid: every table from Omega_2N
     for ps in _oracle_point_sets():
-        if ps.denominator is None:
+        if _denominator(ps.points) is None:
             continue
         spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
         got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300, max_terms=1))
@@ -756,8 +767,8 @@ def test_double_sum_reduction_error_is_within_its_derived_bound(family, alpha):
     rng = np.random.default_rng(5)
     w = rng.uniform(0.5, 1.5, size=80)
     sets = [
-        _float_only(lattice_points(LatticeRule(61, (1, 17, 23)))),
-        _float_only(tent_transform(lattice_points(LatticeRule(64, (1, 27, 15))))),
+        _off_lattice(lattice_points(LatticeRule(61, (1, 17, 23)))),
+        _off_lattice(tent_transform(lattice_points(LatticeRule(64, (1, 27, 15))))),
         WeightedPointSet(rng.random((80, 3)), w / math.fsum(w)),
     ]
     for ps in sets:
@@ -939,35 +950,83 @@ def test_omega_2n_is_the_cosine_series_at_r_over_n(alpha, N):
     assert float(np.abs(series - om[r % (2 * N)] / 2).max()) <= bound
 
 
-def test_double_sum_refuses_a_false_denominator():
-    ps = lattice_points(LatticeRule(5, (1, 2)))
-    spec = SpaceSpec("cosine", 1.5, (1.0, 1.0))
-    with pytest.raises(ValueError, match="not all of the form p / 7"):
-        wce_double_sum(spec, WeightedPointSet(ps.points, ps.weights, 7))
-    # p / 5 = 2p / 10 to the bit, so 10 is a true denominator too: Omega_20
-    # gives e2 within the bounds of Omega_10's
-    a = wce_double_sum(spec, ps)
-    b = wce_double_sum(spec, WeightedPointSet(ps.points, ps.weights, 10))
-    assert abs(a.e2 - b.e2) <= a.tail_bound + b.tail_bound
+# (rule, variant, the denominator its coordinates give): non-unit components,
+# whose coordinates give different N_j, and tent sets at even N, whose
+# numerators are all even
+_INFERRED = [
+    (LatticeRule(30, (6, 10, 15)), "plain", 30),
+    (LatticeRule(30, (6, 10, 15)), "tent", 15),
+    (LatticeRule(30, (6, 10, 15)), "sym", 30),
+    (LatticeRule(12, (2, 3)), "plain", 12),
+    (LatticeRule(12, (2, 3)), "tent", 6),
+    (LatticeRule(12, (2, 3)), "sym", 12),
+    (LatticeRule(64, (1, 27, 15)), "tent", 32),
+    (LatticeRule(32, (1, 13, 5)), "tent", 16),
+]
+
+
+@pytest.mark.parametrize("family", ["korobov", "cosine", "korcos"])
+@pytest.mark.parametrize("rule,variant,N", _INFERRED)
+def test_inferred_denominators_read_omega_2n(rule, variant, N, family):
+    # the double sum reads N from the floats alone, and Omega_2N from it:
+    # the bits of the direct table_factor evaluation at that N, shuffled
+    # rows or not
+    ps = node_set(rule, variant)
+    assert _denominator(ps.points) == N
+    assert np.array_equal(np.rint(ps.points * N) / N, ps.points)
+    spec = SpaceSpec(family, 1.5, (1.0, 0.7, 0.4)[:rule.s])
+    got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300, max_terms=1))
+    e2, tail = _direct_double_sum(spec, ps, POL)
+    assert (got.e2, got.tail_bound) == (e2, tail)
+    assert 0.0 < tail < 1e-9
+    perm = np.random.default_rng(N).permutation(len(ps))
+    shuffled = WeightedPointSet(ps.points[perm], ps.weights[perm])
+    assert _denominator(shuffled.points) == N
+    again = wce_double_sum(spec, shuffled, TruncationPolicy(tol=1e-300, max_terms=1))
+    assert (again.e2, again.tail_bound) == _direct_double_sum(spec, shuffled, POL)
+    assert again.tail_bound == got.tail_bound
+
+
+def test_sets_without_a_denominator_sum_the_series():
+    # a random set, and one whose coordinates give 2039 and 2053, whose lcm
+    # is past the table cap, sum the series: no ValueError
+    assert 2 * 2039 * 2053 > _TABLE_CAP
+    k = np.arange(5)
+    coprime = np.stack([k / 2039, k / 2053], axis=1)
+    rand = np.random.default_rng(31).random((5, 2))
+    spec = SpaceSpec("korcos", 1.5, (1.0, 0.5))
+    for X in (coprime, rand):
+        ps = WeightedPointSet(X, np.full(5, 0.2))
+        assert _denominator(ps.points) is None
+        got = wce_double_sum(spec, ps, POL)
+        assert (got.e2, got.tail_bound) == _direct_double_sum(spec, ps, POL)
+        assert got.tail_bound > 1e-6
+    assert [_denominator(c[:, None]) for c in coprime.T] == [2039, 2053]
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
-def test_integer_alpha_ignores_the_denominator(alpha):
-    # the closed forms read the coordinates: the same bits as a float-only set
+def test_integer_alpha_ignores_the_denominator(alpha, monkeypatch):
+    # the closed forms read the coordinates and no denominator: the bits of
+    # the direct kernel_factor evaluation, without calling _denominator
+    def refuse(x):
+        raise AssertionError("integer alpha inferred a denominator")
+
+    monkeypatch.setattr(wce, "_denominator", refuse)
     rule = LatticeRule(31, (1, 12, 7))
     for ps in (lattice_points(rule), tent_transform(lattice_points(rule)), symmetrize(rule)):
         for family in ("sobolev", "korobov", "cosine", "korcos"):
             spec = SpaceSpec(family, alpha, (1.0, 0.5, 0.25))
-            assert wce_double_sum(spec, ps) == wce_double_sum(spec, _float_only(ps)), family
+            got = wce_double_sum(spec, ps)
+            assert (got.e2, got.tail_bound) == _direct_double_sum(spec, ps, POL), family
 
 
 def test_double_sum_input_validation():
     ps = lattice_points(LatticeRule(4, (1, 3)))
     with pytest.raises(ValueError):
         wce_double_sum(SpaceSpec("cosine", 1, (1.0,)), ps, POL)
-    # the series of a float-only set has a term budget
+    # the series of a set moved off p / N has a term budget
     with pytest.raises(TruncationBudgetError):
-        wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), _float_only(ps),
+        wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), _off_lattice(ps),
                        TruncationPolicy(tol=1e-12, max_terms=1000))
     # the rule's own set reads Omega_2N and sums no series: no budget
     table = wce_double_sum(
