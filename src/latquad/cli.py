@@ -35,7 +35,6 @@ from .points import (  # noqa: F401
     LatticeRule,
     WeightedPointSet,
     _components,
-    _denominator,
     _dimension,
     lattice_points,
     node_set,
@@ -46,6 +45,7 @@ from .points import (  # noqa: F401
 )
 from .wce import (
     _check_double_sum_nodes,
+    _table_modulus,
     cbc_bound_constant,
     wce_cosine_sym,
     wce_cosine_tent,
@@ -185,11 +185,10 @@ def cmd_wce(args) -> int:
             if value is not None:
                 raise ValueError(f"{flag} is for --space double-sum, not --space {args.space}")
     # only a points file whose nodes are not all p/N sums a series, at non-integer alpha
-    budget = {"tol": args.tol, "max_terms": args.max_terms}
-    given = [key for key, value in budget.items() if value is not None]
-    unread = given and (f"--{given[0].replace('_', '-')} is for a points-file double sum at"
-                        " non-integer --alpha, where the file's nodes are not all p/N")
-    if unread and (args.points_file is None or _closed(args.alpha)):
+    flag = "--tol" if args.tol is not None else "--max-terms" if args.max_terms is not None else ""
+    unread = (f"{flag} is for a points-file double sum at non-integer --alpha, where the file's"
+              " nodes are not all p/N")
+    if flag and (args.points_file is None or _closed(args.alpha)):
         raise ValueError(unread)
     if args.points_file is not None:
         # the file is the whole node set
@@ -209,7 +208,7 @@ def cmd_wce(args) -> int:
             if args.s is None:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
-            if unread and _denominator(ps.points) is not None:
+            if flag and _table_modulus(ps.points.T) is not None:
                 raise ValueError(unread)  # its kernels read Omega_2N
         else:
             rule, variant = _rule_from_args(args), args.variant or "plain"
@@ -220,7 +219,8 @@ def cmd_wce(args) -> int:
             ps = node_set(rule, variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
-        policy = TruncationPolicy(**{key: budget[key] for key in given})
+        budget = {"tol": args.tol, "max_terms": args.max_terms}
+        policy = TruncationPolicy(**{k: v for k, v in budget.items() if v is not None})
         # by default the cores this process may run on, not every CPU of the host
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count()) if args.threads is None else args.threads

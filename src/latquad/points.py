@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _TABLE_CAP
-
 __all__ = [
     "LatticeRule",
     "WeightedPointSet",
@@ -116,12 +114,9 @@ class WeightedPointSet:
             raise ValueError("weights must be positive")
         if abs(float(np.sum(wts)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        pts = pts.copy()
-        wts = wts.copy()
-        pts.setflags(write=False)
-        wts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+        for name, arr in (("points", pts.copy()), ("weights", wts.copy())):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def s(self) -> int:
@@ -139,24 +134,25 @@ def _numerators(rule: LatticeRule, count: int) -> np.ndarray:
 
 def _denominator(x: np.ndarray) -> int | None:
     """N with every value of the nodes x (one row each, in [0, 1]) equal to
-    fl(p / N), so rint(x N) is p; None if there is none by the rule below,
-    or if 2 N > _TABLE_CAP.  Coordinate j takes d_j, the least positive x or
-    1 - x in its column, and N_j, the first of rint(1 / d_j) and rint(2 /
-    d_j) with rint(x N_j) / N_j == x for every x; N is their lcm.  A rule's
-    sets give its N when its g_j are units, but a tent set at even N gives
-    N / 2: its numerators are even."""
+    fl(p / N), so rint(x N) is p, and N <= 2^51, past which it can miss;
+    else None.  With d the least positive x or 1 - x, rint(1 / d) is tried
+    first: N for a rule with unit g_j, N / 2 for its tent set at even N.
+    Else coordinate j takes d_j, the least in its column, and N_j, the first
+    of rint(1 / d_j) and rint(2 / d_j) with rint(x N_j) / N_j == x for every
+    x; N is their lcm.  A 1 - x is off by up to 2^-54: a d from it can miss N > 2^26."""
     pos = np.minimum(x, 1.0 - x)
-    pos[pos <= 0] = 1.0  # at 0 and 1, the positive one of x and 1 - x is 1
-    # clamped, 1 / d stays finite and its N_j is past the cap
-    d = np.maximum(pos.min(axis=0), 1.0 / _TABLE_CAP)
-    n = np.rint(1.0 / d)
-    ok = (np.rint(x * n) / n == x).all(axis=0)
-    if not ok.all():
-        n = np.where(ok, n, np.rint(2.0 / d))
-        if not (np.rint(x * n) / n == x).all():
-            return None
-    N = math.lcm(*map(int, n.tolist()))
-    return N if 2 * N <= _TABLE_CAP else None
+    pos[pos <= 0] = 1.0  # 1 where x is only 0 or 1
+    n = float(round(1.0 / max(float(pos.min(initial=1.0)), 2.0**-52)))  # clamped: past 2^51
+    if not (np.rint(x * n) / n == x).all():
+        d = np.maximum(pos.min(axis=0), 2.0**-52)
+        n = np.rint(1.0 / d)
+        ok = np.rint(x * n) / n == x
+        if not ok.all():
+            n = np.where(ok.all(axis=0), n, np.rint(2.0 / d))
+            if not (np.rint(x * n) / n == x).all():
+                return None
+    N = math.lcm(*map(int, np.ravel(n).tolist()))
+    return N if N <= 1 << 51 else None
 
 
 def _tent_nodes(p: np.ndarray, N: int) -> np.ndarray:
@@ -180,15 +176,13 @@ def tent(x):
 def tent_transform(ps: WeightedPointSet) -> WeightedPointSet:
     """Apply the tent map to every coordinate, keeping weights.
 
-    A set whose coordinates are all p / N, N from ``_denominator``, folds
-    its numerators, p / N -> 2 min(p, N - p) / N correctly rounded.  Any
-    other set takes ``tent`` of its floats, which can be off in the last
-    bits: by many ulps of a node near 0, where 1 - |2x - 1| cancels.
+    A set whose coordinates are all p / N (``_denominator``) folds them to
+    2 min(p, N - p) / N, correctly rounded; any other takes ``tent`` of its
+    floats, off in the last bits: by many ulps near 0, where 1 - |2x - 1| cancels.
     """
     N = _denominator(ps.points)
-    if N is None:
-        return WeightedPointSet(tent(ps.points), ps.weights)
-    return WeightedPointSet(_tent_nodes(np.rint(ps.points * N).astype(np.intp), N), ps.weights)
+    x = tent(ps.points) if N is None else _tent_nodes(np.rint(ps.points * N), N)
+    return WeightedPointSet(x, ps.weights)
 
 
 def symmetrized_node_count(N: int, s: int) -> int:

@@ -28,9 +28,8 @@ on 2^s N.  For s >= 2 the result is in general strictly below the Korobov
 single sum, which only bounds it from above.
 
 The double sum shares that table: at non-integer alpha, on nodes p / N
-(``points._denominator``), as a rule's sets and the points files written
-from them are, every kernel value is read from Omega_2N, the table at
-modulus 2N, within its bound.  Other sets sum truncated series there.
+with 2N within its cap, as a rule's sets and their points files are, every
+kernel value is read from Omega_2N within its bound; others sum series.
 """
 from __future__ import annotations
 
@@ -51,6 +50,7 @@ from .kernels import (
     _closed,
     _omega_table,
     _product_tail,
+    _TABLE_CAP,
     _refuse_overflow,
     _closed_tables,
     _periodic_tables,
@@ -101,6 +101,16 @@ class WceResult:
     tail_bound: float
 
 
+def _table_modulus(columns) -> int | None:
+    """``points._denominator`` of these coordinate values, one array each, zero-padded
+    (0 is p / N for any N), if 2 N <= _TABLE_CAP: the N whose Omega_2N a double sum reads."""
+    x = np.zeros((max(map(len, columns)), len(columns)))
+    for j, c in enumerate(columns):
+        x[:len(c), j] = c
+    N = _denominator(x)
+    return N if N is not None and 2 * N <= _TABLE_CAP else None
+
+
 @_refuse_overflow
 def wce_double_sum(
     spec: SpaceSpec,
@@ -120,18 +130,15 @@ def wce_double_sum(
     magnitude over all node pairs.
 
     Kernel values come from one of two places.  At alpha outside {1, 2, 3},
-    a korobov, cosine or korcos sum over nodes p / N, N from
-    ``points._denominator`` of the coordinates, reads them from Omega_2N
-    = ``_omega_table(alpha, 2 N)``, built and halved once per call, with
-    its bound b.  The numerators make each x - y, x + y and 2 (x - y) r / N,
-    and ``kernels._table_parts`` passes c(r / N) = Omega_2N[r mod 2N] / 2 to
-    the family expressions that ``kernel_factor`` uses.  Every family weighs
-    its c values by 2 gamma_j in total, so its table entries by gamma_j, and
-    factor j is off by at most gamma_j b, the bound passed to
-    ``_product_tail``; nothing is truncated, and ``policy`` is not used.
-    Other sets call ``kernel_factor`` per coordinate there, whose series
-    ``policy`` truncates with a term count that follows gamma_j.  Sobolev
-    and integer alpha take its closed forms, and no N.
+    a korobov, cosine or korcos sum over nodes p / N, N = ``_table_modulus``
+    of the distinct coordinate values, reads c(r / N) = Omega_2N[r mod 2N] /
+    2 at each x - y, x + y and 2 (x - y) = r / N (``kernels._table_parts``),
+    Omega_2N = ``_omega_table(alpha, 2 N)`` built once per call with bound
+    b.  Each family weighs its entries by gamma_j in total, so factor j is
+    off by at most gamma_j b; nothing is truncated and ``policy`` is not
+    used.  Other sets call ``kernel_factor`` per coordinate there, whose
+    series ``policy`` truncates with a term count that follows gamma_j.
+    Sobolev and integer alpha take its closed forms.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values.  Coordinate j keeps its U_j distinct values, as floats or as
@@ -188,7 +195,7 @@ def wce_double_sum(
     fam, alpha = spec.family, spec.alpha
     vals = [cu for cu, _ in cols]
     closed = fam == "sobolev" or _closed(alpha)
-    N = None if closed else _denominator(X)
+    N = None if closed else _table_modulus(vals)
     if N is not None:
         # nodes p / N: exact tables from Omega_2N, no series
         om, bound = _omega_table(alpha, 2 * N)

@@ -4,7 +4,8 @@ Coefficients of an integrand against the cosine and Fourier bases, by
 tensor Gauss-Legendre quadrature with a panel-doubling check, the units of
 a modulus as a plain gcd list, the kernel arguments reduced by
 np.remainder, one coordinate's kernel factor on nodes p / N, and the CBC
-search as a direct scan of every unit.  The factor shares the kernels'
+search as a direct scan of every unit, and the per-coordinate rule that
+``points._denominator`` falls back on, one column and one value at a time.  The factor shares the kernels'
 Omega_2N parts and their weighting, ``kernels._table_parts`` and
 ``kernels._periodic_tables``, which define it, and takes them for one
 weight, as a lone coordinate does.  The scan shares the omega table
@@ -37,6 +38,23 @@ def candidate_set(N: int) -> list[int]:
     if N < 2:
         raise ValueError(f"modulus must be >= 2, got {N}")
     return [z for z in range(1, N) if math.gcd(z, N) == 1]
+
+
+def coordinate_denominator(x) -> int | None:
+    """The lcm of the N_j of the columns of x, N_j the first of rint(1 / d)
+    and rint(2 / d), d the column's least positive x or 1 - x (1 if none),
+    with fl(rint(x N_j) / N_j) == x for all its values; None if a column
+    has none or the lcm is past 2^51."""
+    Ns = []
+    for col in np.asarray(x, dtype=np.float64).T.tolist():
+        d = min([v for c in col for v in (c, 1.0 - c) if v > 0] + [1.0])
+        d = max(d, 2.0**-52)
+        Ns += [next((n for n in (round(1.0 / d), round(2.0 / d))
+                     if all(round(c * n) / n == c for c in col)), None)]
+    if None in Ns:
+        return None
+    N = math.lcm(*Ns)
+    return N if N <= 1 << 51 else None
 
 
 def table_factor(family: str, gamma: float, half: np.ndarray, bound: float, p, q):

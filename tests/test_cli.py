@@ -353,6 +353,25 @@ def test_bad_truncation_policy_exits_one_on_the_series_route(tmp_path, capsys, f
     assert (code, stdout, err) == (1, "", f"latquad: {message}\n")
 
 
+def test_points_file_past_the_table_cap_takes_the_tol(tmp_path, capsys):
+    # nodes k / 2039 beside k / 2053 are p / N with N = 2039 * 2053, but 2 N
+    # is past the omega table's cap: the file sums the series, so --tol and
+    # --max-terms are read, and the line is wce_double_sum's under them
+    k = np.arange(5)
+    X = np.stack([k / 2039, k / 2053], axis=1)
+    pts = tmp_path / "nodes.txt"
+    pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in X.tolist()))
+    code, stdout, err = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korcos",
+                                "--points-file", str(pts), "--s", "2", "--alpha", "1.5",
+                                "--gamma", "1,0.5", "--tol", "1e-6", "--max-terms", "500000")
+    assert (code, err) == (0, "")
+    res = wce_double_sum(SpaceSpec("korcos", 1.5, (1.0, 0.5)),
+                         WeightedPointSet(X, np.full(5, 0.2)),
+                         TruncationPolicy(tol=1e-6, max_terms=500000))
+    assert stdout == f"e2={res.e2:.17g} tail={res.tail_bound:.17g} method=kernel-double-sum\n"
+    assert res.tail_bound > 1e-7
+
+
 _WEIGHT_ROUTES = {
     "korobov": ("wce", "--space", "korobov", "--n", "5", "--g", "1,2"),
     "cosine-tent": ("wce", "--space", "cosine-tent", "--n", "5", "--g", "1,2"),

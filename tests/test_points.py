@@ -22,6 +22,8 @@ from latquad.points import (
     write_vector_file,
 )
 
+from oracles import coordinate_denominator
+
 
 def test_lattice_nodes_small():
     ps = lattice_points(LatticeRule(4, (1, 3)))
@@ -117,6 +119,27 @@ def test_tent_nodes_are_the_correctly_rounded_folds(N):
     assert float(np.abs(t - tent(np.arange(N) / N)).max()) <= _TENT_GAP
 
 
+@pytest.mark.parametrize("N", [(1 << 21) + 17, (1 << 22) + 15, (1 << 40) + 15, (1 << 51) - 1])
+def test_tent_folds_numerators_past_the_omega_tables_cap(N):
+    # nodes p / N past the double sum's table cap, 2 N > _TABLE_CAP, still
+    # give N and fold to the correctly rounded 2 min(p, N - p) / N, which
+    # the float map misses near 0.  No p is near N: 1 - fl(p / N) there is
+    # off by up to 2^-54, too far from (N - p) / N to read an N past 2^26
+    p = np.array([0, 1, 2, 3, N // 3, N // 2, N // 2 + 1, 2 * N // 3])
+    rows = np.stack([p, p[::-1]], axis=1)
+    ps = WeightedPointSet(rows / float(N), np.full(len(p), 1.0 / len(p)))
+    assert points._denominator(ps.points) == N
+    t = tent_transform(ps).points
+    assert np.array_equal(t, points._tent_nodes(rows, N))
+    assert t[:, 0].tolist() == [float(Fraction(2 * min(m, N - m), N)) for m in p.tolist()]
+    assert not np.array_equal(t, tent(ps.points))
+    if N < 1 << 22:
+        # a whole rule's tent set, as ``latquad points --variant tent`` writes it
+        rule = LatticeRule(N, (1,))
+        full = tent_transform(lattice_points(rule)).points
+        assert np.array_equal(full, points._tent_nodes(points._numerators(rule, N), N))
+
+
 @pytest.mark.parametrize("N,g", [(6, (1, 5)), (30, (6, 10, 15)), (12, (2, 3)),
                                  (64, (1, 27, 15)), (61, (1, 17, 23))])
 def test_rule_sets_infer_a_true_denominator(N, g):
@@ -140,6 +163,26 @@ def test_rule_sets_infer_a_true_denominator(N, g):
         assert points._denominator(ps.points[perm]) == D
 
 
+def test_denominator_agrees_with_the_per_coordinate_rule():
+    # the first try, one d for the whole set, gives the per-coordinate
+    # rule's N wherever that rule finds one: on the plain, tent and sym
+    # sets of random rules, half of them with components that are not units
+    rng = np.random.default_rng(31)
+    found = 0
+    for _ in range(60):
+        N = int(rng.integers(2, 200))
+        g = tuple(int(v) for v in rng.integers(1, N, size=int(rng.integers(1, 5))))
+        rule = LatticeRule(N, g)
+        for ps in (lattice_points(rule), tent_transform(lattice_points(rule)), symmetrize(rule)):
+            want = coordinate_denominator(ps.points)
+            D = points._denominator(ps.points)
+            assert D == want or want is None, (N, g)
+            found += D is not None
+            if D is not None:
+                assert np.array_equal(np.rint(ps.points * D) / D, ps.points)
+    assert found == 180
+
+
 def test_denominator_inference_finds_none_it_cannot_verify():
     def inf(*columns):
         return points._denominator(np.stack(columns, axis=1))
@@ -153,12 +196,17 @@ def test_denominator_inference_finds_none_it_cannot_verify():
     # a coordinate change nothing
     assert inf(np.arange(4) / 4, np.arange(4) / 6) == 12
     assert inf(np.array([0.0, 0.25, 0.5]), np.array([0.0, 0.0, 0.0])) == 4
-    # up to 2 N <= _TABLE_CAP
-    half = points._TABLE_CAP // 2
-    assert inf(np.array([1.0 / half])) == half
-    assert inf(np.array([1.0 / (half + 1)])) is None
-    assert inf(np.arange(5) / 2039) == 2039
-    assert inf(np.arange(5) / 2039, np.arange(5) / 2053) is None
+    # the least d of all, 1/10, is tried first: it verifies 0.3 and 0.5,
+    # whose own d, 0.3, would give neither rint(1 / d) nor rint(2 / d)
+    assert inf(np.array([0.3, 0.5])) is None
+    assert inf(np.array([0.1, 0.1]), np.array([0.3, 0.5])) == 10
+    # up to N = 2^51, where rint(x N) still recovers every p; the omega
+    # table's cap is the double sum's, not the inference's
+    assert inf(np.array([2.0**-51])) == 1 << 51
+    assert inf(np.array([2.0**-52])) is None
+    assert inf(np.arange(5) / 2039, np.arange(5) / 2053) == 2039 * 2053
+    assert inf(np.array([1.0 / 3]), np.array([2.0**-49])) == 3 << 49
+    assert inf(np.array([1.0 / 3]), np.array([2.0**-50])) is None  # lcm 3 * 2^50
     # a random coordinate, alone or beside one that verifies, and one so
     # close to 0 that 1 / d overflows
     rand = np.random.default_rng(4).random(50)

@@ -45,6 +45,7 @@ from latquad.wce import (
     _ROW_BLOCK,
     WceMethod,
     _bound_constants,
+    _table_modulus,
     cbc_bound_constant,
     wce_cosine_sym,
     wce_cosine_tent,
@@ -579,14 +580,14 @@ def test_double_sum_is_thread_count_invariant():
 def _direct_products(spec, ps, policy):
     """Every kernel factor evaluated at every node pair, multiplied in
     coordinate order: (the M x M products, maxv, bnds).  At alpha outside
-    1..3, a korobov, cosine or korcos set whose coordinates give an N,
-    ``_denominator``, reads every pair's factor from Omega_2N at the
-    numerators rint(x N), as the double sum's table route does; any other
-    set evaluates kernel_factor."""
+    1..3, a korobov, cosine or korcos set whose coordinates give an N with
+    2 N within the table's cap, ``_table_modulus``, reads every pair's
+    factor from Omega_2N at the numerators rint(x N), as the double sum's
+    table route does; any other set evaluates kernel_factor."""
     X = ps.points
     M, s = X.shape
     closed = spec.family == "sobolev" or spec.alpha in (1, 2, 3)
-    N = None if closed else _denominator(X)
+    N = None if closed else _table_modulus(X.T)
     table = N is not None
     if table:
         om, b = _omega_table(spec.alpha, 2 * N)
@@ -989,15 +990,16 @@ def test_inferred_denominators_read_omega_2n(rule, variant, N, family):
 
 def test_sets_without_a_denominator_sum_the_series():
     # a random set, and one whose coordinates give 2039 and 2053, whose lcm
-    # is past the table cap, sum the series: no ValueError
+    # N is found but 2 N is past the table cap, sum the series: no ValueError
     assert 2 * 2039 * 2053 > _TABLE_CAP
     k = np.arange(5)
     coprime = np.stack([k / 2039, k / 2053], axis=1)
     rand = np.random.default_rng(31).random((5, 2))
+    assert _denominator(coprime) == 2039 * 2053 and _denominator(rand) is None
     spec = SpaceSpec("korcos", 1.5, (1.0, 0.5))
     for X in (coprime, rand):
         ps = WeightedPointSet(X, np.full(5, 0.2))
-        assert _denominator(ps.points) is None
+        assert _table_modulus(ps.points.T) is None
         got = wce_double_sum(spec, ps, POL)
         assert (got.e2, got.tail_bound) == _direct_double_sum(spec, ps, POL)
         assert got.tail_bound > 1e-6
