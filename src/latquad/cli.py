@@ -20,14 +20,7 @@ import numpy as np
 
 from .bench import TestFunction, converge_study, integrate, records_to_csv
 from .cbc import cbc_construct
-from .kernels import (
-    DEFAULT_POLICY,
-    FAMILIES,
-    SpaceSpec,
-    TruncationBudgetError,
-    TruncationPolicy,
-    _closed,
-)
+from .kernels import FAMILIES, SpaceSpec, TruncationBudgetError
 # lattice_points and tent_transform are reached through node_set; the
 # benchmark tracer wraps them as latquad.cli attributes.
 from .points import (  # noqa: F401
@@ -45,7 +38,6 @@ from .points import (  # noqa: F401
 )
 from .wce import (
     _check_double_sum_nodes,
-    _table_modulus,
     cbc_bound_constant,
     wce_cosine_sym,
     wce_cosine_tent,
@@ -184,12 +176,6 @@ def cmd_wce(args) -> int:
                             ("--variant", args.variant), ("--threads", args.threads)):
             if value is not None:
                 raise ValueError(f"{flag} is for --space double-sum, not --space {args.space}")
-    # only a points file whose nodes are not all p/N sums a series, at non-integer alpha
-    flag = "--tol" if args.tol is not None else "--max-terms" if args.max_terms is not None else ""
-    unread = (f"{flag} is for a points-file double sum at non-integer --alpha, where the file's"
-              " nodes are not all p/N")
-    if flag and (args.points_file is None or _closed(args.alpha)):
-        raise ValueError(unread)
     if args.points_file is not None:
         # the file is the whole node set
         rule_flags = [flag for flag, value in (("--vector-file", args.vector_file),
@@ -208,8 +194,6 @@ def cmd_wce(args) -> int:
             if args.s is None:
                 raise ValueError("--s is required with --points-file")
             ps = _read_points_file(args.points_file, args.s)
-            if flag and _table_modulus(ps.points.T) is not None:
-                raise ValueError(unread)  # its kernels read Omega_2N
         else:
             rule, variant = _rule_from_args(args), args.variant or "plain"
             # plain and tent sets hold N nodes: refuse before building them;
@@ -219,12 +203,10 @@ def cmd_wce(args) -> int:
             ps = node_set(rule, variant)
         gammas = parse_gammas(args.gamma, ps.s)
         spec = SpaceSpec(args.family, args.alpha, gammas)
-        budget = {"tol": args.tol, "max_terms": args.max_terms}
-        policy = TruncationPolicy(**{k: v for k, v in budget.items() if v is not None})
         # by default the cores this process may run on, not every CPU of the host
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count()) if args.threads is None else args.threads
-        res = wce_double_sum(spec, ps, policy, threads=threads)
+        res = wce_double_sum(spec, ps, threads=threads)
     else:
         rule = _rule_from_args(args)
         gammas = parse_gammas(args.gamma, rule.s)
@@ -307,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int,
                    help="double-sum worker threads, same result for any count (default: the CPU "
                         "affinity set); a set whose tables fit one row block runs on one")
-    p.add_argument("--tol", type=float,
-                   help="series tolerance per factor, for a points file whose nodes are not all"
-                        f" p/N at non-integer alpha (default {DEFAULT_POLICY.tol:g})")
-    p.add_argument("--max-terms", type=int,
-                   help=f"term cap of that file's series (default {DEFAULT_POLICY.max_terms})")
     p.set_defaults(func=cmd_wce)
 
     p = sub.add_parser("integrate", help="quadrature estimate of a test integrand")

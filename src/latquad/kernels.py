@@ -68,8 +68,10 @@ FAMILIES = ("sobolev", "korobov", "cosine", "korcos")
 # smoothness values with a Bernoulli closed form
 _CLOSED_ALPHAS = (1, 2, 3)
 
-# cap on the values of one vectorized series chunk
+# cap on the values of one vectorized series block
 _SERIES_CHUNK = 4_000_000
+# most terms one series may sum, at most _SERIES_CHUNK: one block row holds them all
+_SERIES_TERM_CAP = 2_000_000
 # largest modulus of the omega table, refused before any work above it
 _TABLE_CAP = 1 << 22
 # direct terms per residue class before the Euler-Maclaurin tail
@@ -82,7 +84,7 @@ _FFT_ETA = 32.0
 
 
 class TruncationBudgetError(ArithmeticError):
-    """Requested tolerance needs more series terms than the policy allows."""
+    """Requested tolerance needs more than _SERIES_TERM_CAP series terms."""
 
 
 def _refuse_overflow(fn: Callable) -> Callable:
@@ -111,18 +113,15 @@ class TruncationPolicy:
     """Per-factor series truncation control.
 
     ``tol`` bounds the integral tail estimate gamma * K^(1-2 alpha)/(2 alpha-1)
-    of each univariate factor; ``max_terms`` caps the term count, and hitting
-    the cap raises TruncationBudgetError instead of silently degrading.
+    of each univariate factor; a tol that needs more than _SERIES_TERM_CAP
+    terms raises TruncationBudgetError instead of silently degrading.
     """
 
     tol: float = 1e-6
-    max_terms: int = 2_000_000
 
     def __post_init__(self) -> None:
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -323,7 +322,8 @@ def _omega_table(alpha: float, N: int) -> tuple[np.ndarray, float]:
 
 
 def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
-    """Smallest K with gamma * K^(1-2 alpha)/(2 alpha - 1) <= policy.tol."""
+    """Smallest K with gamma * K^(1-2 alpha)/(2 alpha - 1) <= policy.tol;
+    TruncationBudgetError above _SERIES_TERM_CAP."""
     alpha = _check_alpha(alpha)
     (gamma,) = _check_gammas((gamma,))
     try:
@@ -331,9 +331,9 @@ def series_kmax(alpha: float, gamma: float, policy: TruncationPolicy) -> int:
         k = max(1, math.ceil(need * (1.0 - 1e-12)))
     except OverflowError:  # near alpha = 1/2 the power overflows: no budget suffices
         k = math.inf
-    if k > policy.max_terms:
+    if k > _SERIES_TERM_CAP:
         raise TruncationBudgetError(
-            f"series needs {k} terms for tol={policy.tol}, above max_terms={policy.max_terms}"
+            f"series needs {k} terms for tol={policy.tol}, above the cap of {_SERIES_TERM_CAP}"
         )
     return k
 
@@ -357,15 +357,14 @@ def _series_rounding(alpha: float, kmax: int) -> float:
         2 pi g_3 sum_k k^(1 - 2 alpha) in all;
       * k^(-2 alpha) within one ulp, cos within four and their product
         within half of one: 8 u k^(-2 alpha) per term;
-      * a term meets at most n = ceil(log2 chunk) additions in its chunk's
-        pairwise tree and one for each later chunk of kmax: g_n times the
-        sum of the computed magnitudes, at most (1 + 8 u) zeta(2 alpha).
+      * a term meets at most n = ceil(log2 kmax) additions in the pairwise
+        tree: g_n times the sum of the computed magnitudes, at most
+        (1 + 8 u) zeta(2 alpha).
     The summand k^(1 - 2 alpha) is monotone, so its sum is at most
     1 + kmax^(1 - 2 alpha) + int_1^kmax x^(1 - 2 alpha) dx.
     """
     K = int(kmax)
-    chunk = min(K, _SERIES_CHUNK)
-    n = (chunk - 1).bit_length() + -(-K // chunk) - 1
+    n = (K - 1).bit_length()
 
     def g(m):
         return m * _U / (1.0 - m * _U)
@@ -386,39 +385,37 @@ def _cos_partial_sum(theta, alpha: float, kmax: int, out=None):
     """sum_{k=1}^{kmax} k^(-2 alpha) cos(pi k theta), elementwise.
 
     |theta| is reduced mod 2 (the sum is even).  Lattice-derived arguments
-    repeat heavily, so the sum is evaluated once per distinct value.  The
-    terms go in k-chunks of min(kmax, _SERIES_CHUNK), fixed by kmax alone.
-    A chunk's cos block holds one row per distinct value, as many as fit in
-    _SERIES_CHUNK values; a pairwise tree of elementwise additions folds
-    its columns onto the first, which is added into the values' sums.  Each
-    value so takes the same operations, in the same order, whatever other
-    arguments share the call, and has the same bits; ``_series_rounding``
-    bounds their rounding.  ``out``, a C-contiguous float64 array of theta's
-    shape, may be theta itself: the reduced arguments and then the result
-    are written there, so a call holds no table beyond np.unique's.
+    repeat heavily, so the sum is evaluated once per distinct value.  A cos
+    block holds one row of all kmax terms per distinct value, as many rows
+    as fit in _SERIES_CHUNK values (at least one); a pairwise tree of
+    elementwise additions folds its columns onto the first, the values'
+    sums.  Each value so takes the same operations, in the same order,
+    whatever other arguments share the call, and has the same bits;
+    ``_series_rounding`` bounds their rounding.  ``out``, a C-contiguous
+    float64 array of theta's shape, may be theta itself: the reduced
+    arguments and then the result are written there, so a call holds no
+    table beyond np.unique's.
     """
     th = _mod2(np.abs(theta, out=np.empty(np.shape(theta)) if out is None else out))
     u, inv = np.unique(th, return_inverse=True)
     acc = np.zeros(u.size)
-    chunk = min(kmax, _SERIES_CHUNK)
-    rows = max(1, _SERIES_CHUNK // chunk)
+    rows = max(1, _SERIES_CHUNK // kmax)
     pu = np.pi * u
-    buf = np.empty(min(rows, u.size) * chunk)
-    for lo in range(1, kmax + 1, chunk):
-        k = np.arange(lo, min(kmax, lo + chunk - 1) + 1, dtype=np.float64)
-        ck = k ** (-2.0 * alpha)
-        for r0 in range(0, u.size, rows):
-            sums = acc[r0:r0 + rows]
-            c = buf[:sums.size * k.size].reshape(sums.size, k.size)
-            np.multiply(pu[r0:r0 + rows, None], k, out=c)
-            np.cos(c, out=c)
-            c *= ck
-            n = k.size
-            while n > 1:
-                h = n // 2
-                np.add(c[:, :h], c[:, n - h:n], out=c[:, :h])
-                n -= h
-            np.add(sums, c[:, 0], out=sums)
+    buf = np.empty(min(rows, u.size) * kmax)
+    k = np.arange(1, kmax + 1, dtype=np.float64)
+    ck = k ** (-2.0 * alpha)
+    for r0 in range(0, u.size, rows):
+        sums = acc[r0:r0 + rows]
+        c = buf[:sums.size * kmax].reshape(sums.size, kmax)
+        np.multiply(pu[r0:r0 + rows, None], k, out=c)
+        np.cos(c, out=c)
+        c *= ck
+        n = kmax
+        while n > 1:
+            h = n // 2
+            np.add(c[:, :h], c[:, n - h:n], out=c[:, :h])
+            n -= h
+        np.add(sums, c[:, 0], out=sums)
     # mode="clip" gathers straight into th; inverse indices are in range
     return np.take(acc, inv.reshape(th.shape), out=th, mode="clip")
 

@@ -132,27 +132,40 @@ def _numerators(rule: LatticeRule, count: int) -> np.ndarray:
     return (n[:, None] * np.asarray(rule.g, dtype=np.int64)) % rule.N
 
 
+def _fits(x: np.ndarray, n: int) -> bool:
+    """True when every value of x is fl(p / n) for p = rint(x n)."""
+    return bool((np.rint(x * n) / n == x).all())
+
+
+def _tries(d: float) -> tuple[int, int]:
+    """rint(1 / d) and rint(2 / d), d clamped at 2^-52: past 2^51 none fits."""
+    d = max(d, 2.0**-52)
+    return round(1.0 / d), round(2.0 / d)
+
+
 def _denominator(x: np.ndarray) -> int | None:
     """N with every value of the nodes x (one row each, in [0, 1]) equal to
-    fl(p / N), so rint(x N) is p, and N <= 2^51, past which it can miss;
-    else None.  With d the least positive x or 1 - x, rint(1 / d) is tried
-    first: N for a rule with unit g_j, N / 2 for its tent set at even N.
-    Else coordinate j takes d_j, the least in its column, and N_j, the first
-    of rint(1 / d_j) and rint(2 / d_j) with rint(x N_j) / N_j == x for every
-    x; N is their lcm.  A 1 - x is off by up to 2^-54: a d from it can miss N > 2^26."""
-    pos = np.minimum(x, 1.0 - x)
-    pos[pos <= 0] = 1.0  # 1 where x is only 0 or 1
-    n = float(round(1.0 / max(float(pos.min(initial=1.0)), 2.0**-52)))  # clamped: past 2^51
-    if not (np.rint(x * n) / n == x).all():
-        d = np.maximum(pos.min(axis=0), 2.0**-52)
-        n = np.rint(1.0 / d)
-        ok = np.rint(x * n) / n == x
-        if not ok.all():
-            n = np.where(ok.all(axis=0), n, np.rint(2.0 / d))
-            if not (np.rint(x * n) / n == x).all():
-                return None
-    N = math.lcm(*map(int, np.ravel(n).tolist()))
-    return N if N <= 1 << 51 else None
+    fl(p / N), and N <= 2^51, past which rint(x N) can miss p; else None.
+    The set tries ``_tries(d)``, d its least value in (0, 1/2] (N for unit
+    g_j, N / 2 for a tent set at even N), then d its least positive 1 - x,
+    which is off by up to 2^-54 and so can miss N past 2^26.  Else each
+    coordinate takes the first N_j that fits it from its own two d, and N
+    is their lcm."""
+    small = np.where((x > 0.0) & (x <= 0.5), x, 1.0)
+    d = float(small.min(initial=1.0))
+    for n in _tries(d):
+        # d is one of the values: testing it first spares a wrong n the array
+        if round(d * n) / n == d and _fits(x, n):
+            return n if n <= 1 << 51 else None
+    far = np.where(x < 1.0, 1.0 - x, 1.0)
+    n = next((n for n in _tries(float(far.min(initial=1.0))) if _fits(x, n)), None)
+    if n is None:
+        Ns = [next((n for a in (small, far) for n in _tries(float(a[:, j].min(initial=1.0)))
+                    if _fits(x[:, j], n)), None) for j in range(x.shape[1])]
+        if None in Ns:
+            return None
+        n = math.lcm(*Ns)
+    return n if n <= 1 << 51 else None
 
 
 def _tent_nodes(p: np.ndarray, N: int) -> np.ndarray:

@@ -24,8 +24,16 @@ turn each kernel factor into the fold average
 
 from the same table.  ``wce_cosine_tent``, ``wce_korcos_sym`` and
 ``wce_cosine_sym`` sum that exactly, in O(2^s N) by subset sums under a cap
-on 2^s N.  For s >= 2 the result is in general strictly below the Korobov
-single sum, which only bounds it from above.
+on 2^s N.  The Korobov single sum bounds each from above: with r(k) =
+prod_{k_j != 0} gamma_j k_j^(-2 alpha) over integer k >= 0, k != 0, c_k
+the number of dual-lattice h with |h_j| = k_j and |k|_0 the nonzero k_j,
+
+    e^2_tent(gamma) = sum_k r(k) c_k^2 2^(-|k|_0) <= sum_k r(k) c_k = e^2_kor(gamma),
+
+as c_k <= 2^|k|_0, the sign patterns of k, with equality iff every c_k is
+0 or 2^|k|_0 (one dimension, or a dual lattice closed under per-coordinate
+sign flips).  A sym error is the fold average at weights gamma' <= gamma,
+so e^2_sym <= e^2_kor(gamma') <= e^2_kor(gamma).
 
 The double sum shares that table: at non-integer alpha, on nodes p / N
 with 2N within its cap, as a rule's sets and their points files are, every
@@ -426,11 +434,11 @@ def wce_cosine_tent(
     At a tent-folded node phi(t), cos(pi k phi(t)) = cos(2 pi k t), so each
     cosine factor becomes the fold average of the Korobov factor over t - t'
     and t + t', summed in O(2^s N) under a cap on 2^s N: exact for alpha in
-    1..3, within the omega table's bound otherwise.  This is the Korobov
-    error ``wce_korobov_lattice`` only in one dimension or when the dual
-    lattice is closed under per-coordinate sign flips; otherwise it is
-    strictly smaller.  ``policy`` is kept for callers that pass it and is
-    not used: the omega table truncates no series.
+    1..3, within the omega table's bound otherwise.  It is at most the
+    Korobov error, sum_k r(k) c_k^2 2^(-|k|_0) <= sum_k r(k) c_k as c_k <=
+    2^|k|_0 (module docstring), with equality iff every c_k is 0 or
+    2^|k|_0.  ``policy`` is kept for callers that pass it and is not used:
+    the omega table truncates no series.
     """
     return _fold_average_e2(rule, alpha, gammas, lambda a: 1.0)
 
@@ -446,10 +454,11 @@ def wce_korcos_sym(
     Averaging over the coordinate reflections turns the Korobov half into the
     fold average with weight gamma and leaves only the even frequencies of
     the cosine half, the fold average with weight gamma 4^(-alpha).  The
-    mean is the fold average with weight (1 + 4^(-alpha)) gamma / 2, summed
-    in O(2^s N) under a cap on 2^s N: exact for alpha in 1..3, within the
-    omega table's bound otherwise.  ``policy`` is kept for callers that pass
-    it and is not used.
+    mean is the fold average with weight gamma' = (1 + 4^(-alpha)) gamma / 2,
+    summed in O(2^s N) under a cap on 2^s N: exact for alpha in 1..3, within
+    the omega table's bound otherwise.  As a fold average it is at most the
+    Korobov error at gamma' <= gamma (``wce_cosine_tent``), so at most the
+    one at gamma.  ``policy`` is kept for callers that pass it and is not used.
     """
     return _fold_average_e2(rule, alpha, gammas, lambda a: 0.5 * (1.0 + 4.0 ** -a))
 
@@ -464,12 +473,11 @@ def wce_cosine_sym(
 
     Averaging over the coordinate reflections leaves only the even cosine
     frequencies, so each factor becomes the fold average with weight
-    gamma 4^(-alpha), summed in O(2^s N) under a cap on 2^s N: exact for
-    alpha in 1..3, within the omega table's bound otherwise.  This is the
-    Korobov error with weights gamma 4^(-alpha) only in one dimension or when
-    the dual lattice is closed under per-coordinate sign flips; otherwise it
-    is strictly smaller.  ``policy`` is kept for callers that pass it and is
-    not used.
+    gamma' = gamma 4^(-alpha), summed in O(2^s N) under a cap on 2^s N:
+    exact for alpha in 1..3, within the omega table's bound otherwise.  As
+    a fold average it is at most the Korobov error at gamma' <= gamma
+    (``wce_cosine_tent``), so at most the one at gamma.  ``policy`` is kept
+    for callers that pass it and is not used.
     """
     return _fold_average_e2(rule, alpha, gammas, lambda a: 4.0 ** -a)
 

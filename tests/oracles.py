@@ -42,14 +42,14 @@ def candidate_set(N: int) -> list[int]:
 
 def coordinate_denominator(x) -> int | None:
     """The lcm of the N_j of the columns of x, N_j the first of rint(1 / d)
-    and rint(2 / d), d the column's least positive x or 1 - x (1 if none),
-    with fl(rint(x N_j) / N_j) == x for all its values; None if a column
-    has none or the lcm is past 2^51."""
+    and rint(2 / d), d the column's least x in (0, 1/2] and then its least
+    positive 1 - x (1 if none), with fl(rint(x N_j) / N_j) == x for all its
+    values; None if a column has none or the lcm is past 2^51."""
     Ns = []
     for col in np.asarray(x, dtype=np.float64).T.tolist():
-        d = min([v for c in col for v in (c, 1.0 - c) if v > 0] + [1.0])
-        d = max(d, 2.0**-52)
-        Ns += [next((n for n in (round(1.0 / d), round(2.0 / d))
+        ds = [max(min(vals + [1.0]), 2.0**-52)
+              for vals in ([c for c in col if 0 < c <= 0.5], [1.0 - c for c in col if c < 1.0])]
+        Ns += [next((n for d in ds for n in (round(1.0 / d), round(2.0 / d))
                      if all(round(c * n) / n == c for c in col)), None)]
     if None in Ns:
         return None

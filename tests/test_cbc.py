@@ -183,6 +183,48 @@ def test_non_integer_alpha_constructs_a_certified_rule():
         assert 0.0 < fold.e2 <= kor.e2 + kor.tail_bound + fold.tail_bound, fn.__name__
 
 
+# unit roundoff: the fold averages' rounding slack is _FOLD_SLACK_U u (1 + e^2)
+_U = 2.0**-53
+_FOLD_SLACK_U = 32
+
+
+def _assert_fold_averages_below_korobov(rule, alpha, gammas):
+    """tent <= Korobov(gamma), cosine-sym <= Korobov(4^-alpha gamma) and
+    korcos-sym <= Korobov((1 + 4^-alpha) gamma / 2), each within both tails
+    plus _FOLD_SLACK_U u (1 + e^2_kor).  Each e^2 is fl(fsum / N) - 1 over
+    node products, so its rounding scales with 1 + e^2, and the inequality
+    is an equality in one dimension; the sweeps below stay within 1 u."""
+    for fn, scale in ((wce_cosine_tent, 1.0), (wce_cosine_sym, 4.0**-alpha),
+                      (wce_korcos_sym, 0.5 * (1.0 + 4.0**-alpha))):
+        fold = fn(rule, alpha, gammas)
+        kor = wce_korobov_lattice(rule, alpha, [g * scale for g in gammas])
+        slack = _FOLD_SLACK_U * _U * (1.0 + kor.e2)
+        assert fold.e2 <= kor.e2 + fold.tail_bound + kor.tail_bound + slack, (
+            fn.__name__, rule, alpha, gammas)
+
+
+@pytest.mark.parametrize("weights", sorted(_WEIGHTS))
+@pytest.mark.parametrize("alpha", [0.75, 1, 1.5, 2, 3])
+def test_fold_averages_stay_below_the_korobov_error_on_cbc_rules(alpha, weights):
+    # e^2_tent = sum_k r(k) c_k^2 2^-|k|_0 <= sum_k r(k) c_k = e^2_kor, and
+    # a sym error is a fold average at weights gamma' <= gamma
+    gammas = _WEIGHTS[weights]
+    for N in _SCREENED:
+        _assert_fold_averages_below_korobov(cbc_construct(N, 6, alpha, gammas).rule,
+                                            alpha, gammas)
+
+
+def test_fold_averages_stay_below_the_korobov_error_on_random_rules():
+    rng = np.random.default_rng(14)
+    for _ in range(240):
+        N = int(rng.integers(2, 701))
+        s = int(rng.integers(1, 6))
+        rule = LatticeRule(N, tuple(int(v) for v in rng.integers(1, N, size=s)))
+        alpha = float(rng.choice([0.75, 1, 1.5, 2, 2.5, 3]))
+        gammas = tuple(float(v) for v in rng.uniform(0.05, 2.0, size=s))
+        _assert_fold_averages_below_korobov(rule, alpha, gammas)
+
+
 @pytest.mark.parametrize("N", [12, 1000])
 def test_other_moduli_take_the_reference_scan(N, monkeypatch):
     def refuse(*args):

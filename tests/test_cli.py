@@ -11,7 +11,7 @@ from latquad.bench import TestFunction as Integrand
 from latquad.bench import converge_study, integrate, records_to_csv
 from latquad.cbc import cbc_construct
 from latquad.cli import _fmt, _read_points_file, _write_points, main, parse_gammas
-from latquad.kernels import SpaceSpec, TruncationPolicy
+from latquad.kernels import DEFAULT_POLICY, SpaceSpec, TruncationPolicy
 from latquad.points import (
     LatticeRule,
     WeightedPointSet,
@@ -22,11 +22,6 @@ from latquad.points import (
     write_vector_file,
 )
 from latquad.wce import wce_double_sum
-
-
-# the refusal of --tol and --max-terms on a route that sums no series
-_SERIES_ONLY = ("is for a points-file double sum at non-integer --alpha, where the file's nodes"
-                " are not all p/N")
 
 
 def run_cli(capsys, *argv):
@@ -186,9 +181,9 @@ def test_threads_default_is_the_affinity_set_not_every_host_cpu(capsys, monkeypa
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     seen = []
 
-    def record(spec, ps, policy, threads):
+    def record(spec, ps, threads):
         seen.append(threads)
-        return wce_double_sum(spec, ps, policy, threads=threads)
+        return wce_double_sum(spec, ps, threads=threads)
 
     monkeypatch.setattr(cli, "wce_double_sum", record)
     code, stdout, _ = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korobov",
@@ -330,44 +325,52 @@ def test_usage_errors_exit_one(capsys):
         assert (code, err) == (1, f"latquad: modulus must be >= 2, got {n}\n")
 
 
+def _unrecognized(err: str, *argv: str) -> bool:
+    """True when err ends with argparse's refusal of argv as unknown arguments."""
+    return err.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(argv)}")
+
+
 @pytest.mark.parametrize("flag", [("--tol", "0"), ("--tol", "nan"), ("--max-terms", "0")])
 @pytest.mark.parametrize("space", ["korobov", "cosine-tent", "korcos-sym", "cosine-sym"])
 def test_bad_truncation_policy_exits_one_on_rule_spaces(capsys, space, flag):
-    # the rule routes sum no series, so --tol and --max-terms are refused
+    # wce takes no truncation flags: the rule routes sum no series, and the
+    # series of a points file runs at the default policy
     code, stdout, err = run_cli(capsys, "wce", "--space", space, "--n", "5", "--g", "1,2", *flag)
     assert code == 1
     assert stdout == ""
-    assert err == f"latquad: {flag[0]} {_SERIES_ONLY}\n"
+    assert _unrecognized(err, *flag)
 
 
 @pytest.mark.parametrize("flag,message", [(("--tol", "0"), "tol must be positive"),
-                                          (("--tol", "nan"), "tol must be positive"),
-                                          (("--max-terms", "0"), "max_terms must be at least 1")])
+                                          (("--tol", "nan"), "tol must be positive")])
 def test_bad_truncation_policy_exits_one_on_the_series_route(tmp_path, capsys, flag, message):
     # a points file whose nodes give no denominator sums the series at
-    # non-integer alpha, so it checks the values
+    # non-integer alpha, at the default policy: --tol is no option there
+    # either, and the library's policy still refuses the value
     pts = tmp_path / "nodes.txt"
     pts.write_text(_off_lattice_text([[0.25], [0.75]]))
     code, stdout, err = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korobov",
                                 "--points-file", str(pts), "--s", "1", "--alpha", "1.5", *flag)
-    assert (code, stdout, err) == (1, "", f"latquad: {message}\n")
+    assert (code, stdout) == (1, "")
+    assert _unrecognized(err, *flag)
+    with pytest.raises(ValueError, match=message):
+        TruncationPolicy(tol=float(flag[1]))
 
 
 def test_points_file_past_the_table_cap_takes_the_tol(tmp_path, capsys):
     # nodes k / 2039 beside k / 2053 are p / N with N = 2039 * 2053, but 2 N
-    # is past the omega table's cap: the file sums the series, so --tol and
-    # --max-terms are read, and the line is wce_double_sum's under them
+    # is past the omega table's cap: the file sums the series at the default
+    # tolerance, and the line is wce_double_sum's under it
     k = np.arange(5)
     X = np.stack([k / 2039, k / 2053], axis=1)
     pts = tmp_path / "nodes.txt"
     pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in X.tolist()))
     code, stdout, err = run_cli(capsys, "wce", "--space", "double-sum", "--family", "korcos",
                                 "--points-file", str(pts), "--s", "2", "--alpha", "1.5",
-                                "--gamma", "1,0.5", "--tol", "1e-6", "--max-terms", "500000")
+                                "--gamma", "1,0.5")
     assert (code, err) == (0, "")
     res = wce_double_sum(SpaceSpec("korcos", 1.5, (1.0, 0.5)),
-                         WeightedPointSet(X, np.full(5, 0.2)),
-                         TruncationPolicy(tol=1e-6, max_terms=500000))
+                         WeightedPointSet(X, np.full(5, 0.2)), DEFAULT_POLICY)
     assert stdout == f"e2={res.e2:.17g} tail={res.tail_bound:.17g} method=kernel-double-sum\n"
     assert res.tail_bound > 1e-7
 
@@ -482,16 +485,6 @@ def test_points_file_beside_a_rule_exits_one(tmp_path, capsys, argv, message):
      "--no-dedupe is for --variant sym, not --variant tent"),
     (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--threads", "1"),
      "--threads is for --space double-sum, not --space korobov"),
-    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5", "--tol", "1e-2"),
-     f"--tol {_SERIES_ONLY}"),
-    (("wce", "--space", "korobov", "--n", "7", "--g", "1,3", "--alpha", "1.5",
-      "--max-terms", "10"), f"--max-terms {_SERIES_ONLY}"),
-    (("wce", "--space", "double-sum", "--family", "cosine", "--n", "7", "--g", "1,3",
-      "--alpha", "1.5", "--tol", "1e-2"),
-     f"--tol {_SERIES_ONLY}"),
-    (("wce", "--space", "double-sum", "--family", "korobov", "--points-file", "{pts}",
-      "--s", "2", "--alpha", "1", "--max-terms", "1"),
-     f"--max-terms {_SERIES_ONLY}"),
 ])
 def test_unread_flags_exit_one(tmp_path, capsys, argv, message):
     # each of these once exited 0 and ignored the named flag
@@ -564,8 +557,7 @@ _TWIN_RULES = [(127, 4, "korobov", "/j^2"), (251, 3, "cosine", "0.9/j^1"),
 def test_points_file_prints_the_line_of_its_vector_file(
         tmp_path, capsys, N, s, family, gamma, variant, alpha):
     # a file that points writes holds its rule set's floats, which give a
-    # denominator: it reads Omega_2N as the vector file does, to the byte,
-    # and so refuses the series flags
+    # denominator: it reads Omega_2N as the vector file does, to the byte
     vec, pts = tmp_path / "vec.txt", tmp_path / "nodes.txt"
     assert run_cli(capsys, "cbc", "--n", str(N), "--s", str(s), "--alpha", alpha,
                    "--gamma", gamma, "-o", str(vec))[0] == 0
@@ -580,11 +572,6 @@ def test_points_file_prints_the_line_of_its_vector_file(
     assert code == 0
     assert from_file == from_rule
     assert 0.0 < _e2_tail(from_rule)[1] < 1e-10
-    for flag in (("--tol", "1e-8"), ("--max-terms", "10")):
-        code, stdout, err = run_cli(capsys, *common, "--points-file", str(pts), "--s", str(s),
-                                    *flag)
-        assert (code, stdout) == (1, "")
-        assert err == f"latquad: {flag[0]} {_SERIES_ONLY}\n"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -685,31 +672,28 @@ def test_converge_rejects_empty_or_repeated_variants(capsys, variants):
 
 def test_truncation_budget_exit_two(tmp_path, capsys):
     # a points file whose nodes give no denominator sums series at
-    # non-integer alpha, under the term budget
+    # non-integer alpha, under the term budget: at alpha = 0.55 the default
+    # tolerance needs about 1e70 terms
     four = tmp_path / "four.txt"
     four.write_text(_off_lattice_text([[0], [0.25], [0.5], [0.75]]))
     code, stdout, err = run_cli(
         capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--points-file", str(four), "--s", "1", "--alpha", "1.5", "--gamma", "1",
-        "--tol", "1e-14")
+        "--points-file", str(four), "--s", "1", "--alpha", "0.55", "--gamma", "1")
     assert code == 2
     assert stdout == ""
     assert "computation failed" in err
-    # the default tolerance needs more than one term, so --max-terms is read too
-    code, stdout, err = run_cli(
-        capsys, "wce", "--space", "double-sum", "--family", "cosine",
-        "--points-file", str(four), "--s", "1", "--alpha", "1.5", "--max-terms", "1")
-    assert (code, stdout) == (2, "")
-    assert "above max_terms=1" in err
+    assert "above the cap of 2000000" in err
     # the rule's own nodes read the Omega_2N table, the closed form at integer
-    # alpha and the aliased omega table on the Korobov route: none sums a
-    # series, so each refuses the tolerance
+    # alpha and the aliased omega table on the Korobov route, and a points
+    # file at integer alpha the closed form: none takes a tolerance
     double_sum = ("--space", "double-sum", "--family", "cosine")
-    for route, alpha in ((double_sum, "1.5"), (double_sum, "1"), (("--space", "korobov"), "1.5")):
-        code, stdout, err = run_cli(capsys, "wce", *route, "--n", "4", "--g", "1",
+    for route, alpha in ((double_sum, "1.5"), (double_sum, "1"), (("--space", "korobov"), "1.5"),
+                         ((*double_sum, "--points-file", str(four), "--s", "1"), "1")):
+        rule = () if "--points-file" in route else ("--n", "4", "--g", "1")
+        code, stdout, err = run_cli(capsys, "wce", *route, *rule,
                                     "--alpha", alpha, "--gamma", "1", "--tol", "1e-14")
         assert (code, stdout) == (1, "")
-        assert err == f"latquad: --tol {_SERIES_ONLY}\n"
+        assert _unrecognized(err, "--tol", "1e-14")
     # near alpha = 1/2 the term count overflows a float: still a budget
     # failure of the double-sum series, while the table routes return
     five = tmp_path / "five.txt"
@@ -726,6 +710,28 @@ def test_truncation_budget_exit_two(tmp_path, capsys):
         assert code == 0, space
         e2, tail = (float(f.split("=")[1]) for f in stdout.split()[:2])
         assert math.isfinite(e2) and 0.0 < tail < math.inf, space
+
+
+def test_points_file_series_runs_at_the_default_policy(tmp_path, capsys):
+    # random nodes give no denominator: the file sums the series under the
+    # one fixed policy, prints its rigorous tail, and exits 2 at the term cap
+    X = np.random.default_rng(32).random((50, 2))
+    pts = tmp_path / "nodes.txt"
+    pts.write_text("".join(f"{a!r} {b!r}\n" for a, b in X.tolist()))
+    argv = ("wce", "--space", "double-sum", "--family", "cosine", "--points-file", str(pts),
+            "--s", "2")
+    code, stdout, err = run_cli(capsys, *argv, "--alpha", "1.5")
+    assert (code, err) == (0, "")
+    res = wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)),
+                         WeightedPointSet(X, np.full(50, 1 / 50)), DEFAULT_POLICY)
+    assert stdout == f"e2={res.e2:.17g} tail={res.tail_bound:.17g} method=kernel-double-sum\n"
+    assert res.tail_bound > 0.0
+    code, stdout, err = run_cli(capsys, *argv, "--alpha", "0.55")
+    assert (code, stdout) == (2, "")
+    assert "above the cap of 2000000" in err
+    code, help_text, _ = run_cli(capsys, "wce", "--help")
+    assert code == 0
+    assert "--tol" not in help_text and "--max-terms" not in help_text
 
 
 _OVERFLOW_ROUTES = {

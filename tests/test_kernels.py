@@ -225,14 +225,24 @@ def test_omega_table_refuses_moduli_above_its_cap():
 
 
 def test_series_truncation_budget():
-    pol = TruncationPolicy(tol=1e-4, max_terms=1_000_000)
+    pol = TruncationPolicy(tol=1e-4)
     k = series_kmax(1, 1.0, pol)
     assert k == 10_000
     assert series_tail_bound(1, 1.0, k) <= pol.tol < series_tail_bound(1, 1.0, k - 1)
-    k2 = series_kmax(2, 1.0, TruncationPolicy(tol=1e-6, max_terms=1_000_000))
+    k2 = series_kmax(2, 1.0, TruncationPolicy(tol=1e-6))
     assert series_tail_bound(2, 1.0, k2) <= 1e-6 < series_tail_bound(2, 1.0, k2 - 1)
     with pytest.raises(TruncationBudgetError):
-        series_kmax(1, 1.0, TruncationPolicy(tol=1e-9, max_terms=1_000))
+        series_kmax(1, 1.0, TruncationPolicy(tol=1e-9))
+    # at alpha = 1 and gamma = 1, K = 1 / tol: the cap is 2e6 terms, one more raises
+    assert series_kmax(1, 1.0, TruncationPolicy(tol=5e-7)) == 2_000_000
+    with pytest.raises(TruncationBudgetError, match="above the cap of 2000000"):
+        series_kmax(1, 1.0, TruncationPolicy(tol=1.0 / 2_000_000.5))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan])
+def test_truncation_policy_refuses_a_tol_that_is_not_positive(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        TruncationPolicy(tol=tol)
 
 
 @pytest.mark.parametrize("gamma", [-1.0, 0.0, math.inf, math.nan])
@@ -282,7 +292,7 @@ def test_truncated_families_carry_tail_bounds():
     # non-integer alpha sums both families as series; each factor drops at
     # most twice the per-series integral bound, and rounds its kept terms
     # within twice the series' rounding bound
-    pol = TruncationPolicy(tol=1e-6, max_terms=2_000_000)
+    pol = TruncationPolicy(tol=1e-6)
     kmax = series_kmax(1.5, 1.0, pol)
     t = series_tail_bound(1.5, 1.0, kmax) + _series_rounding(1.5, kmax)
     for fam in ("cosine", "korcos"):
@@ -316,7 +326,7 @@ def test_cosine_closed_forms_match_their_series(fam, alpha, kmax):
 
 @pytest.mark.parametrize("alpha,tol", [(1, 1e-5), (2, 1e-7), (3, 1e-7)])
 def test_korobov_closed_form_matches_truncated_series(alpha, tol):
-    pol = TruncationPolicy(tol=tol, max_terms=2_000_000)
+    pol = TruncationPolicy(tol=tol)
     x = np.linspace(0.0, 1.0, 13)[:, None]
     y = np.linspace(0.0, 1.0, 7)[None, :]
     closed, _ = kernel_factor("korobov", alpha, 0.8, x, y)
@@ -328,8 +338,8 @@ def test_korobov_closed_form_matches_truncated_series(alpha, tol):
 @pytest.mark.parametrize("chunk", [None, 97])
 def test_series_values_do_not_depend_on_the_other_arguments(chunk, monkeypatch):
     # A subset call has the superset call's bits, so a double-sum row block's
-    # series table has the full table's bits in its rows.  chunk = 97 splits
-    # both the terms and the distinct arguments into several blocks.  At
+    # series table has the full table's bits in its rows.  chunk = 97 puts
+    # each distinct argument in a block of its own.  At
     # kmax = 10^4 and 10^5 one cos block holds many values, where a reduction
     # whose bits follow the block's row count would show.
     if chunk is not None:
@@ -355,7 +365,7 @@ def test_series_at_zero_is_zeta_within_its_reported_bound():
     # bound covers the dropped terms and the rounding of the kept ones.  The
     # slack covers rounding 1 + 2 c(0) and 1 + 2 zeta(3), whose float is the
     # nearest to 1.2020569031595942854...
-    pol = TruncationPolicy(tol=1.25e-13, max_terms=10**7)
+    pol = TruncationPolicy(tol=1.25e-13)
     assert series_kmax(1.5, 1.0, pol) == 2_000_000
     assert zeta(3.0) == 1.2020569031595942
     v, tail = kernel_factor("korobov", 1.5, 1.0, [[0.0], [0.1]], [[0.0]], pol)
@@ -623,7 +633,7 @@ def test_gram_matrices_are_positive_semidefinite(fam):
     rng = np.random.default_rng(7)
     pts = rng.random((24, 2))
     gammas = (1.0, 0.5)
-    pol = TruncationPolicy(tol=1e-4, max_terms=2_000_000)
+    pol = TruncationPolicy(tol=1e-4)
     gram = np.ones((24, 24))
     for j, gamma in enumerate(gammas):
         v, _ = kernel_factor(fam, 1, gamma, pts[:, j][:, None], pts[None, :, j], pol)

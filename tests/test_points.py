@@ -123,8 +123,7 @@ def test_tent_nodes_are_the_correctly_rounded_folds(N):
 def test_tent_folds_numerators_past_the_omega_tables_cap(N):
     # nodes p / N past the double sum's table cap, 2 N > _TABLE_CAP, still
     # give N and fold to the correctly rounded 2 min(p, N - p) / N, which
-    # the float map misses near 0.  No p is near N: 1 - fl(p / N) there is
-    # off by up to 2^-54, too far from (N - p) / N to read an N past 2^26
+    # the float map misses near 0
     p = np.array([0, 1, 2, 3, N // 3, N // 2, N // 2 + 1, 2 * N // 3])
     rows = np.stack([p, p[::-1]], axis=1)
     ps = WeightedPointSet(rows / float(N), np.full(len(p), 1.0 / len(p)))
@@ -138,6 +137,19 @@ def test_tent_folds_numerators_past_the_omega_tables_cap(N):
         rule = LatticeRule(N, (1,))
         full = tent_transform(lattice_points(rule)).points
         assert np.array_equal(full, points._tent_nodes(points._numerators(rule, N), N))
+
+
+@pytest.mark.parametrize("N", [201326593, 1073741889])
+def test_denominator_reads_n_past_2_26_beside_values_near_1(N):
+    # 1 - fl(p / N) near 1 is off by up to 2^-54, so a d taken from it
+    # misses these N and would leave the tent set to the float map; d from
+    # the values in (0, 1/2] reads N, and the fold keeps the numerators' bits
+    p = np.array([0, 1, 2, N // 2, N - 2, N - 1])
+    rows = np.stack([p, p[::-1]], axis=1)
+    ps = WeightedPointSet(rows / float(N), np.full(len(p), 1.0 / len(p)))
+    assert points._denominator(ps.points) == N
+    assert points._denominator(ps.points[:, :1]) == N
+    assert np.array_equal(tent_transform(ps).points, points._tent_nodes(rows, N))
 
 
 @pytest.mark.parametrize("N,g", [(6, (1, 5)), (30, (6, 10, 15)), (12, (2, 3)),

@@ -2,6 +2,7 @@
 output is run through ``cli.main`` in a temporary directory, and the shown
 lines, up to a `...` line, must equal the first lines printed (stdout, then
 stderr)."""
+import re
 import shlex
 from pathlib import Path
 
@@ -63,3 +64,28 @@ def test_readme_sample_reproduces(tmp_path, monkeypatch, capsys, argv, shown):
     else:
         assert len(printed) == len(shown)
     assert printed[: len(shown)] == shown
+
+
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def _readme_flags():
+    """Every --flag of a `latquad` command line and of the Command line
+    section; --no-build-isolation is pip's, in the install line."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = re.findall(r"^\$ (latquad .*(?:\\\n.*)*)", text, flags=re.M)
+    return set(_FLAG.findall(section + "\n".join(commands))) - {"--no-build-isolation"}
+
+
+
+def test_readme_names_only_flags_that_some_help_lists(capsys):
+    assert main(["--help"]) == 0
+    (names,) = re.findall(r"\{([a-z,]+)\}", capsys.readouterr().out)[:1]
+    listed = set()
+    for name in names.split(","):
+        assert main([name, "--help"]) == 0
+        listed |= set(_FLAG.findall(capsys.readouterr().out))
+    flags = _readme_flags()
+    assert {"--points-file", "--threads", "--no-dedupe", "--report"} <= flags
+    assert flags <= listed, sorted(flags - listed)

@@ -57,7 +57,7 @@ from latquad.wce import (
 from oracles import table_factor
 
 PI = math.pi
-POL = TruncationPolicy(tol=3e-5, max_terms=2_000_000)
+POL = TruncationPolicy(tol=3e-5)
 
 
 def test_double_sum_single_node():
@@ -274,7 +274,7 @@ def test_dual_lattice_route_reaches_four_dimensions():
 def test_dual_lattice_route_caps_fail_before_any_work():
     # the policy is not used: a tolerance no truncated series could meet costs nothing
     rule = LatticeRule(4, (1,))
-    assert wce_korobov_lattice(rule, 1.5, (1.0,), TruncationPolicy(tol=1e-14, max_terms=1)) == (
+    assert wce_korobov_lattice(rule, 1.5, (1.0,), TruncationPolicy(tol=1e-300)) == (
         wce_korobov_lattice(rule, 1.5, (1.0,)))
     # one cap on N, checked before the table is built: N = 2^30 would need
     # 8 GiB per table array, and is refused at once
@@ -682,7 +682,7 @@ def test_double_sum_table_route_matches_the_direct_evaluation(family, alpha):
         if _denominator(ps.points) is None:
             continue
         spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s])
-        got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300, max_terms=1))
+        got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300))
         e2, tail = _direct_double_sum(spec, ps, POL)
         assert got.e2 == e2, len(ps)
         assert got.tail_bound == tail, len(ps)
@@ -976,14 +976,14 @@ def test_inferred_denominators_read_omega_2n(rule, variant, N, family):
     assert _denominator(ps.points) == N
     assert np.array_equal(np.rint(ps.points * N) / N, ps.points)
     spec = SpaceSpec(family, 1.5, (1.0, 0.7, 0.4)[:rule.s])
-    got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300, max_terms=1))
+    got = wce_double_sum(spec, ps, TruncationPolicy(tol=1e-300))
     e2, tail = _direct_double_sum(spec, ps, POL)
     assert (got.e2, got.tail_bound) == (e2, tail)
     assert 0.0 < tail < 1e-9
     perm = np.random.default_rng(N).permutation(len(ps))
     shuffled = WeightedPointSet(ps.points[perm], ps.weights[perm])
     assert _denominator(shuffled.points) == N
-    again = wce_double_sum(spec, shuffled, TruncationPolicy(tol=1e-300, max_terms=1))
+    again = wce_double_sum(spec, shuffled, TruncationPolicy(tol=1e-300))
     assert (again.e2, again.tail_bound) == _direct_double_sum(spec, shuffled, POL)
     assert again.tail_bound == got.tail_bound
 
@@ -1026,19 +1026,16 @@ def test_double_sum_input_validation():
     ps = lattice_points(LatticeRule(4, (1, 3)))
     with pytest.raises(ValueError):
         wce_double_sum(SpaceSpec("cosine", 1, (1.0,)), ps, POL)
-    # the series of a set moved off p / N has a term budget
+    # the series of a set moved off p / N has a term budget: tol = 1e-14
+    # needs about 7e6 terms at alpha = 1.5, past the cap
+    tight = TruncationPolicy(tol=1e-14)
     with pytest.raises(TruncationBudgetError):
-        wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), _off_lattice(ps),
-                       TruncationPolicy(tol=1e-12, max_terms=1000))
+        wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), _off_lattice(ps), tight)
     # the rule's own set reads Omega_2N and sums no series: no budget
-    table = wce_double_sum(
-        SpaceSpec("cosine", 1.5, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
-    )
+    table = wce_double_sum(SpaceSpec("cosine", 1.5, (1.0, 1.0)), ps, tight)
     assert 0.0 < table.tail_bound < 1e-12
     # integer alpha is closed form: no term budget to exceed
-    closed = wce_double_sum(
-        SpaceSpec("cosine", 1, (1.0, 1.0)), ps, TruncationPolicy(tol=1e-12, max_terms=1000)
-    )
+    closed = wce_double_sum(SpaceSpec("cosine", 1, (1.0, 1.0)), ps, tight)
     assert closed.tail_bound == 0.0
     with pytest.raises(ValueError):
         wce_korobov_lattice(LatticeRule(4, (1,)), 1, (1.0, 1.0))
