@@ -21,8 +21,8 @@ import numpy as np
 from .bench import TestFunction, converge_study, integrate, records_to_csv
 from .cbc import cbc_construct
 from .kernels import FAMILIES, SpaceSpec, TruncationBudgetError
-# lattice_points and tent_transform are reached through node_set; the
-# benchmark tracer wraps them as latquad.cli attributes.
+# lattice_points is reached through node_set, and tent_transform is not
+# called; the benchmark tracer wraps both as latquad.cli attributes.
 from .points import (  # noqa: F401
     VARIANTS,
     LatticeRule,

@@ -253,11 +253,13 @@ def symmetrize(rule: LatticeRule, dedupe: bool = True) -> WeightedPointSet:
 
 def node_set(rule: LatticeRule, variant: str) -> WeightedPointSet:
     """Nodes of the plain, tent-folded or deduplicated symmetrized rule; the
-    full reflection multiset is ``symmetrize(rule, dedupe=False)``."""
+    full reflection multiset is ``symmetrize(rule, dedupe=False)``.  The tent
+    set folds the numerators: ``tent_transform`` of the plain set, bit for bit."""
+    N = rule.N
     if variant == "plain":
         return lattice_points(rule)
     if variant == "tent":
-        return tent_transform(lattice_points(rule))
+        return WeightedPointSet(_tent_nodes(_numerators(rule, N), N), np.full(N, 1.0 / N))
     if variant == "sym":
         return symmetrize(rule)
     raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")

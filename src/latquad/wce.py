@@ -91,6 +91,9 @@ _TILE = 1 << 15
 # repeated values of a coordinate, in tiles of rows, that make folded order pay
 _FOLD_TILES = 4
 _FOLD_WORK_CAP = 1 << 24  # on 2^s N in the fold-average routes, checked before any work
+# M (M - U_j) of some coordinate from which a double sum looks for reflection
+# orbits: the folded-order gate M - U_j >= _FOLD_TILES t at the default _TILE
+_ORBIT_GATE = 1 << 17
 
 
 class WceMethod(str, Enum):
@@ -129,13 +132,31 @@ def wce_double_sum(
     """e^2 by the full weighted double sum of kernel values.
 
     Capped at MAX_DOUBLE_SUM_NODES nodes.  ``threads`` is None (serial) or at
-    least 1.  Each row of the product is reduced on its own, r_i = sum_k
+    least 1.  Each of the M rows summed is reduced on its own, r_i = sum_k
     prod[i, k] w_k by numpy's einsum (no BLAS), whose result for one row does
     not depend on how many rows are reduced together; math.fsum then sums
     the M values w_i r_i, correctly rounded.  So e2 has the same bits for any
     row block, tile, thread count or BLAS library.  The reported tail bound
     is ``_product_tail`` of the factor bounds and each factor's largest
-    magnitude over all node pairs.
+    magnitude over all row pairs.
+
+    Reflection orbits.  Let sigma_j swap the ranks r and U_j - 1 - r of the
+    U_j distinct values of coordinate j.  If each sigma_j, j in a set P,
+    maps the weighted nodes onto themselves, so does the group G they
+    generate, and for any product kernel K = prod_j k_j
+        sum_{u,v} w_u w_v K(u, v) = |G|^-2 sum_{g,h in G} sum_{u,v} w_u w_v K(g u, h v)
+                                  = sum_{u,v} w_u w_v prod_j kbar_j(u_j, v_j),
+    kbar_j(a, b) = ((k_j(a, b) + k_j(a*, b)) + (k_j(a, b*) + k_j(a*, b*))) / 4
+    with a* = sigma_j a for j in P, kbar_j = k_j otherwise.  kbar is constant
+    on G-orbits, so an orbit of 2^z rows (z its ranks with r != U_j - 1 - r)
+    sums as one row of weight 2^z w.  ``_reflection_orbits`` finds P and the
+    orbits from the set alone, above a size gate: a rule's symmetrized set,
+    deduped, full or in any row order, as nodes or from a points file,
+    sums over its orbits, (N + 1) / 2 rows at odd N instead of 2^(s-1) (N +
+    1), while plain, tent and other sets keep their rows.  A block slices
+    kbar_j out of its table over the rows a, a* and all U_j values.  No
+    denominator or family enters, so every route below shares it; e2 then
+    has the bits of the folded sum, the full one up to rounding.
 
     Kernel values come from one of two places.  At alpha outside {1, 2, 3},
     a korobov, cosine or korcos sum over nodes p / N, N = ``_table_modulus``
@@ -143,10 +164,10 @@ def wce_double_sum(
     2 at each x - y, x + y and 2 (x - y) = r / N (``kernels._table_parts``),
     Omega_2N = ``_omega_table(alpha, 2 N)`` built once per call with bound
     b.  Each family weighs its entries by gamma_j in total, so factor j is
-    off by at most gamma_j b; nothing is truncated and ``policy`` is not
-    used.  Other sets call ``kernel_factor`` per coordinate there, whose
-    series ``policy`` truncates with a term count that follows gamma_j.
-    Sobolev and integer alpha take its closed forms.
+    off by at most gamma_j b, and so is its mean kbar_j; nothing is truncated
+    and ``policy`` is not used.  Other sets call ``kernel_factor`` per
+    coordinate there, whose series ``policy`` truncates with a term count
+    that follows gamma_j.  Sobolev and integer alpha take its closed forms.
 
     Each kernel factor is evaluated once per distinct pair of coordinate
     values.  Coordinate j keeps its U_j distinct values, as floats or as
@@ -161,34 +182,33 @@ def wce_double_sum(
     values, as a rule's p / N do, share one gamma-free evaluation per block
     (``kernels._periodic_parts``, or sobolev's B_2alpha(|x - y|)), and each
     table follows from it in a lone call's order, the last in its storage.
-    A set whose own tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M
-    array is one block, which runs on one thread.  Otherwise a block takes
-    the whole tiles of t = max(1, _TILE // M) rows that fit in _ROW_BLOCK M
-    // sum_j U_j rows, but at least one tile.  Either way its tables hold at
-    most max(_ROW_BLOCK M, s _TILE) values.  A block first builds all s of
-    its tables, one group at a time, and keeps them.  Then, one row tile at
-    a time, it gathers coordinate 0 into a product tile, gathers every later
-    coordinate into a work tile and multiplies it in, in coordinate order,
-    and reduces the finished tile by einsum while it is still in cache; no
-    block-by-M array is built.
+    A set whose own tables, sum_j U_j^2 values (a paired coordinate's U_j
+    is its (U_j + 1) // 2 columns), fit in a _ROW_BLOCK-by-M array is one
+    block, which runs on one thread.  Otherwise a block takes the whole tiles of t
+    = max(1, _TILE // M) rows that fit in _ROW_BLOCK M // sum_j U_j rows, but
+    at least one tile.  A block first builds all s of its tables, one group
+    at a time, and keeps them.  Then, one row tile at a time, it gathers
+    coordinate 0 into a product tile, gathers every later coordinate into a
+    work tile and multiplies it in, in coordinate order, and reduces the
+    finished tile by einsum while it is still in cache; no block-by-M array
+    is built.
 
     When a coordinate repeats at least _FOLD_TILES tiles of rows (M - U_j >=
     _FOLD_TILES t), the rows are taken in folded order: lexsorted by each
     coordinate's folded rank min(r, U_j - 1 - r), so a reflection orbit of
-    a symmetrized set, and coincident tent nodes n and N - n, share a tile.
-    Each tile and coordinate gathers table rows, then their columns into a
-    slab.  For such a coordinate, a tile whose d distinct table rows
-    satisfy 2 d <= its rows takes each once, into a d-by-M slab, and copies
-    whole slab rows into the tile; any other tile takes its own rows, and
-    its slab is the tile.  The gathered rows and the slab fit in one
-    scratch tile, so a block's memory is its tables, the transient of
+    a set without orbit sums, and coincident tent nodes n and N - n, share a
+    tile.  For such a coordinate, a tile whose d distinct table rows satisfy
+    2 d <= its rows gathers each one's columns once, into a d-by-M slab,
+    and copies whole slab rows into the tile; any other tile gathers its own
+    rows, and its slab is the tile.  The gathered rows and the slab fit in
+    one scratch tile, so a block's memory is its tables, the transient of
     building one group's (its gamma-free parts, and for korcos and sobolev
     one scratch table), and three arrays of at most _TILE values; each of
     ``threads`` workers runs one block at a time.  Row order moves no bit:
     each row is reduced by the same einsum over its products in column
     order, and the factors are elementwise and multiplied in coordinate
     order, so every product, and hence e2 and the tail bound, has the same
-    bits as evaluating every node pair directly.  A product,
+    bits as evaluating every pair of the rows summed directly.  A product,
     sum or tail past the float64 range raises OverflowError.
     """
     X, w = ps.points, ps.weights
@@ -202,6 +222,11 @@ def wce_double_sum(
     cols = [np.unique(X[:, j], return_inverse=True) for j in range(s)]
     fam, alpha = spec.family, spec.alpha
     vals = [cu for cu, _ in cols]
+    sizes = [cu.size for cu in vals]
+    paired, cinvs, w = _reflection_orbits([inv for _, inv in cols], sizes, w)
+    M = w.size
+    # columns of each table: a paired coordinate's folded ranks
+    ncols = [(U + 1) // 2 if p else U for U, p in zip(sizes, paired)]
     closed = fam == "sobolev" or _closed(alpha)
     N = None if closed else _table_modulus(vals)
     if N is not None:
@@ -225,20 +250,20 @@ def wce_double_sum(
     # second worker on so small a sum loses more to the GIL than it gains);
     # else whole tiles of rows whose s tables fit, but at least one tile
     budget = _ROW_BLOCK * M
-    if sum(cu.size ** 2 for cu, _ in cols) <= budget:
+    if sum(n * n for n in ncols) <= budget:
         rb = M
     else:
-        rb = max(t, budget // sum(cu.size for cu, _ in cols) // t * t)
+        rb = max(t, budget // sum(ncols) // t * t)
     blocks = [(i, min(i + rb, M)) for i in range(0, M, rb)]
     # a coordinate whose repeated values fill _FOLD_TILES tiles of rows pays
     # for the sorts that find each tile's distinct table rows
-    fold = [M - cu.size >= _FOLD_TILES * t for cu, _ in cols]
+    fold = [M - n >= _FOLD_TILES * t for n in ncols]
     order = None
     if any(fold):
         # rows by folded rank, min(r, U_j - 1 - r) of each coordinate's rank
         # r: x and 1 - x, a reflection orbit, fold together whenever the
         # values are closed under x -> 1 - x, and so do equal rows
-        order = np.lexsort([np.minimum(inv, cu.size - 1 - inv) for cu, inv in reversed(cols)])
+        order = np.lexsort([np.minimum(ci, n - 1 - ci) for ci, n in zip(cinvs[::-1], ncols[::-1])])
 
     @_refuse_overflow  # the pool's threads start in numpy's default error state
     def run_block(block: tuple[int, int]):
@@ -248,13 +273,15 @@ def wce_double_sum(
         maxv = np.empty(s)
         bnds = np.empty(s)
         rows_of, groups = [], {}
-        for j, (_, cinv) in enumerate(cols):
-            # the block's rows as indices into the coordinate's distinct values
+        for j, cinv in enumerate(cinvs):
+            # the block's rows as indices into the coordinate's table columns
             if nb == M:
-                ru, rinv = vals[j], cinv[idx]
+                ui, rinv = np.arange(ncols[j]), cinv[idx]
             else:
                 ui, rinv = np.unique(cinv[idx], return_inverse=True)
-                ru = vals[j][ui]
+            if paired[j]:  # rows a, then their partners a*
+                ui = np.concatenate([ui, sizes[j] - 1 - ui])
+            ru = vals[j][ui]
             rows_of.append((ru, rinv))
             # bit-equal rows and columns: one gamma-free evaluation
             groups.setdefault((ru.tobytes(), vals[j].tobytes()), []).append(j)
@@ -263,20 +290,27 @@ def wce_double_sum(
             ru = rows_of[js[0]][0]
             made = factors([spec.gammas[j] for j in js], ru[:, None], vals[js[0]][None, :])
             for j, (table, bnds[j]) in zip(js, made):
-                ru, rinv = rows_of[j]
-                # every table entry is some node pair's value, so the maxima
+                rinv = rows_of[j][1]
+                if paired[j]:
+                    # kbar(a, b) over the first ncols[j] columns b, b* = U - 1 - b
+                    d, h, flip = table.shape[0] // 2, ncols[j], table[:, ::-1]
+                    table = table[:d, :h] + table[d:, :h]
+                    table += flip[:d, :h] + flip[d:, :h]
+                    table *= 0.25
+                # every table entry is some row pair's value, so the maxima
                 # match; no |table| temporary while the other tables are alive
                 maxv[j] = max(table.max(), -table.min())
                 slabs = None
                 if fold[j]:
                     # per tile, its distinct table rows and each row's place
                     # among them, from one sort of the (tile, table row) pairs
+                    rs = table.shape[0]
                     tile = np.arange(nb) // t
-                    pairs, local = np.unique(tile * ru.size + rinv, return_inverse=True)
-                    starts = np.searchsorted(pairs, np.arange(tile[-1] + 2) * ru.size)
+                    pairs, local = np.unique(tile * rs + rinv, return_inverse=True)
+                    starts = np.searchsorted(pairs, np.arange(tile[-1] + 2) * rs)
                     local -= starts[tile]
-                    slabs = (pairs % ru.size, starts.tolist(), local)
-                tables[j] = (table, rinv, cols[j][1], slabs)
+                    slabs = (pairs % rs, starts.tolist(), local)
+                tables[j] = (table, rinv, cinvs[j], slabs)
         rows = np.empty(nb)
         # prod stays C-contiguous, as the direct evaluation is, so each row
         # reaches einsum's contiguous inner loop in both
@@ -320,6 +354,40 @@ def wce_double_sum(
     e2 = math.fsum(memoryview(np.concatenate([r for r, _, _ in results]))) - 1.0
     maxv = np.max(np.stack([mv for _, mv, _ in results]), axis=0)
     return WceResult(e2, WceMethod.KERNEL_DOUBLE_SUM, _product_tail(results[0][2], maxv))
+
+
+def _reflection_orbits(ranks, sizes, w):
+    """(paired, ranks, weights) of the rows a double sum takes; ranks[j]
+    indexes each row among coordinate j's sizes[j] = U_j values.  At M (M -
+    U_j) >= _ORBIT_GATE for some j, and prod_j U_j < 2^62, j is paired when
+    its rank swap maps the rows onto themselves, repeats counted.  If every
+    orbit's rows weigh the same w, each orbit is one row of the folded ranks
+    min(r, U_j - 1 - r), weighing its row count times w, in lexicographic
+    order of those ranks.  Else the rows come back as given."""
+    M, unpaired = w.size, ([False] * len(sizes), ranks, w)
+    if max(M * (M - U) for U in sizes) < _ORBIT_GATE or math.prod(sizes) >= 1 << 62:
+        return unpaired
+    stride = np.cumprod([1] + sizes[:0:-1])[::-1]
+    key = sum(r * st for r, st in zip(ranks, stride))
+    ordered = np.sort(key)
+    paired = []
+    for r, U, st in zip(ranks, sizes, stride):
+        c = np.bincount(r, minlength=U)  # counts first: a tent set fails them
+        paired.append(bool((c == c[::-1]).all())
+                      and np.array_equal(np.sort(key + (U - 1 - 2 * r) * st), ordered))
+    if not any(paired):
+        return unpaired
+    folded = [np.minimum(r, U - 1 - r) if p else r for r, U, p in zip(ranks, sizes, paired)]
+    key = sum(f * st for f, st in zip(folded, stride))
+    order = np.argsort(key)
+    key, wo = key[order], w[order]
+    first = np.empty(M, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if (wo[1:] != wo[:-1])[~first[1:]].any():
+        return unpaired
+    starts = np.flatnonzero(first)
+    return paired, [f[order[starts]] for f in folded], np.diff(starts, append=M) * wo[starts]
 
 
 def _check_double_sum_nodes(M: int) -> None:

@@ -14,6 +14,7 @@ from latquad.points import (
     WeightedPointSet,
     dual_lattice,
     lattice_points,
+    node_set,
     read_vector_file,
     symmetrize,
     symmetrized_node_count,
@@ -137,6 +138,17 @@ def test_tent_folds_numerators_past_the_omega_tables_cap(N):
         rule = LatticeRule(N, (1,))
         full = tent_transform(lattice_points(rule)).points
         assert np.array_equal(full, points._tent_nodes(points._numerators(rule, N), N))
+
+
+@pytest.mark.parametrize("N,g", [(2, (1,)), (7, (1, 3)), (12, (2, 3, 5)), (30, (6, 10, 15)),
+                                 (64, (1, 27, 15)), (701, (1, 194, 142)), (1024, (4, 96, 513)),
+                                 ((1 << 21) + 17, (3,))])
+def test_tent_node_set_is_the_tent_transform_of_the_plain_set(N, g):
+    # node_set folds the numerators itself; tent_transform reads N, or a
+    # divisor of it, back from the floats: the same correctly rounded folds
+    rule = LatticeRule(N, g)
+    got, ref = node_set(rule, "tent"), tent_transform(lattice_points(rule))
+    assert np.array_equal(got.points, ref.points) and np.array_equal(got.weights, ref.weights)
 
 
 @pytest.mark.parametrize("N", [201326593, 1073741889])

@@ -10,6 +10,7 @@ strictly below the closed form.
 """
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -577,34 +578,77 @@ def test_double_sum_is_thread_count_invariant():
                 wce_double_sum(spec, ps, POL, threads=bad)
 
 
-def _direct_products(spec, ps, policy):
-    """Every kernel factor evaluated at every node pair, multiplied in
-    coordinate order: (the M x M products, maxv, bnds).  At alpha outside
-    1..3, a korobov, cosine or korcos set whose coordinates give an N with
-    2 N within the table's cap, ``_table_modulus``, reads every pair's
-    factor from Omega_2N at the numerators rint(x N), as the double sum's
-    table route does; any other set evaluates kernel_factor."""
-    X = ps.points
+def _orbit_rows(X, w):
+    """The rows that the double sum takes, found from a dict of rank rows:
+    (paired, rows, weights), each row the ranks of its values among its
+    coordinate's U_j distinct values.  At a set the gate admits, with
+    U_0 ... U_s-1 < 2^62, coordinate j is paired when swapping each rank r
+    for U_j - 1 - r maps the multiset of rank rows onto itself.  Rows that
+    agree on every paired rank folded to min(r, U_j - 1 - r) are an orbit;
+    when each orbit's weights are equal, it is one row of folded ranks with
+    weight (row count) x (weight), the orbits in increasing order.  Else the
+    rows and weights are the set's own."""
     M, s = X.shape
+    values = [sorted(set(col)) for col in X.T.tolist()]
+    U = [len(v) for v in values]
+    rank = [{v: r for r, v in enumerate(vs)} for vs in values]
+    rows = [tuple(rank[j][x] for j, x in enumerate(row)) for row in X.tolist()]
+    unpaired = ([False] * s, rows, w)
+    if max(M * (M - u) for u in U) < wce._ORBIT_GATE or math.prod(U) >= 1 << 62:
+        return unpaired
+    count = Counter(rows)
+    paired = [all(count[r[:j] + (U[j] - 1 - r[j],) + r[j + 1:]] == k for r, k in count.items())
+              for j in range(s)]
+    orbits = {}
+    for r, wt in zip(rows, w.tolist()):
+        key = tuple(min(x, u - 1 - x) if p else x for x, u, p in zip(r, U, paired))
+        orbits.setdefault(key, []).append(wt)
+    if not any(paired) or any(len(set(ws)) > 1 for ws in orbits.values()):
+        return unpaired
+    keys = sorted(orbits)
+    return paired, keys, np.array([len(orbits[k]) * orbits[k][0] for k in keys])
+
+
+def _direct_products(spec, ps, policy, orbits=True):
+    """Every kernel factor evaluated at every pair of the double sum's rows,
+    ``_orbit_rows`` (the set's own with ``orbits=False``), multiplied in
+    coordinate order: (the products, the rows' weights, maxv, bnds).  A
+    paired coordinate's factor at folded ranks a, b is kbar = ((K(a, b) +
+    K(a*, b)) + (K(a, b*) + K(a*, b*))) * 0.25, a* = U_j - 1 - a, from four
+    pairwise evaluations.  At alpha outside 1..3, a korobov, cosine or
+    korcos set whose coordinates give an N with 2 N within the table's cap,
+    ``_table_modulus``, reads every pair's factor from Omega_2N at the
+    numerators rint(x N), as the double sum's table route does; any other
+    set evaluates kernel_factor."""
+    X = ps.points
+    s = X.shape[1]
     closed = spec.family == "sobolev" or spec.alpha in (1, 2, 3)
     N = None if closed else _table_modulus(X.T)
-    table = N is not None
-    if table:
+    if N is not None:
         om, b = _omega_table(spec.alpha, 2 * N)
         half = np.append(om, om[0]) / 2
-        P = np.rint(X * N).astype(np.intp)
+
+    def factor(j, x, y):
+        if N is not None:
+            return table_factor(spec.family, spec.gammas[j], half, b,
+                                np.rint(x * N).astype(np.intp), np.rint(y * N).astype(np.intp))
+        return kernel_factor(spec.family, spec.alpha, spec.gammas[j], x, y, policy)
+
+    paired, rows, w = _orbit_rows(X, ps.weights) if orbits else ([False] * s, None, ps.weights)
     prod, maxv, bnds = 1.0, np.empty(s), np.empty(s)
     for j in range(s):
-        if table:
-            vals, bnds[j] = table_factor(
-                spec.family, spec.gammas[j], half, b, P[:, j][:, None], P[None, :, j])
+        cu = np.unique(X[:, j])
+        a = X[:, j] if rows is None else cu[[r[j] for r in rows]]
+        if paired[j]:
+            a_ = cu[cu.size - 1 - np.array([r[j] for r in rows])]
+            (kab, bnds[j]), (ksb, _), (kas, _), (kss, _) = (
+                factor(j, x[:, None], y[None, :]) for x, y in ((a, a), (a_, a), (a, a_), (a_, a_)))
+            vals = ((kab + ksb) + (kas + kss)) * 0.25
         else:
-            vals, bnds[j] = kernel_factor(
-                spec.family, spec.alpha, spec.gammas[j], X[:, j][:, None], X[None, :, j], policy,
-            )
+            vals, bnds[j] = factor(j, a[:, None], a[None, :])
         maxv[j] = float(np.abs(vals).max())
         prod = prod * vals
-    return prod, maxv, bnds
+    return prod, w, maxv, bnds
 
 
 def _off_lattice(ps):
@@ -622,10 +666,14 @@ def _off_lattice(ps):
 def _direct_double_sum(spec, ps, policy):
     """The full product reduced as wce_double_sum reduces it, one einsum per
     row and one fsum over the weighted rows: (e2, tail_bound)."""
-    prod, maxv, bnds = _direct_products(spec, ps, policy)
-    w = ps.weights
+    prod, w, maxv, bnds = _direct_products(spec, ps, policy)
     rows = w * np.einsum("ij,j->i", prod, w)
     return math.fsum(rows) - 1.0, _product_tail(bnds, maxv)
+
+
+def _shuffled(ps, seed=5):
+    perm = np.random.default_rng(seed).permutation(len(ps))
+    return WeightedPointSet(ps.points[perm], ps.weights[perm])
 
 
 def _oracle_point_sets():
@@ -635,21 +683,28 @@ def _oracle_point_sets():
     grid_w = 1.0 + np.arange(len(grid)) % 3
     rand_w = rng.uniform(0.5, 1.5, size=120)
     sym = symmetrize(LatticeRule(251, (1, 76, 114)))
-    perm = np.random.default_rng(5).permutation(len(sym))
+    wide = symmetrize(LatticeRule(31, (1, 12, 5, 3, 9)))
+    keep = np.arange(len(wide)) % 7 != 6
+    kept_w = wide.weights[keep]
     return [
         lattice_points(LatticeRule(61, (1, 17, 23))),
         tent_transform(lattice_points(LatticeRule(64, (1, 27, 15)))),
+        # 128 nodes, below the gate: its rows as they are
         symmetrize(LatticeRule(31, (1, 18, 7))),
-        # 1008 nodes in folded order, where each tile gathers its distinct
-        # table rows into a slab; shuffled, the same bits
+        # 1008 nodes summed over 126 reflection orbits; shuffled, the same
+        # orbits in the same order
         sym,
-        WeightedPointSet(sym.points[perm], sym.weights[perm]),
-        # reflection orbits of 32 rows, two to a tile of 64
-        symmetrize(LatticeRule(31, (1, 12, 5, 3, 9))),
+        _shuffled(sym),
+        # reflection orbits of 32 rows, 16 orbits
+        wide,
+        # every 7th row dropped: no orbits, and 439 rows in folded order,
+        # where tiles gather their distinct table rows into a slab
+        WeightedPointSet(wide.points[keep], kept_w / math.fsum(kept_w)),
         # odd N: rows n and N - n coincide in 72 pairs, in folded order, but
-        # a tile of 46 rows has too few repeats for a slab; 4 blocks
+        # a tile of 46 rows has too few repeats for a slab; 4 blocks.  Its
+        # rank counts are not symmetric, so it has no orbits
         tent_transform(lattice_points(LatticeRule(701, (1, 194, 142)))),
-        # 608 nodes, row tiles of _TILE // 608 = 53 rows: the last is partial
+        # 608 nodes in 76 orbits
         symmetrize(LatticeRule(151, (1, 58, 40))),
         # repeated grid values, uneven weights
         WeightedPointSet(grid, grid_w / math.fsum(grid_w)),
@@ -728,11 +783,14 @@ def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
     # block.  korcos at alpha = 1.5 has a nonzero tail bound: it reads
     # Omega_2N on the rule-derived sets and sums series, under a coarse
     # policy to keep them cheap, on the grid and random sets, which the
-    # small blocks split too; cosine at alpha = 2 is a closed form.
+    # small blocks split too; cosine at alpha = 2 is a closed form.  The
+    # rule's sym sets, deduped, full or shuffled, fold to the same orbits
+    # whatever the block, tile or thread count.
     pol = TruncationPolicy(tol=1e-2)
     rule = cbc_construct(127, 4, 2, (1.0, 1 / 4, 1 / 9, 1 / 16)).rule
     distinct = lattice_points(LatticeRule(521, (1, 191, 260)))
-    sets = _oracle_point_sets() + [symmetrize(rule), distinct]
+    sym = symmetrize(rule)
+    sets = _oracle_point_sets() + [sym, symmetrize(rule, dedupe=False), _shuffled(sym), distinct]
     cases = [(SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:ps.s]), ps)
              for family, alpha in (("korcos", 1.5), ("cosine", 2)) for ps in sets]
     refs = [wce_double_sum(spec, ps, pol) for spec, ps in cases]
@@ -745,6 +803,63 @@ def test_double_sum_bits_do_not_depend_on_block_tile_or_threads(monkeypatch):
                 key = (spec.family, block, tile, threads, len(ps))
                 assert got.e2 == ref.e2, key
                 assert got.tail_bound == ref.tail_bound, key
+
+
+@pytest.mark.parametrize("family,alpha", [("sobolev", 1), ("sobolev", 2)]
+                         + [(f, a) for f in ("korobov", "cosine", "korcos") for a in (1, 1.5, 2.5)])
+def test_reflection_orbits_keep_the_quadratic_form(family, alpha):
+    """Sym sets above the gate, summed over reflection orbits, against the
+    direct sum over all their rows.
+
+    With T_j the float kernel values that either sum reads, Q = sum_{u,v}
+    w_u w_v prod_j T_j(u, v) and B the same over |T_j|, averaging over the
+    orbits gives Q = sum_{O,P} W_O W_P prod_j kbar_j with the exact kbar_j,
+    W_O = (orbit rows) w exact here, as each orbit has 2^z rows, and B over
+    the averages of |T_j|.  With u = 2^-53 and gamma_n = n u / (1 - n u):
+    - unfolded, each product rounds s - 1 times: within eta_u B of Q,
+      eta_u = gamma_(s-1);
+    - folded, each kbar_j takes two rounded additions and an exact * 0.25,
+      so it is within gamma_2 of the mean of |T_j|, and each product within
+      eta_f B, eta_f = (1 + gamma_2)^s (1 + gamma_(s-1)) - 1;
+    - the reduction of either, over at most M columns, adds (E + u (1 + E))
+      (1 + eta) B + u |e2| / (1 - u), E = gamma_M + u (1 + gamma_M)
+      (``test_double_sum_reduction_error_is_within_its_derived_bound``);
+    - B is at most the float sum of w_u w_v |P_uv| times (1 + gamma_(s-1))
+      / (1 - gamma_(M+1)).
+    The folded tail is at most the unfolded one, as |kbar_j| <= max |T_j|.
+    The deduped, full and shuffled sets fold to the same rows, so the same
+    bits.  A sym set whose orbits have unequal weights keeps its rows.
+    """
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    for rule in (LatticeRule(151, (1, 58, 40)), LatticeRule(31, (1, 12, 5, 3, 9))):
+        sym = symmetrize(rule)
+        M, s = sym.points.shape
+        spec = SpaceSpec(family, alpha, (1.0, 0.7, 0.4, 0.3, 0.2)[:s])
+        lean = sym.weights * np.where(sym.points[:, 0] < 0.5, 1.01, 0.99)
+        uneven = WeightedPointSet(sym.points, lean / math.fsum(lean))
+        assert all(_orbit_rows(sym.points, sym.weights)[0])
+        assert not any(_orbit_rows(uneven.points, uneven.weights)[0])
+        for ps in (sym, uneven):
+            got = wce_double_sum(spec, ps, POL)
+            prod, w, maxv, bnds = _direct_products(spec, ps, POL, orbits=False)
+            e2 = math.fsum(w * np.einsum("ij,j->i", prod, w)) - 1.0
+            B = math.fsum(w * np.einsum("ij,j->i", np.abs(prod), w))
+            B *= (1 + gamma(s - 1)) / (1 - gamma(M + 1))
+            E = gamma(M) + u * (1 + gamma(M))
+            bound = u * (abs(e2) + abs(got.e2)) / (1 - u)
+            for eta in (gamma(s - 1), (1 + gamma(2)) ** s * (1 + gamma(s - 1)) - 1):
+                bound += eta * B + (E + u * (1 + E)) * (1 + eta) * B
+            assert abs(got.e2 - e2) <= bound, (M, got.e2 - e2, bound)
+            assert got.tail_bound <= _product_tail(bnds, maxv)
+        ref = wce_double_sum(spec, sym, POL)
+        full = symmetrize(rule, dedupe=False)
+        for ps in (full, _shuffled(sym), _shuffled(full)):
+            again = wce_double_sum(spec, ps, POL)
+            assert (again.e2, again.tail_bound) == (ref.e2, ref.tail_bound), len(ps)
 
 
 @pytest.mark.parametrize("family,alpha", [("korobov", 2), ("korcos", 1.5), ("sobolev", 1)])
@@ -788,9 +903,9 @@ def _check_reduction_bound(spec, ps):
     """The bound of test_double_sum_reduction_error_is_within_its_derived_bound."""
     u = Fraction(1, 1 << 53)
     e2 = wce_double_sum(spec, ps, POL).e2
-    prod, _, _ = _direct_products(spec, ps, POL)
-    M = len(ps)
-    wf = [Fraction(x) for x in ps.weights]
+    prod, w, _, _ = _direct_products(spec, ps, POL)
+    M = len(w)
+    wf = [Fraction(x) for x in w]
     S = A = Fraction(0)
     for i in range(M):
         terms = [Fraction(p) * wk for p, wk in zip(prod[i].tolist(), wf)]
@@ -834,10 +949,10 @@ def _double_sum_block_peak(spec, X, rows, policy):
     return max(build, tables + 3 * wce._TILE * 8)
 
 
-@pytest.mark.parametrize("nodes,threads", [("symmetrized", 1), ("distinct", 1),
-                                           ("symmetrized", 2), ("distinct", 2)])
+@pytest.mark.parametrize("nodes,threads", [(n, t) for t in (1, 2)
+                                           for n in ("symmetrized", "dropped", "distinct")])
 def test_double_sum_peak_memory_is_the_block_tables_and_three_tiles(nodes, threads):
-    """Traced peak of one double sum over 2040 nodes, s = 3.
+    """Traced peak of one double sum over 2040 nodes, or 1749, s = 3.
 
     A block builds its s kernel tables one after another, each over the
     block's distinct values times the set's, and keeps them all; it takes
@@ -858,26 +973,33 @@ def test_double_sum_peak_memory_is_the_block_tables_and_three_tiles(nodes, threa
     tables, sum_j U_j^2 values, fit in a _ROW_BLOCK-by-M array is one block;
     otherwise a block takes the whole tiles of _TILE // M = 16 rows that fit
     in _ROW_BLOCK * M // sum_j U_j rows.  The symmetrized set (N = 509) has
-    510 distinct values per coordinate and is one block; the random set has
+    510 distinct values per coordinate and is one block; summed over its
+    255 reflection orbits, it takes two blocks of 128 rows, whose tables
+    over their rows a, a* and all 510 values stay within that block's.
+    With every 7th row dropped it has 1749 rows and no orbits, and is one
+    block in folded order, whose tiles fill from slabs.  The random set has
     2040, so its blocks take 160 rows and its tables together hold no more
     than a _ROW_BLOCK-by-M block.  A block-by-M product buffer, or all of a
     512-row block's tables over 2040 distinct values, does not fit.
     """
-    if nodes == "symmetrized":
-        ps = symmetrize(LatticeRule(509, (1, 191, 85)))
-    else:
+    if nodes == "distinct":
         x = np.random.default_rng(3).random((2040, 3))
         ps = WeightedPointSet(x, np.full(2040, 1 / 2040))
+    else:
+        ps = symmetrize(LatticeRule(509, (1, 191, 85)))
+    if nodes == "dropped":
+        keep = np.arange(len(ps)) % 7 != 6
+        ps = WeightedPointSet(ps.points[keep], ps.weights[keep] / math.fsum(ps.weights[keep]))
     X = ps.points
     M, s = X.shape
-    assert M == 2040 and wce._TILE < M * _ROW_BLOCK
+    assert M == (1749 if nodes == "dropped" else 2040) and wce._TILE < M * _ROW_BLOCK
     U = [np.unique(X[:, j]).size for j in range(s)]
     t = wce._TILE // M
     if sum(u * u for u in U) <= _ROW_BLOCK * M:
         rb = M
     else:
         rb = _ROW_BLOCK * M // sum(U) // t * t
-    assert rb == (M if nodes == "symmetrized" else 160)
+    assert rb == (160 if nodes == "distinct" else M)
     spec = SpaceSpec("korobov", 1, (1.0, 0.5, 0.25))
     block = _double_sum_block_peak(spec, X, rb, POL)
     bound = threads * block + (1 << 20)
